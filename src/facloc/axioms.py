@@ -226,15 +226,18 @@ def candidate_points(profile: AgentProfile, budget: SearchBudget) -> list[Point]
     lo, hi = bounding_box(profile.agents)
     lo = tuple(c - pad for c in lo)
     hi = tuple(c + pad for c in hi)
-    axes = [
-        _axis_values(lo[k], hi[k], budget.grid_resolution) for k in range(profile.dim)
-    ]
-    lattice_size = math.prod(len(axis) for axis in axes)
+    r = budget.grid_resolution
+    # sized before anything is built: a far-flung profile must not allocate
+    # the lattice it is about to be refused for
+    lattice_size = math.prod(
+        math.ceil(hi[k] / r) - math.floor(lo[k] / r) + 1 for k in range(profile.dim)
+    )
     if lattice_size > _MAX_GRID_POINTS:
         raise OracleCapError(
             f"candidate lattice holds {lattice_size} points (cap {_MAX_GRID_POINTS}); "
             "coarsen grid_resolution or shrink bounding_box_pad"
         )
+    axes = [_axis_values(lo[k], hi[k], r) for k in range(profile.dim)]
     points: set[Point] = set(itertools.product(*axes))
     points.update(itertools.product(*zip(lo, hi)))
     points.update(profile.agents)

@@ -3,7 +3,8 @@
 Profiles are sampled uniformly in an axis-aligned square.  Each trial owns
 an RNG derived from (seed, trial index), so trials are independent of
 evaluation order and the whole run is reproducible from the config alone.
-Instances the exact oracle refuses are skipped and counted, never silently
+Instances the exact oracle refuses are skipped and counted, and trials
+whose numeric solver gives up are counted as failed; neither is silently
 resampled.
 """
 
@@ -13,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geometry import Metric
+from .geometry import ConvergenceError, Metric
 from .mechanisms import AgentProfile, FacilitySpec, MechanismDescriptor
 from .welfare import OracleCapError, WelfareObjective, approximation_ratio
 
@@ -77,10 +78,11 @@ class BenchResult:
     mean_ratio: float
     histogram: tuple[int, ...]
     per_n_max: tuple[tuple[int, float], ...]
+    failed: int = 0
 
     def __post_init__(self):
-        if self.completed + self.skipped != self.config.trials:
-            raise ValueError("completed + skipped must account for every trial")
+        if self.completed + self.skipped + self.failed != self.config.trials:
+            raise ValueError("completed + skipped + failed must account for every trial")
 
 
 def histogram_edges() -> list[tuple[float, float]]:
@@ -129,6 +131,7 @@ def run_bench(config: BenchConfig, descriptor: MechanismDescriptor) -> BenchResu
     spec = FacilitySpec(descriptor.implied_facilities or 1)
     ratios: list[float] = []
     skipped = 0
+    failed = 0
     unbounded = 0
     counts = [0] * (HISTOGRAM_BINS + 1)
     per_n: dict[int, float] = {}
@@ -138,6 +141,9 @@ def run_bench(config: BenchConfig, descriptor: MechanismDescriptor) -> BenchResu
             report = approximation_ratio(descriptor, profile, spec, config.objective)
         except OracleCapError:
             skipped += 1
+            continue
+        except ConvergenceError:
+            failed += 1
             continue
         ratio = report.ratio
         ratios.append(ratio)
@@ -160,4 +166,5 @@ def run_bench(config: BenchConfig, descriptor: MechanismDescriptor) -> BenchResu
         mean_ratio=mean_ratio,
         histogram=tuple(counts),
         per_n_max=tuple(sorted(per_n.items())),
+        failed=failed,
     )

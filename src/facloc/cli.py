@@ -4,7 +4,8 @@ Subcommands: run, check, oracle, scenario, bench, list-scenarios.  All
 numeric output is printed at 12 significant digits with locale-independent
 formatting, and every report is byte-identical across runs for the same
 inputs and seed.  Exit codes: 0 success, 1 validation error, 2 violation
-found (check/scenario), 3 resource cap hit.
+found (check/scenario), 3 resource cap hit, 4 numeric solver did not
+converge.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .axioms import (
     check_strategy_proofness,
 )
 from .bench import BenchConfig, histogram_edges, run_bench
+from .geometry import ConvergenceError
 from .instances import Instance, load_instance
 from .mechanisms import (
     FacilitySpec,
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VIOLATION = 2
 EXIT_RESOURCE_CAP = 3
+EXIT_SOLVER = 4
 
 
 def fmt(value: Any) -> str:
@@ -275,6 +278,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     out.row("trials", config.trials)
     out.row("completed", result.completed)
     out.row("skipped_resource_cap", result.skipped)
+    out.row("failed_solver", result.failed)
     out.row("unbounded", result.unbounded)
     out.row("max_ratio", result.max_ratio)
     out.row("mean_ratio", result.mean_ratio)
@@ -373,6 +377,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OracleCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 Point = tuple[float, ...]
 
@@ -32,7 +32,7 @@ class Circle(NamedTuple):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solver ran out of iterations.  Carries the best iterate."""
+    """Iterative solver ran out of rounds.  Carries the last iterate."""
 
     def __init__(self, message: str, best: Point):
         super().__init__(message)
@@ -85,68 +85,117 @@ def coordinate_median(points: Iterable[Iterable[float]], policy: str = "lower") 
     return tuple(sorted(p[k] for p in pts)[idx] for k in range(len(pts[0])))
 
 
-def _pull_at(pts: list[Point], anchor: Point) -> tuple[int, list[float], float]:
-    """Multiplicity of anchor among pts, net unit pull of the remaining
-    points, and the sum of their inverse distances."""
-    dim = len(anchor)
-    multiplicity = 0
-    pull = [0.0] * dim
-    inv_sum = 0.0
-    for p in pts:
-        d = math.dist(p, anchor)
-        if d <= COINCIDENCE_EPS:
-            multiplicity += 1
-            continue
-        inv_sum += 1.0 / d
-        for k in range(dim):
-            pull[k] += (p[k] - anchor[k]) / d
-    return multiplicity, pull, inv_sum
-
-
-def _hessian_at(pts: list[Point], x: Point) -> list[list[float]]:
-    """Hessian of the total-distance objective at x, skipping coincident
-    points (their contribution is unbounded and handled separately)."""
-    dim = len(x)
-    h = [[0.0] * dim for _ in range(dim)]
-    for p in pts:
-        d = math.dist(p, x)
-        if d <= COINCIDENCE_EPS:
-            continue
-        u = [(p[k] - x[k]) / d for k in range(dim)]
-        for j in range(dim):
-            for k in range(dim):
-                h[j][k] += ((1.0 if j == k else 0.0) - u[j] * u[k]) / d
-    return h
-
-
-def _solve_linear(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
-    """Gaussian elimination with partial pivoting; None on a singular pivot."""
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0.0:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        for r in range(col + 1, n):
-            fac = a[r][col] / a[col][col]
-            for k in range(col, n + 1):
-                a[r][k] -= fac * a[col][k]
-    out = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        s = a[r][n] - sum(a[r][k] * out[k] for k in range(r + 1, n))
-        out[r] = s / a[r][r]
-    return out
-
-
-# a cap hit with steps already this small relative to the instance
-# diameter is a genuine stall (optimum next to an input point, or a
-# near-flat valley from close-to-collinear inputs), not under-iteration
-_STALL_STEP_FRACTION = 1e-5
-_POLISH_ROUNDS = 64
+# relative change of a sum of distances that rounding can fake
+_FLAT = 1e-15
+# a trial step shortened this many times over fails
+_HALVINGS = 8
 # net-pull excess below this certifies the answer: the value error is at
-# most the excess times the instance diameter
+# most the excess times the instance diameter, plus twice the distance to
+# each input point counted as sitting on the answer
 _RESIDUAL_ACCEPT = 1e-6
+
+
+class _Model(NamedTuple):
+    """The objective around x; sums skip the input points sitting on x."""
+
+    value: float  # total distance
+    multiplicity: int  # input points counted as sitting on x
+    pull: list[float]  # net unit pull: minus the gradient
+    hessian: list[list[float]]
+    inv_sum: float  # sum of inverse distances
+
+    @property
+    def excess(self) -> float:
+        """Norm of the smallest subgradient at x; zero exactly at an optimum."""
+        return math.hypot(*self.pull) - self.multiplicity
+
+    def improved_by(self, other: _Model) -> bool:
+        """other has a smaller excess and, up to rounding, no larger value."""
+        return other.excess < self.excess and other.value <= self.value * (1.0 + _FLAT)
+
+
+class _Objective:
+    """Total distance to the input points, and the solver's steps on it."""
+
+    def __init__(self, pts: list[Point]):
+        self.pts = pts
+        # an input point this close sits on the iterate: a step this short
+        # off a kink, at the excess allowed, is lost in the total's rounding
+        scale = max(abs(c) for p in pts for c in p)
+        self.near = max(COINCIDENCE_EPS, len(pts) * math.ulp(scale) / _RESIDUAL_ACCEPT)
+
+    def model_at(self, x: Point) -> _Model:
+        dim = len(x)
+        value, multiplicity, inv_sum = 0.0, 0, 0.0
+        pull = [0.0] * dim
+        hessian = [[0.0] * dim for _ in range(dim)]
+        for p in self.pts:
+            d = math.dist(p, x)
+            value += d
+            if d <= self.near:
+                multiplicity += 1
+                continue
+            w = 1.0 / d
+            inv_sum += w
+            u = [(a - b) * w for a, b in zip(p, x)]
+            for j, row in enumerate(hessian):
+                pull[j] += u[j]
+                uw = u[j] * w
+                for k in range(dim):
+                    row[k] -= uw * u[k]
+        for j in range(dim):
+            hessian[j][j] += inv_sum
+        return _Model(value, multiplicity, pull, hessian, inv_sum)
+
+    def search(
+        self, start: Point, step: list[float], accept: Callable[[_Model], bool]
+    ) -> tuple[Point, _Model] | None:
+        """The first of start + step, start + step / 2, ... that `accept`
+        takes the model of, or None after _HALVINGS tries."""
+        for t in (0.5**i for i in range(_HALVINGS)):
+            cand = tuple(c + t * s for c, s in zip(start, step))
+            at = self.model_at(cand)
+            if accept(at):
+                return cand, at
+        return None
+
+    def fallback(self, x: Point, model: _Model) -> tuple[Point, _Model]:
+        """Lower of a Weiszfeld step (Vardi-Zhang damped on an input point)
+        and an escape step; of two equally low, the better certified."""
+        scale = (1.0 - model.multiplicity / math.hypot(*model.pull)) / model.inv_sum
+        target = tuple(c + scale * g for c, g in zip(x, model.pull))
+        steps = [s for s in ((target, self.model_at(target)), self.escape_step(x)) if s]
+        lowest = min(s[1].value for s in steps) * (1.0 + _FLAT)
+        return min((s for s in steps if s[1].value <= lowest), key=lambda s: s[1].excess)
+
+    def escape_step(self, x: Point) -> tuple[Point, _Model] | None:
+        """Step off the kink of the input point p nearest x along its net
+        pull, by the Newton length on that ray capped at the instance's
+        reach, halved until the total falls below p's.  An optimal p stays."""
+        p = min(self.pts, key=lambda q: math.dist(q, x))
+        at_p = self.model_at(p)
+        if at_p.excess <= 0.0:
+            return p, at_p
+        ray = [c / math.hypot(*at_p.pull) for c in at_p.pull]
+        curvature = sum(r * h * s for row, r in zip(at_p.hessian, ray) for h, s in zip(row, ray))
+        reach = max(math.dist(p, q) for q in self.pts)
+        length = reach if curvature * reach <= at_p.excess else at_p.excess / curvature
+        return self.search(p, [length * r for r in ray], lambda at: at.value < at_p.value)
+
+
+def _solve_spd(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """Gauss-Jordan elimination without pivoting, which is stable for a
+    symmetric positive definite matrix; None once a pivot is not positive."""
+    a = [row + [b] for row, b in zip(matrix, rhs)]
+    for col, pivot_row in enumerate(a):
+        if (pivot := pivot_row[col]) <= 0.0:
+            return None
+        pivot_row[:] = [c / pivot for c in pivot_row]
+        for row in a:
+            if row is not pivot_row:
+                fac = row[col]
+                row[:] = [r - fac * q for r, q in zip(row, pivot_row)]
+    return [row[-1] for row in a]
 
 
 def geometric_median(
@@ -156,20 +205,15 @@ def geometric_median(
 ) -> Point:
     """Point minimizing the total Euclidean distance to the inputs.
 
-    Weiszfeld iteration with the standard fix for iterates that land on an
-    input point: the coincident point contributes no weight, and the step is
-    damped by the ratio of its multiplicity to the net pull of the others.
     Input points are tested for optimality up front (net pull of the other
     points no larger than the multiplicity), which makes the result exact
-    whenever the optimum sits on an input point.
-
-    Near-degenerate instances (optimum next to an input point, near-flat
-    valleys) make the step sizes decay sublinearly, so the iteration cap
-    can fire while the iterate is already value-accurate.  Such stalls are
-    finished off by damped Newton steps on the net-pull field, which keep
-    working where line searches on the objective would drown in rounding
-    noise, and accepted only when the net-pull residual certifies the
-    value; anything else raises ConvergenceError.
+    whenever the optimum sits on an input point.  Otherwise each round
+    takes a damped Newton step on the net-pull field or, if that cannot
+    shrink the excess, a Weiszfeld step or an escape from the kink of the
+    nearest input point.  Once a step is shorter than `tolerance` or
+    lowers the total by no more than rounding, the iterate is returned if
+    its excess certifies it (see `_RESIDUAL_ACCEPT`).  Running out of
+    `max_iterations` rounds raises ConvergenceError.
     """
     pts = _validated(points)
     if tolerance <= 0:
@@ -178,78 +222,33 @@ def geometric_median(
         return pts[0]
     dim = len(pts[0])
 
+    totals: dict[Point, float] = {}
     for anchor in dict.fromkeys(pts):
-        multiplicity, pull, _ = _pull_at(pts, anchor)
-        if math.hypot(*pull) <= multiplicity + 1e-12:
+        others = [(p, d) for p in pts if (d := math.dist(p, anchor)) > COINCIDENCE_EPS]
+        pull = [sum((p[k] - anchor[k]) / d for p, d in others) for k in range(dim)]
+        if math.hypot(*pull) <= len(pts) - len(others) + 1e-12:
             return anchor
+        totals[anchor] = sum(d for _, d in others)
 
+    objective = _Objective(pts)
     x = tuple(sum(p[k] for p in pts) / len(pts) for k in range(dim))
-    step = math.inf
+    model = objective.model_at(x)
+    # start from an input point below the centroid: as no round raises the
+    # total beyond rounding, the answer beats every input point either way
+    lowest = min(totals, key=totals.get)
+    if totals[lowest] < model.value:
+        x, model = lowest, objective.model_at(lowest)
     for _ in range(max_iterations):
-        multiplicity = 0
-        weight_sum = 0.0
-        weighted = [0.0] * dim
-        pull = [0.0] * dim
-        for p in pts:
-            d = math.dist(p, x)
-            if d <= COINCIDENCE_EPS:
-                multiplicity += 1
-                continue
-            w = 1.0 / d
-            weight_sum += w
-            for k in range(dim):
-                weighted[k] += p[k] * w
-                pull[k] += (p[k] - x[k]) * w * d * w  # (p-x)/d
-        if weight_sum == 0.0:
-            return x  # every input coincides with the iterate
-        target = tuple(c / weight_sum for c in weighted)
-        if multiplicity:
-            r = math.hypot(*pull)
-            if r <= multiplicity + 1e-12:
-                return x
-            beta = multiplicity / r
-            x_new = tuple((1.0 - beta) * t + beta * c for t, c in zip(target, x))
-        else:
-            x_new = target
-        step = math.dist(x, x_new)
-        x = x_new
-        if step < tolerance:
+        if model.excess <= 0.0:
             return x
-
-    mins, maxs = bounding_box(pts)
-    scale = math.dist(mins, maxs) or 1.0
-    if step <= _STALL_STEP_FRACTION * scale:
-        for _ in range(_POLISH_ROUNDS):
-            multiplicity, pull, _ = _pull_at(pts, x)
-            excess = math.hypot(*pull) - multiplicity
-            if excess <= 1e-12:
-                return x
-            if multiplicity:
-                # parked exactly on a non-optimal input point: nudge off it
-                norm = math.hypot(*pull)
-                x = tuple(c + w / norm * (1e-9 * scale) for c, w in zip(x, pull))
-                continue
-            delta = _solve_linear(_hessian_at(pts, x), pull)
-            if delta is None:
-                break
-            stepped = False
-            t = 1.0
-            for _ in range(40):
-                cand = tuple(c + t * w for c, w in zip(x, delta))
-                cand_mult, cand_pull, _ = _pull_at(pts, cand)
-                if math.hypot(*cand_pull) - cand_mult < excess:
-                    x = cand
-                    stepped = True
-                    break
-                t *= 0.5
-            if not stepped:
-                break
-        multiplicity, pull, _ = _pull_at(pts, x)
-        if math.hypot(*pull) - multiplicity <= _RESIDUAL_ACCEPT:
+        delta = None if model.multiplicity else _solve_spd(model.hessian, model.pull)
+        moved = objective.search(x, delta, model.improved_by) if delta else None
+        moved = moved or objective.fallback(x, model)
+        step, flat = math.dist(x, moved[0]), moved[1].value >= model.value * (1.0 - _FLAT)
+        x, model = moved
+        if (step < tolerance or flat) and model.excess <= _RESIDUAL_ACCEPT:
             return x
-    raise ConvergenceError(
-        f"geometric median did not converge in {max_iterations} iterations", best=x
-    )
+    raise ConvergenceError(f"geometric median did not converge in {max_iterations} rounds", x)
 
 
 # --- smallest enclosing circle (randomized incremental) ---------------------

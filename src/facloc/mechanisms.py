@@ -68,6 +68,15 @@ class AgentProfile:
         return AgentProfile(tuple(self.agents[i - 1] for i in permutation), self.metric)
 
 
+def _integral(value: Any, what: str) -> int:
+    """value as an int; integral floats pass, bools and fractions do not."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FacilitySpec:
     """How many facilities to place, and optional per-facility capacities."""
@@ -76,10 +85,10 @@ class FacilitySpec:
     capacities: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
             raise ValueError(f"facility count must be a positive integer, got {self.m!r}")
         if self.capacities is not None:
-            caps = tuple(int(c) for c in self.capacities)
+            caps = tuple(_integral(c, "capacity") for c in self.capacities)
             if len(caps) != self.m:
                 raise ValueError("capacities must list one entry per facility")
             if any(c < 1 for c in caps):

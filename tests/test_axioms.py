@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,17 @@ class TestCandidatePoints:
     def test_oversized_lattice_rejected(self):
         with pytest.raises(OracleCapError, match="lattice"):
             candidate_points(PAIR, SearchBudget(grid_resolution=1e-4))
+
+    def test_lattice_cap_checked_before_allocating(self):
+        far = AgentProfile(((0.0, 0.0), (1e5, 1e5)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleCapError, match="holds 7090200284049 points"):
+                candidate_points(far, SearchBudget())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestAnonymity:

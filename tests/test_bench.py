@@ -11,7 +11,8 @@ from facloc.bench import (
     run_bench,
     sample_profile,
 )
-from facloc.geometry import Metric
+from facloc import welfare
+from facloc.geometry import ConvergenceError, Metric, geometric_median
 from facloc.mechanisms import MechanismDescriptor
 from facloc.welfare import WelfareObjective
 
@@ -145,6 +146,22 @@ class TestRunBench:
         result = run_bench(cfg, MEDIAN)
         assert result.completed == 60
         assert result.max_ratio == pytest.approx(1.0, abs=1e-9)
+
+    def test_solver_failures_are_counted_not_raised(self, monkeypatch):
+        def kernel(pts, **kwargs):
+            if len(pts) == 4:
+                raise ConvergenceError("stalled", best=pts[0])
+            return geometric_median(pts, **kwargs)
+
+        monkeypatch.setattr(welfare, "geometric_median", kernel)
+        cfg = small_config(trials=30, objective=WelfareObjective.TOTAL)
+        fours = sum(1 for i in range(cfg.trials) if sample_profile(cfg, i).n == 4)
+        assert 0 < fours < cfg.trials
+        result = run_bench(cfg, MEDIAN)
+        assert result.failed == fours
+        assert result.completed + result.skipped + result.failed == cfg.trials
+        assert sum(result.histogram) == result.completed
+        assert 4 not in dict(result.per_n_max)
 
     def test_result_accounting_guard(self):
         cfg = small_config(trials=2)

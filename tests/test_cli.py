@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from facloc import mechanisms, welfare
 from facloc.axioms import certificate_from_dict, verify_certificate
 from facloc.cli import main
+from facloc.geometry import ConvergenceError, geometric_median
 from facloc.mechanisms import AgentProfile, FacilitySpec, MechanismDescriptor
 from facloc import scenarios as scenario_registry
 
@@ -105,6 +107,23 @@ class TestRun:
     def test_missing_file_fails_validation(self, tmp_path, capsys):
         assert main(["run", "--instance", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_non_integral_capacity_fails_validation(self, tmp_path, capsys):
+        doc = dict(RECTANGLE, facilities=2, capacities=[2.7, 1])
+        doc["mechanism"] = {"kind": "percentile_multi_d", "params": [[0, 0], [1, 1]]}
+        assert main(["run", "--instance", write(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err.startswith("error: capacity must be an integer")
+
+    def test_solver_failure_maps_to_exit_four(self, tmp_path, capsys, monkeypatch):
+        def kernel(pts, **kwargs):
+            raise ConvergenceError("geometric median did not converge", best=pts[0])
+
+        monkeypatch.setattr(mechanisms, "geometric_median", kernel)
+        doc = dict(RECTANGLE, mechanism={"kind": "geometric_median"})
+        assert main(["run", "--instance", write(tmp_path, doc)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: geometric median did not converge\n"
 
 
 class TestCheck:
@@ -283,6 +302,36 @@ class TestBench:
         assert "completed 0" in out
         assert "skipped_resource_cap 2" in out
         assert "max_ratio nan" in out
+
+    def test_solver_failures_are_reported(self, capsys, monkeypatch):
+        def kernel(pts, **kwargs):
+            if len(pts) == 4:
+                raise ConvergenceError("stalled", best=pts[0])
+            return geometric_median(pts, **kwargs)
+
+        monkeypatch.setattr(welfare, "geometric_median", kernel)
+        args = [
+            "bench", "--mechanism", "multi_dim_median", "--trials", "20",
+            "--n-min", "3", "--n-max", "5",
+        ]
+        assert main(args) == 0
+        out = lines_of(capsys)
+        # the failure count follows the resource-cap skips
+        key, failed = out[out.index("skipped_resource_cap 0") + 1].split()
+        assert key == "failed_solver" and int(failed) > 0
+        assert f"completed {20 - int(failed)}" in out
+
+    def test_nearly_collinear_trial_completes(self, capsys):
+        # trial 47 holds four nearly collinear agents whose geometric median
+        # once hit the solver's iteration cap
+        args = [
+            "bench", "--mechanism", "percentile_multi_d", "--params", "0,0;1,1",
+            "--trials", "200", "--n-min", "4", "--n-max", "8",
+        ]
+        assert main(args) == 0
+        out = lines_of(capsys)
+        assert "completed 200" in out
+        assert "failed_solver 0" in out
 
     def test_bench_needs_a_mechanism(self, capsys):
         assert main(["bench", "--trials", "5"]) == 1

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facloc.bench import BenchConfig, sample_profile
 from facloc.geometry import (
+    _RESIDUAL_ACCEPT,
+    _Objective,
     Circle,
     ConvergenceError,
     Metric,
@@ -127,6 +130,113 @@ def test_geometric_median_finishes_near_degenerate_stalls(pts):
     for dx, dy in ((1e-6, 0.0), (-1e-6, 0.0), (0.0, 1e-6), (0.0, -1e-6)):
         nudged = (gm[0] + dx, gm[1] + dy)
         assert total <= sum(math.dist(nudged, q) for q in pts) + 1e-12
+
+
+def _excess(x, pts, near):
+    """Net-pull excess at x: the norm of the unit pull of the points not at
+    x, less the number of points at x.  A point counts as at x within the
+    solver's resolution radius `near`, where rounding swamps its direction."""
+    pull = [0.0] * len(x)
+    at_x = 0
+    for p in pts:
+        d = math.dist(p, x)
+        if d <= near:
+            at_x += 1
+            continue
+        for k in range(len(x)):
+            pull[k] += (p[k] - x[k]) / d
+    return math.hypot(*pull) - at_x
+
+
+def assert_certified_median(pts):
+    gm = geometric_median(pts)  # raises ConvergenceError on failure
+    near = _Objective(pts).near
+    assert _excess(gm, pts, near) <= _RESIDUAL_ACCEPT
+    total = sum(math.dist(gm, p) for p in pts)
+    # slack for rounding in a sum of at most nine distances, and for the
+    # input points that count as sitting on the answer: each may add twice
+    # its distance to the answer's total
+    slack = 2 * sum(d for p in pts if (d := math.dist(gm, p)) <= near)
+    for p in pts:
+        assert total <= sum(math.dist(p, q) for q in pts) * (1 + 1e-13) + slack
+
+
+# inputs on which a Weiszfeld loop hit its cap or a naive Newton loop went
+# wrong: nearly collinear points (one of them trial 47 of `facloc bench
+# --mechanism percentile_multi_d --params "0,0;1,1"`, one a ratio-sweep
+# trial), an iterate walking into the kink of a non-optimal input point, a
+# near-flat valley where a step-size-only stop never fires, and an
+# optimum next to an input point whose own excess certifies it
+SOLVER_TRAPS = {
+    "nearly_collinear": (
+        (6.6969393774998665, 93.71175876663045),
+        (7.96986767570762, 90.48885065063797),
+        (82.22676293130657, 48.51915259275176),
+        (93.43229218160556, 41.55471356078603),
+    ),
+    "bench_seed_4000_trial_582": sample_profile(
+        BenchConfig(trials=1, n_range=(3, 9), seed=4000, objective="total", metric="euclidean"),
+        582,
+    ).agents,
+    "kink": (
+        (32.889242289806475, 33.355220151638996),
+        (34.22055879899092, 53.726204995899806),
+        (34.31565903600007, 55.1599911420327),
+        (33.708192113132405, 45.89352834898059),
+    ),
+    "flat_valley": (
+        (31.830045066879183, 95.00844107993358),
+        (40.28083911412029, 77.3551370972875),
+        (53.10983783877452, 50.54928145997202),
+        (44.308672667847034, 68.93921281119209),
+    ),
+    "near_vertex_3d": (
+        (11.659434055721805, 57.89317073296176, 70.11279983412173),
+        (13.062840497105963, 71.39893877000102, 82.81623865432451),
+        (9.321685463620488, 35.39924845786238, 48.951909991038924),
+        (12.678305006862253, 67.72179074199667, 79.35900977775334),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_TRAPS))
+def test_geometric_median_certified_on_solver_traps(name):
+    assert_certified_median(list(SOLVER_TRAPS[name]))
+
+
+@st.composite
+def near_collinear_profiles(draw):
+    """n points along a random line, moved off it perpendicularly by noise
+    of standard deviation 1e-9 to 1e-1, some of them duplicated."""
+    n = draw(st.integers(2, 9))
+    dim = draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0)
+    base = draw(st.lists(st.floats(0.0, 100.0), min_size=dim, max_size=dim))
+    direction = draw(
+        st.lists(unit, min_size=dim, max_size=dim).filter(lambda v: math.hypot(*v) > 0.1)
+    )
+    norm = math.hypot(*direction)
+    direction = [c / norm for c in direction]
+    # uniform noise on [-sqrt(3), sqrt(3)] sigma has standard deviation sigma
+    spread = math.sqrt(3.0) * 10.0 ** draw(st.floats(-9.0, -1.0))
+    pts = []
+    for _ in range(n):
+        t = draw(st.floats(-60.0, 60.0))
+        noise = [spread * c for c in draw(st.lists(unit, min_size=dim, max_size=dim))]
+        along = sum(e * c for e, c in zip(noise, direction))
+        pts.append(
+            tuple(b + t * c + e - along * c for b, c, e in zip(base, direction, noise))
+        )
+    index = st.integers(0, n - 1)
+    for src, dst in draw(st.lists(st.tuples(index, index), max_size=2)):
+        pts[dst] = pts[src]
+    return pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_collinear_profiles())
+def test_geometric_median_certified_on_near_collinear_inputs(pts):
+    assert_certified_median(pts)
 
 
 def test_geometric_median_rejects_bad_tolerance():

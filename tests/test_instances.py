@@ -106,6 +106,27 @@ class TestValidation:
             instance_from_dict(doc)
 
 
+    @pytest.mark.parametrize(
+        "facilities, capacities",
+        [(True, None), (2, [2.7, 1]), (2, [True, 3]), (2, ["2", 2])],
+    )
+    def test_non_integral_counts_rejected(self, facilities, capacities):
+        doc = {"version": 1, "agents": [[0, 0], [1, 1], [2, 2]], "facilities": facilities}
+        if capacities is not None:
+            doc["capacities"] = capacities
+        with pytest.raises(ValueError, match="integer"):
+            instance_from_dict(doc)
+
+    def test_integral_float_capacities_accepted(self):
+        doc = {
+            "version": 1,
+            "agents": [[0, 0], [1, 1], [2, 2]],
+            "facilities": 2,
+            "capacities": [2.0, 1],
+        }
+        assert instance_from_dict(doc).spec.capacities == (2, 1)
+
+
 class TestRoundTrip:
     def test_dict_round_trip(self):
         inst = instance_from_dict(RECTANGLE_DOC)
