@@ -6,6 +6,13 @@ and either return a Certificate that replays through the public API or
 return None.  None always means "no violation found at the searched
 resolution"; it is never a proof of compliance.
 
+Inputs are validated once per call.  The strategy-proofness and anonymity
+checkers run the public run_mechanism on the honest profile, which checks
+the descriptor against the spec; each misreport or permutation after that
+only places facilities, on a profile built from already validated points,
+with no Solution and no assignment.  verify_certificate replays every
+witness through the public, fully validated path instead.
+
 Certificates are self-contained.  They carry the profile, the mechanism
 handle where one is involved, and the witness itself, so a certificate
 serialized on one machine can be re-verified on another without rerunning
@@ -37,6 +44,7 @@ from .mechanisms import (
     FacilitySpec,
     MechanismDescriptor,
     Solution,
+    _place,
     assign_nearest,
     descriptor_from_dict,
     descriptor_to_dict,
@@ -227,6 +235,17 @@ def candidate_points(profile: AgentProfile, budget: SearchBudget) -> list[Point]
     lo = tuple(c - pad for c in lo)
     hi = tuple(c + pad for c in hi)
     r = budget.grid_resolution
+    # past the float range there is no lattice to count, and restarts drawn
+    # across an infinite width land on inf; every candidate must be finite
+    if not all(
+        math.isfinite(v)
+        for k in range(profile.dim)
+        for v in (hi[k] - lo[k], lo[k] / r, hi[k] / r)
+    ):
+        raise OracleCapError(
+            f"padded search box overflows the float range (pad {pad!r}); "
+            "shrink bounding_box_pad or coarsen grid_resolution"
+        )
     # sized before anything is built: a far-flung profile must not allocate
     # the lattice it is about to be refused for
     lattice_size = math.prod(
@@ -283,8 +302,8 @@ def check_anonymity(
     for permutation in permutations:
         if permutation == identity:
             continue
-        moved = run_mechanism(descriptor, profile.permuted(permutation), spec)
-        gap = _multiset_gap(base.locations, moved.locations)
+        moved = _place(descriptor, profile.permuted(permutation), spec.m)
+        gap = _multiset_gap(base.locations, moved)
         if gap > tolerance:
             return Certificate(
                 kind=CertificateKind.ANONYMITY_VIOLATION,
@@ -451,11 +470,15 @@ def check_strategy_proofness(
     best_gain = tolerance
     best: tuple[int, Point] | None = None
     for index, agent in enumerate(profile.agents, start=1):
+        agents = list(profile.agents)
         for report in pool:
             if report == agent:
                 continue
-            shifted = run_mechanism(descriptor, profile.with_report(index, report), spec)
-            cost = min(distance(agent, loc, profile.metric) for loc in shifted.locations)
+            agents[index - 1] = report
+            shifted = _place(
+                descriptor, AgentProfile._trusted(tuple(agents), profile.metric), spec.m
+            )
+            cost = min(distance(agent, loc, profile.metric) for loc in shifted)
             gain = honest_costs[index - 1] - cost
             if gain > best_gain:
                 best_gain = gain

@@ -40,10 +40,14 @@ class ConvergenceError(RuntimeError):
 
 
 def as_point(coords: Iterable[float]) -> Point:
-    pt = tuple(float(c) for c in coords)
+    coords = tuple(coords)
+    # float(True) is 1.0: a JSON true must not pass for a coordinate
+    if bool in map(type, coords):
+        raise ValueError(f"point coordinates must be numbers, got {coords!r}")
+    pt = tuple(map(float, coords))
     if not pt:
         raise ValueError("a point needs at least one coordinate")
-    if not all(math.isfinite(c) for c in pt):
+    if not all(map(math.isfinite, pt)):
         raise ValueError(f"point has non-finite coordinates: {pt!r}")
     return pt
 

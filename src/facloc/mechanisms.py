@@ -42,6 +42,15 @@ class AgentProfile:
         object.__setattr__(self, "agents", agents)
         object.__setattr__(self, "metric", Metric(self.metric))
 
+    @classmethod
+    def _trusted(cls, agents: tuple[Point, ...], metric: Metric) -> "AgentProfile":
+        """Profile from agents that are already finite points of one
+        dimension, built without validating them again."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "agents", agents)
+        object.__setattr__(profile, "metric", metric)
+        return profile
+
     @property
     def n(self) -> int:
         return len(self.agents)
@@ -59,13 +68,15 @@ class AgentProfile:
             raise ValueError("misreport has the wrong dimension")
         agents = list(self.agents)
         agents[agent_index - 1] = pt
-        return AgentProfile(tuple(agents), self.metric)
+        return AgentProfile._trusted(tuple(agents), self.metric)
 
     def permuted(self, permutation: Sequence[int]) -> "AgentProfile":
         """Profile reordered so position k holds agent permutation[k] (1-based)."""
         if sorted(permutation) != list(range(1, self.n + 1)):
             raise ValueError(f"not a permutation of 1..{self.n}: {permutation!r}")
-        return AgentProfile(tuple(self.agents[i - 1] for i in permutation), self.metric)
+        return AgentProfile._trusted(
+            tuple(self.agents[i - 1] for i in permutation), self.metric
+        )
 
 
 def _integral(value: Any, what: str) -> int:
@@ -153,15 +164,12 @@ class MechanismDescriptor:
     percentile_params is a flat tuple of probabilities for PERCENTILE_1D and
     a per-facility tuple of per-axis probabilities for PERCENTILE_MULTI_D.
     axes, when given, is an orthonormal basis replacing the coordinate axes.
-    tie_policy documents the deterministic tie rule; every built-in breaks
-    ties toward the lowest index.
     """
 
     kind: MechanismKind
     percentile_params: tuple | None = None
     axes: tuple[tuple[float, ...], ...] | None = None
     agent_order: tuple[int, ...] | None = None
-    tie_policy: str = "lowest-index"
 
     def __post_init__(self):
         object.__setattr__(self, "kind", MechanismKind(self.kind))
@@ -191,7 +199,11 @@ class MechanismDescriptor:
         if self.agent_order is not None:
             if self.kind is not MechanismKind.SERIAL_DICTATORSHIP:
                 raise ValueError(f"{self.kind.value} takes no agent_order")
-            object.__setattr__(self, "agent_order", tuple(int(i) for i in self.agent_order))
+            object.__setattr__(
+                self,
+                "agent_order",
+                tuple(_integral(i, "agent_order entry") for i in self.agent_order),
+            )
 
     @property
     def implied_facilities(self) -> int | None:
@@ -391,6 +403,16 @@ def run_mechanism(
         raise ValueError(
             f"{descriptor.kind.value} places {implied} facilities, spec asks for {spec.m}"
         )
+    locations = _place(descriptor, profile, spec.m)
+    return Solution(locations, assign_nearest(locations, profile))
+
+
+def _place(
+    descriptor: MechanismDescriptor, profile: AgentProfile, m: int
+) -> tuple[Point, ...]:
+    """Facility locations the mechanism picks for m facilities, without the
+    spec checks run_mechanism makes; callers have made them for this
+    descriptor and facility count."""
     kind = descriptor.kind
     if kind is MechanismKind.PERCENTILE_1D:
         if profile.dim != 1:
@@ -405,7 +427,7 @@ def run_mechanism(
         # sorted so the iteration path, hence the rounding, is order-free
         locations = (geometric_median(sorted(profile.agents)),)
     elif kind is MechanismKind.SERIAL_DICTATORSHIP:
-        locations = serial_dictatorship(profile, descriptor.agent_order, spec.m)
+        locations = serial_dictatorship(profile, descriptor.agent_order, m)
     elif kind is MechanismKind.ONE_CENTRE:
         if profile.dim != 2:
             raise ValueError("one_centre runs on 2-d profiles")
@@ -418,7 +440,7 @@ def run_mechanism(
         locations = (lexicographic_first_agent(profile),)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown mechanism kind {kind!r}")
-    return Solution(locations, assign_nearest(locations, profile))
+    return locations
 
 
 # --- wire format helpers ------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facloc.axioms import (
+    GAIN_TOLERANCE,
     Certificate,
     CertificateKind,
     SearchBudget,
@@ -19,11 +21,12 @@ from facloc.axioms import (
     check_strategy_proofness,
     verify_certificate,
 )
-from facloc.geometry import Metric
+from facloc.geometry import Metric, distance
 from facloc.mechanisms import (
     AgentProfile,
     FacilitySpec,
     MechanismDescriptor,
+    MechanismKind,
     Solution,
     run_mechanism,
 )
@@ -178,6 +181,25 @@ class TestCandidatePoints:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize(
+        "agents, budget",
+        [
+            # the default pad, twice the diagonal, is past the float range
+            (((0.0, 0.0), (1e308, 1e308)), SearchBudget()),
+            # a finite bound whose lattice index is not
+            (((0.0, 0.0), (1e308, 0.0)), SearchBudget(bounding_box_pad=0.0)),
+            # finite bounds, a small lattice, but restarts drawn across an
+            # infinite width
+            (
+                ((-1e308, 0.0), (1e308, 0.0)),
+                SearchBudget(grid_resolution=1e307, bounding_box_pad=0.0, random_restarts=1),
+            ),
+        ],
+    )
+    def test_overflowing_box_is_a_cap_not_a_crash(self, agents, budget):
+        with pytest.raises(OracleCapError, match="float range"):
+            candidate_points(AgentProfile(agents), budget)
 
 
 class TestAnonymity:
@@ -418,3 +440,119 @@ def test_every_emitted_certificate_verifies(pts, desc, metric):
     for cert in found:
         if cert is not None:
             assert verify_certificate(cert)
+
+
+# --- the refuter loops place facilities directly; the public path is the
+# reference they must agree with bit for bit
+
+def reference_strategy_proofness(descriptor, profile, spec, budget):
+    """(agent_index, misreport, improvement) of the best lone misreport, with
+    every candidate run through the public run_mechanism / with_report path."""
+    honest = run_mechanism(descriptor, profile, spec)
+    pool = candidate_points(profile, budget)
+    best_gain, best = GAIN_TOLERANCE, None
+    for index, agent in enumerate(profile.agents, start=1):
+        honest_cost = min(distance(agent, loc, profile.metric) for loc in honest.locations)
+        for report in pool:
+            if report == agent:
+                continue
+            shifted = run_mechanism(descriptor, profile.with_report(index, report), spec)
+            cost = min(distance(agent, loc, profile.metric) for loc in shifted.locations)
+            if honest_cost - cost > best_gain:
+                best_gain, best = honest_cost - cost, (index, report)
+    return None if best is None else (*best, best_gain)
+
+
+def reference_anonymity(descriptor, profile, spec):
+    """(permutation, gap) of the first permutation that moves the facility
+    multiset, with every permutation run through the public path."""
+    base = sorted(run_mechanism(descriptor, profile, spec).locations)
+    identity = tuple(range(1, profile.n + 1))
+    for permutation in itertools.permutations(identity):
+        if permutation == identity:
+            continue
+        moved = sorted(run_mechanism(descriptor, profile.permuted(permutation), spec).locations)
+        gap = max(math.dist(p, q) for p, q in zip(base, moved))
+        if gap > GAIN_TOLERANCE:
+            return permutation, gap
+    return None
+
+
+_SKEWED = ((0.3, 1.7), (2.1, 0.4), (1.2, 2.6))
+_COLLINEAR_PAIR = ((0.0, 0.0), (1.5, 1.5))
+_ROTATED = ((math.cos(0.5), math.sin(0.5)), (-math.sin(0.5), math.cos(0.5)))
+PARITY_CASES = [
+    (MechanismDescriptor.percentile_line((0.0, 1.0)), ((0.4,), (1.9,), (1.1,)), 2),
+    (MechanismDescriptor.percentile_plane(((0.5, 0.0), (1.0, 0.5)), _ROTATED), _SKEWED, 2),
+    (MechanismDescriptor.percentile_plane(((0.5, 0.5),)), _SKEWED, 1),
+    (MechanismDescriptor.median(), _SKEWED, 1),
+    (MechanismDescriptor.median(), _SKEWED[:2], 1),
+    (MechanismDescriptor.geometric(), _SKEWED, 1),
+    (MechanismDescriptor.dictatorship(), _SKEWED, 2),
+    (MechanismDescriptor.dictatorship((2, 1)), _COLLINEAR_PAIR, 1),
+    (MechanismDescriptor.one_centre(), _SKEWED, 1),
+    (MechanismDescriptor.coordinate_extreme("max"), _SKEWED, 1),
+    (MechanismDescriptor.coordinate_extreme("min"), _SKEWED, 1),
+    (MechanismDescriptor.first_agent(), _SKEWED, 1),
+    (MechanismDescriptor.first_agent(), _COLLINEAR_PAIR, 1),
+]
+PARITY_BUDGET = SearchBudget(grid_resolution=0.5, bounding_box_pad=1.0, random_restarts=4, seed=3)
+
+
+def test_parity_cases_cover_every_kind():
+    assert {desc.kind for desc, _, _ in PARITY_CASES} == set(MechanismKind)
+
+
+@pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.MANHATTAN])
+@pytest.mark.parametrize(
+    "desc, agents, m", PARITY_CASES, ids=[f"{d.kind.value}-{len(a)}" for d, a, _ in PARITY_CASES]
+)
+class TestRefutersMatchThePublicPath:
+    def test_strategy_proofness(self, desc, agents, m, metric):
+        profile = AgentProfile(agents, metric)
+        spec = FacilitySpec(m)
+        cert = check_strategy_proofness(desc, profile, spec, PARITY_BUDGET)
+        want = reference_strategy_proofness(desc, profile, spec, PARITY_BUDGET)
+        if want is None:
+            assert cert is None
+        else:
+            assert (cert.agent_index, cert.misreport, cert.improvement) == want
+            assert verify_certificate(cert)
+
+    def test_anonymity(self, desc, agents, m, metric):
+        profile = AgentProfile(agents, metric)
+        spec = FacilitySpec(m)
+        cert = check_anonymity(desc, profile, spec)
+        want = reference_anonymity(desc, profile, spec)
+        if want is None:
+            assert cert is None
+        else:
+            assert (cert.permutation, cert.improvement) == want
+            assert verify_certificate(cert)
+
+
+class TestTrustedProfiles:
+    PROFILE = AgentProfile(((0.0, 1.0), (2.0, 3.0), (4.0, 5.0)), Metric.MANHATTAN)
+
+    @pytest.mark.parametrize(
+        "index, report",
+        [(0, (1.0, 1.0)), (4, (1.0, 1.0)), (1, (math.nan, 0.0)), (2, (0.0, math.inf)),
+         (3, (1.0,)), (1, (1.0, 2.0, 3.0)), (1, (True, 0.0))],
+    )
+    def test_with_report_still_validates(self, index, report):
+        with pytest.raises(ValueError):
+            self.PROFILE.with_report(index, report)
+
+    @pytest.mark.parametrize("permutation", [(1, 2), (1, 1, 2), (1, 2, 4), (0, 1, 2)])
+    def test_permuted_still_validates(self, permutation):
+        with pytest.raises(ValueError):
+            self.PROFILE.permuted(permutation)
+
+    def test_results_equal_validated_profiles(self):
+        reported = self.PROFILE.with_report(2, [7, 8])
+        validated = AgentProfile(((0.0, 1.0), (7.0, 8.0), (4.0, 5.0)), Metric.MANHATTAN)
+        assert reported == validated and hash(reported) == hash(validated)
+        assert reported.agents[1] == (7.0, 8.0) and type(reported.agents[1][0]) is float
+        permuted = self.PROFILE.permuted((3, 1, 2))
+        validated = AgentProfile(((4.0, 5.0), (0.0, 1.0), (2.0, 3.0)), "manhattan")
+        assert permuted == validated and hash(permuted) == hash(validated)

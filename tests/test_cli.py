@@ -114,6 +114,13 @@ class TestRun:
         assert main(["run", "--instance", write(tmp_path, doc)]) == 1
         assert capsys.readouterr().err.startswith("error: capacity must be an integer")
 
+    def test_boolean_coordinate_fails_validation(self, tmp_path, capsys):
+        doc = dict(RECTANGLE, agents=[[True, 0], [1, 1], [2, 0]])
+        assert main(["run", "--instance", write(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: point coordinates must be numbers")
+
     def test_solver_failure_maps_to_exit_four(self, tmp_path, capsys, monkeypatch):
         def kernel(pts, **kwargs):
             raise ConvergenceError("geometric median did not converge", best=pts[0])
@@ -172,6 +179,15 @@ class TestCheck:
         cert_line = next(l for l in out if l.startswith("anonymity_certificate"))
         cert = certificate_from_dict(json.loads(cert_line.split(" ", 1)[1]))
         assert verify_certificate(cert)
+
+    def test_overflowing_search_box_maps_to_resource_exit(self, tmp_path, capsys):
+        doc = {
+            "version": 1,
+            "agents": [[0, 0], [1e308, 1e308]],
+            "mechanism": {"kind": "multi_dim_median"},
+        }
+        assert main(["check", "--instance", write(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err.startswith("error: padded search box overflows")
 
     def test_capacitated_instances_rejected(self, tmp_path, capsys):
         doc = {

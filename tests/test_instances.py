@@ -117,6 +117,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="integer"):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize("order", [[1.5, 2, 3], [True, 2, 3], ["1", 2, 3]])
+    def test_non_integral_order_rejected(self, order):
+        doc = {
+            "version": 1,
+            "agents": [[0, 0], [1, 1], [2, 2]],
+            "mechanism": {"kind": "serial_dictatorship", "order": order},
+        }
+        with pytest.raises(ValueError, match="agent_order entry must be an integer"):
+            instance_from_dict(doc)
+
+    def test_integral_float_order_accepted(self):
+        doc = {
+            "version": 1,
+            "agents": [[0, 0], [1, 1], [2, 2]],
+            "mechanism": {"kind": "serial_dictatorship", "order": [2.0, 1, 3]},
+        }
+        assert instance_from_dict(doc).mechanism.agent_order == (2, 1, 3)
+
     def test_integral_float_capacities_accepted(self):
         doc = {
             "version": 1,
