@@ -44,6 +44,7 @@ from .mechanisms import (
     FacilitySpec,
     MechanismDescriptor,
     Solution,
+    _integral,
     _place,
     assign_nearest,
     descriptor_from_dict,
@@ -122,10 +123,14 @@ class Certificate:
         object.__setattr__(self, "improvement", improvement)
         if self.permutation is not None:
             object.__setattr__(
-                self, "permutation", tuple(int(i) for i in self.permutation)
+                self,
+                "permutation",
+                tuple(_integral(i, "permutation entry") for i in self.permutation),
             )
         if self.agent_index is not None:
-            object.__setattr__(self, "agent_index", int(self.agent_index))
+            object.__setattr__(
+                self, "agent_index", _integral(self.agent_index, "agent_index")
+            )
         if self.misreport is not None:
             object.__setattr__(self, "misreport", as_point(self.misreport))
         self._check_witness()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import random
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -67,7 +68,7 @@ def distance(a: Sequence[float], b: Sequence[float], metric: Metric = Metric.EUC
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     if metric is Metric.EUCLIDEAN:
         return math.dist(a, b)
-    return sum(abs(x - y) for x, y in zip(a, b))
+    return sum(map(abs, map(operator.sub, a, b)))
 
 
 def bounding_box(points: Iterable[Iterable[float]]) -> tuple[Point, Point]:

@@ -128,7 +128,10 @@ class Solution:
         locations = tuple(as_point(p) for p in self.locations)
         if not locations:
             raise ValueError("a solution needs at least one facility")
-        assignment = tuple(int(a) for a in self.assignment)
+        assignment = tuple(self.assignment)
+        # the common all-int case is checked in one pass over the types
+        if set(map(type, assignment)) != {int}:
+            assignment = tuple(_integral(a, "assignment entry") for a in assignment)
         if any(not 1 <= a <= len(locations) for a in assignment):
             raise ValueError("assignment entries must be facility indices in 1..m")
         object.__setattr__(self, "locations", locations)

@@ -4,13 +4,23 @@ The optimum oracle enumerates set partitions of the agents into at most m
 groups and places each group's facility at that group's exact 1-facility
 optimum.  Under nearest-facility assignment some optimal solution always
 splits the agents this way, so the minimum over partitions is the true
-optimum.  The enumeration is exponential and refuses instances with more
-than PARTITION_ORACLE_MAX_AGENTS agents rather than silently crawling.
+optimum.  The full enumeration is exponential and refuses instances with
+more than PARTITION_ORACLE_MAX_AGENTS agents rather than silently crawling.
+
+Two facilities on 2-d Euclidean profiles need far fewer candidates.  The
+agents nearer one facility than the other lie on one side of the two
+facilities' perpendicular bisector, and those on it can all join one side,
+so some optimal partition is separated by a line, for the total and the max
+objective alike (the planar 2-median / 2-centre argument).  Those O(n^2)
+line splits are enumerated instead, up to LINE_SPLIT_MAX_AGENTS agents.
+Manhattan bisectors are not lines, so Manhattan profiles, other dimensions
+and m >= 3 keep the full enumeration.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -34,6 +44,13 @@ from .mechanisms import (
 )
 
 PARTITION_ORACLE_MAX_AGENTS = 10
+LINE_SPLIT_MAX_AGENTS = 30
+
+# Shewchuk's orient2d error bound (3 + 16 eps) eps, plus two subnormal
+# steps for products that underflow: a float determinant beyond it has the
+# sign of the exact one.
+_ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+_ORIENT_UNDERFLOW = 2.0**-1073
 
 
 class OracleCapError(RuntimeError):
@@ -144,44 +161,109 @@ def _partitions(n: int, max_blocks: int) -> Iterator[list[int]]:
     yield from extend(1, 1)
 
 
+def _orientation(a: Point, b: Point, c: Point) -> int:
+    """Exact sign of the cross product (b - a) x (c - a): 1 when c lies left
+    of the line from a to b, -1 when right, 0 when on it."""
+    left = (a[0] - c[0]) * (b[1] - c[1])
+    right = (a[1] - c[1]) * (b[0] - c[0])
+    det = left - right
+    if abs(det) > _ORIENT_ERRBOUND * (abs(left) + abs(right)) + _ORIENT_UNDERFLOW:
+        return 1 if det > 0 else -1
+    # deferred: importing fractions pulls in decimal, and few calls get here
+    from fractions import Fraction
+
+    ax, ay, bx, by, cx, cy = map(Fraction, (*a, *b, *c))
+    exact = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+    return (exact > 0) - (exact < 0)
+
+
+def _line_splits(points: Sequence[Point]) -> list[tuple[int, ...]]:
+    """Every bipartition of 2-d points that a line separates, as
+    restricted-growth labels sorted in the order _partitions yields them.
+
+    A separating line can be moved until it passes through two distinct
+    points.  The points strictly left of it then form one side, and the
+    points on it, in their order along it, split into a prefix and a
+    suffix.  Coincident points on the line may land on both sides; those
+    few extra splits are still partitions, so the search stays exact.
+    """
+    n = len(points)
+    splits = {(0,) * n}
+    for i, j in itertools.combinations(range(n), 2):
+        a, b = points[i], points[j]
+        if a == b:
+            continue
+        left, on = [], [i, j]
+        for k in range(n):
+            if k != i and k != j:
+                side = _orientation(a, b, points[k])
+                if side > 0:
+                    left.append(k)
+                elif side == 0:
+                    on.append(k)
+        # lexicographic order is the order along the line
+        on.sort(key=points.__getitem__)
+        for t in range(len(on) + 1):
+            for part in (on[:t], on[t:]):
+                labels = [1] * n
+                for k in itertools.chain(left, part):
+                    labels[k] = 0
+                if labels[0]:
+                    labels = [1 - label for label in labels]
+                splits.add(tuple(labels))
+    return sorted(splits)
+
+
 def optimal_welfare(
     profile: AgentProfile,
     spec: FacilitySpec,
     objective: WelfareObjective,
-    max_agents: int = PARTITION_ORACLE_MAX_AGENTS,
 ) -> tuple[float, Solution]:
     """Exact optimal welfare and a solution achieving it.
 
     Uncapacitated only.  One facility needs no enumeration and has no agent
-    cap.  For m >= 2 the search is exhaustive over agent partitions; ties
-    between partitions break toward the lexicographically smallest facility
-    tuple.  Unused facilities duplicate the last used location.
+    cap.  Two facilities on a 2-d Euclidean profile search the line splits
+    of the agents (_line_splits), up to LINE_SPLIT_MAX_AGENTS agents; every
+    other case with m >= 2 searches all agent partitions, up to
+    PARTITION_ORACLE_MAX_AGENTS agents.  Either cap raises OracleCapError
+    before any enumeration.  Ties break toward the lexicographically smallest
+    facility tuple among the partitions searched, so for two facilities on a
+    2-d Euclidean profile among the line splits only.  Unused facilities
+    duplicate the last used location.
     """
     objective = WelfareObjective(objective)
     if spec.capacitated:
         raise ValueError("optimal_welfare handles uncapacitated specs only")
     n = profile.n
+    agents, metric = profile.agents, profile.metric
     if spec.m == 1:
-        _, center = _single_facility_optimum(profile.agents, profile.metric, objective)
+        _, center = _single_facility_optimum(agents, metric, objective)
         solution = Solution((center,), (1,) * n)
         return evaluate(profile, solution, objective), solution
-    if n > max_agents:
-        raise OracleCapError(
-            f"exact oracle capped at {max_agents} agents, got {n}"
-        )
+    line_splits = metric is Metric.EUCLIDEAN and profile.dim == 2 and spec.m == 2
+    cap = LINE_SPLIT_MAX_AGENTS if line_splits else PARTITION_ORACLE_MAX_AGENTS
+    if n > cap:
+        raise OracleCapError(f"exact oracle capped at {cap} agents, got {n}")
+    candidates = _line_splits(agents) if line_splits else _partitions(n, min(spec.m, n))
     best: tuple[float, tuple[Point, ...], tuple[int, ...]] | None = None
-    group_cache: dict[tuple[Point, ...], tuple[float, Point]] = {}
-    for labels in _partitions(n, min(spec.m, n)):
+    # keyed by the block's agent bitmask; the optimum is computed on the
+    # block's sorted points, so equal blocks get equal answers
+    group_cache: dict[int, tuple[float, Point]] = {}
+    for labels in candidates:
         block_count = max(labels) + 1
+        masks = [0] * block_count
+        for i, b in enumerate(labels):
+            masks[b] |= 1 << i
         centers: list[Point] = []
         block_costs: list[float] = []
-        for b in range(block_count):
-            key = tuple(sorted(profile.agents[i] for i in range(n) if labels[i] == b))
-            if key not in group_cache:
-                group_cache[key] = _single_facility_optimum(
-                    key, profile.metric, objective
+        for mask in masks:
+            group = group_cache.get(mask)
+            if group is None:
+                key = tuple(sorted(agents[i] for i in range(n) if mask >> i & 1))
+                group = group_cache[mask] = _single_facility_optimum(
+                    key, metric, objective
                 )
-            cost, center = group_cache[key]
+            cost, center = group
             centers.append(center)
             block_costs.append(cost)
         value = (

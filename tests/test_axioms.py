@@ -410,6 +410,63 @@ class TestVerification:
             certificate_from_dict({"kind": "manipulation", "improvement": 1.0})
 
 
+def certificate_doc(kind: CertificateKind) -> dict:
+    """Wire form of a verified certificate of the given kind."""
+    if kind is CertificateKind.ANONYMITY_VIOLATION:
+        cert = check_anonymity(MechanismDescriptor.dictatorship(), PAIR, ONE)
+    elif kind is CertificateKind.MANIPULATION:
+        cert = check_strategy_proofness(
+            MechanismDescriptor.geometric(), RECTANGLE, ONE, COARSE
+        )
+    else:
+        prof = AgentProfile(((0.0, 2.0), (1.0, 0.0), (2.0, 1.0)), Metric.MANHATTAN)
+        cert = check_pareto(prof, Solution(((2.0, 2.0),), (1, 1, 1)), COARSE)
+    assert cert is not None and verify_certificate(cert)
+    return json.loads(json.dumps(certificate_to_dict(cert)))
+
+
+class TestIntegralCertificateFields:
+    """Index fields are integers on the wire: a fraction or a bool is not
+    truncated into some other valid index, while 2.0 still reads as 2."""
+
+    @pytest.mark.parametrize("bad", [[2.7, 1], [2, 1.5], [True, 1], ["2", 1]])
+    def test_non_integral_permutation_rejected(self, bad):
+        doc = certificate_doc(CertificateKind.ANONYMITY_VIOLATION)
+        assert doc["permutation"] == [2, 1]
+        doc["permutation"] = bad
+        with pytest.raises(ValueError, match="permutation entry"):
+            certificate_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [1.9, 0.5, True, "1"])
+    def test_non_integral_agent_index_rejected(self, bad):
+        doc = certificate_doc(CertificateKind.MANIPULATION)
+        doc["agent_index"] = bad
+        with pytest.raises(ValueError, match="agent_index"):
+            certificate_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_non_integral_assignment_rejected(self, bad):
+        doc = certificate_doc(CertificateKind.PARETO_DOMINATION)
+        doc["dominating"]["assignment"][-1] = bad
+        with pytest.raises(ValueError, match="assignment entry"):
+            certificate_from_dict(doc)
+
+    @pytest.mark.parametrize("kind", list(CertificateKind))
+    def test_integral_floats_read_as_ints(self, kind):
+        doc = certificate_doc(kind)
+        exact = certificate_from_dict(doc)
+        if "permutation" in doc:
+            doc["permutation"] = [float(i) for i in doc["permutation"]]
+        if "agent_index" in doc:
+            doc["agent_index"] = float(doc["agent_index"])
+        for solution in (doc.get("original"), doc.get("dominating")):
+            if solution is not None:
+                solution["assignment"] = [float(j) for j in solution["assignment"]]
+        revived = certificate_from_dict(doc)
+        assert revived == exact
+        assert verify_certificate(revived)
+
+
 FUZZ_DESCRIPTORS = (
     MechanismDescriptor.median(),
     MechanismDescriptor.geometric(),

@@ -126,15 +126,26 @@ class TestRunBench:
         assert all(r >= 1.0 - 1e-12 for _, r in result.per_n_max)
 
     def test_oracle_cap_skips_and_counts(self):
-        # two facilities push the oracle to the partition enumerator, which
-        # refuses more than ten agents; every trial here has eleven or twelve
+        # two Manhattan facilities push the oracle to the partition
+        # enumerator, which refuses more than ten agents; every trial here
+        # has eleven or twelve
         pair = MechanismDescriptor.percentile_plane(((0.0, 0.0), (1.0, 1.0)))
-        cfg = small_config(trials=3, n_range=(11, 12))
+        cfg = small_config(trials=3, n_range=(11, 12), metric=Metric.MANHATTAN)
         result = run_bench(cfg, pair)
         assert result.completed == 0
         assert result.skipped == 3
         assert math.isnan(result.max_ratio)
         assert math.isnan(result.mean_ratio)
+
+    def test_line_split_cap_skips_and_counts(self):
+        # two Euclidean facilities in the plane search line splits, which
+        # take up to thirty agents: eleven and twelve complete, 31 is skipped
+        pair = MechanismDescriptor.percentile_plane(((0.0, 0.0), (1.0, 1.0)))
+        result = run_bench(small_config(trials=3, n_range=(11, 12)), pair)
+        assert (result.completed, result.skipped) == (3, 0)
+        assert result.max_ratio >= 1.0 - 1e-9
+        result = run_bench(small_config(trials=2, n_range=(31, 31)), pair)
+        assert (result.completed, result.skipped) == (0, 2)
 
     def test_manhattan_total_median_is_exactly_optimal(self):
         cfg = small_config(

@@ -221,10 +221,20 @@ class TestOracle:
         doc = {
             "version": 1,
             "agents": [[float(i), 0.0] for i in range(11)],
+            "metric": "manhattan",
             "facilities": 2,
         }
         assert main(["oracle", "--instance", write(tmp_path, doc)]) == 3
-        assert "capped" in capsys.readouterr().err
+        assert "capped at 10 agents" in capsys.readouterr().err
+
+    def test_line_split_cap_maps_to_resource_exit(self, tmp_path, capsys):
+        doc = {
+            "version": 1,
+            "agents": [[float(i), float(i % 3)] for i in range(31)],
+            "facilities": 2,
+        }
+        assert main(["oracle", "--instance", write(tmp_path, doc)]) == 3
+        assert "capped at 30 agents" in capsys.readouterr().err
 
     def test_capacitated_oracle_is_a_validation_error(self, tmp_path, capsys):
         doc = {
@@ -312,6 +322,7 @@ class TestBench:
         args = [
             "bench", "--mechanism", "percentile_multi_d", "--params", "0,0;1,1",
             "--trials", "2", "--n-min", "11", "--n-max", "11",
+            "--metric", "manhattan",
         ]
         assert main(args) == 0
         out = lines_of(capsys)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,10 @@ from facloc.mechanisms import (
     MechanismDescriptor,
     Solution,
 )
+from facloc import welfare
 from facloc.welfare import (
+    LINE_SPLIT_MAX_AGENTS,
+    PARTITION_ORACLE_MAX_AGENTS,
     OracleCapError,
     RatioReport,
     WelfareObjective,
@@ -22,6 +27,7 @@ from facloc.welfare import (
     optimal_capacitated_assignment,
     optimal_welfare,
 )
+from facloc.welfare import _line_splits, _orientation, _partitions, _single_facility_optimum
 from helpers import grid_min_max_distance
 
 RECTANGLE = ((0.0, 0.0), (0.0, 2.0), (12.0, 2.0), (12.0, 0.0))
@@ -146,7 +152,7 @@ class TestMultiFacilityOptimum:
         assert len(sol.locations) == 4
 
     def test_cap_is_enforced(self):
-        prof = AgentProfile(tuple((float(i), 0.0) for i in range(11)))
+        prof = AgentProfile(tuple((float(i), 0.0) for i in range(11)), Metric.MANHATTAN)
         with pytest.raises(OracleCapError):
             optimal_welfare(prof, FacilitySpec(2), WelfareObjective.TOTAL)
 
@@ -250,6 +256,143 @@ def test_half_diameter_bounds_max_optimum(pts):
         distance(a, b) for a in prof.agents for b in prof.agents
     )
     assert value >= diameter / 2.0 - 1e-9
+
+
+def full_enumeration_optimum(prof, m, objective):
+    """The partition oracle without line splits: every partition _partitions
+    yields, each group solved on its sorted points, ties broken toward the
+    lexicographically smallest facility tuple."""
+    best = None
+    for labels in _partitions(prof.n, min(m, prof.n)):
+        centers, costs = [], []
+        for b in range(max(labels) + 1):
+            group = tuple(sorted(p for p, label in zip(prof.agents, labels) if label == b))
+            cost, center = _single_facility_optimum(group, prof.metric, objective)
+            centers.append(center)
+            costs.append(cost)
+        value = sum(costs) if objective is WelfareObjective.TOTAL else max(costs)
+        padded = tuple(centers) + (centers[-1],) * (m - len(centers))
+        if best is None or (value, padded) < best[:2]:
+            best = (value, padded, tuple(label + 1 for label in labels))
+    solution = Solution(best[1], best[2])
+    return evaluate(prof, solution, objective), solution
+
+
+def _floats(pts):
+    return tuple((float(x), float(y)) for x, y in pts)
+
+
+_coordinate = st.floats(0.0, 100.0)
+_uniform = st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=10)
+_grid = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=10
+).map(_floats)
+_collinear = st.builds(
+    lambda base, step, ts: _floats(
+        (base[0] + t * step[0], base[1] + t * step[1]) for t in ts
+    ),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=10),
+)
+_duplicates = st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    pts=st.one_of(_uniform, _grid, _collinear, _duplicates),
+    objective=st.sampled_from(list(WelfareObjective)),
+)
+def test_line_splits_match_full_enumeration(pts, objective):
+    prof = AgentProfile(tuple(pts))
+    value, sol = optimal_welfare(prof, FacilitySpec(2), objective)
+    expected_value, expected_sol = full_enumeration_optimum(prof, 2, objective)
+    assert value == expected_value
+    if objective is WelfareObjective.TOTAL:
+        assert sol == expected_sol
+    else:
+        # tied max partitions abound; the tie-break ranges over line splits
+        assert evaluate(prof, sol, objective) == value
+
+
+class TestLineSplits:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_general_position_gives_one_split_per_pair_plus_one(self, n):
+        rng = random.Random(n)
+        splits = _line_splits([(rng.random(), rng.random()) for _ in range(n)])
+        assert len(splits) == math.comb(n, 2) + 1
+        order = {tuple(labels): k for k, labels in enumerate(_partitions(n, 2))}
+        assert [order[s] for s in splits] == sorted(order[s] for s in splits)
+
+    def test_collinear_points_split_only_along_the_line(self):
+        ts = (3, 0, 5, 1, 4, 2)
+        splits = _line_splits([(float(t), 2.0 * t) for t in ts])
+        expected = {(0,) * 6} | {
+            tuple(int(t >= cut) ^ int(ts[0] >= cut) for t in ts) for cut in range(1, 6)
+        }
+        assert splits == sorted(expected)
+
+    def test_coincident_points_give_one_split(self):
+        assert _line_splits([(1.0, 1.0)] * 4) == [(0, 0, 0, 0)]
+
+    def test_orientation_is_exact_where_the_float_determinant_is_wrong(self):
+        u = 2.0**-53
+        a, b, c = (24.0, 24.0), (12.0, 12.0), (0.5 + 41 * u, 0.5 + 48 * u)
+        floating = (a[0] - c[0]) * (b[1] - c[1]) - (a[1] - c[1]) * (b[0] - c[0])
+        fa, fb, fc = ([Fraction(x) for x in p] for p in (a, b, c))
+        exact = (fb[0] - fa[0]) * (fc[1] - fa[1]) - (fb[1] - fa[1]) * (fc[0] - fa[0])
+        assert exact < 0 < floating
+        for p, q, r in itertools.permutations((a, b, c)):
+            fp, fq, fr = ([Fraction(x) for x in pt] for pt in (p, q, r))
+            det = (fq[0] - fp[0]) * (fr[1] - fp[1]) - (fq[1] - fp[1]) * (fr[0] - fp[0])
+            assert _orientation(p, q, r) == (det > 0) - (det < 0)
+
+    @pytest.mark.parametrize("objective", list(WelfareObjective))
+    def test_cap_is_checked_before_enumerating(self, monkeypatch, objective):
+        def refuse(points):
+            raise AssertionError("line splits enumerated past the cap")
+
+        monkeypatch.setattr(welfare, "_line_splits", refuse)
+        agents = tuple((float(i), float(i % 3)) for i in range(LINE_SPLIT_MAX_AGENTS + 1))
+        with pytest.raises(OracleCapError, match="capped at 30 agents, got 31"):
+            optimal_welfare(AgentProfile(agents), FacilitySpec(2), objective)
+
+    @pytest.mark.parametrize(
+        "agents, m",
+        [
+            (tuple((float(i), 0.0, 0.0) for i in range(11)), 2),
+            (tuple((float(i),) for i in range(11)), 2),
+            (tuple((float(i), float(i % 3)) for i in range(11)), 3),
+        ],
+        ids=["3-d", "1-d", "three-facilities"],
+    )
+    def test_other_shapes_keep_the_enumeration_cap(self, agents, m):
+        assert len(agents) == PARTITION_ORACLE_MAX_AGENTS + 1
+        with pytest.raises(OracleCapError, match="capped at 10 agents, got 11"):
+            optimal_welfare(AgentProfile(agents), FacilitySpec(m), WelfareObjective.TOTAL)
+
+    def test_eleven_agents_on_a_line(self):
+        prof = AgentProfile(tuple((float(i), 0.0) for i in range(11)))
+        value, _ = optimal_welfare(prof, FacilitySpec(2), WelfareObjective.MAX)
+        assert value == 2.5
+
+    @pytest.mark.parametrize("objective", list(WelfareObjective))
+    def test_thirty_agents_in_two_clusters(self, objective):
+        rng = random.Random(30)
+        clusters = [
+            tuple((cx + rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(15))
+            for cx in (0.0, 100.0)
+        ]
+        agents = tuple(p for pair in zip(*clusters) for p in pair)
+        value, sol = optimal_welfare(AgentProfile(agents), FacilitySpec(2), objective)
+        assert sol.assignment == (1, 2) * 15
+        alone = [
+            optimal_welfare(AgentProfile(c), FacilitySpec(1), objective)[0] for c in clusters
+        ]
+        fold = sum if objective is WelfareObjective.TOTAL else max
+        assert value == pytest.approx(fold(alone), rel=1e-12)
 
 
 class TestCapacitatedAssignment:
