@@ -1,10 +1,16 @@
 """Refutation search for anonymity, Pareto optimality, and strategy proofness.
 
 All three checkers follow the same recipe: treat the mechanism as a black
-box behind a MechanismDescriptor, enumerate a finite budgeted candidate set,
-and either return a Certificate that replays through the public API or
-return None.  None always means "no violation found at the searched
-resolution"; it is never a proof of compliance.
+box behind a MechanismDescriptor, enumerate a finite candidate set, and
+either return a Certificate that replays through the public API or return
+None.  None is a proof of compliance for that profile where the candidate
+set is exhaustive: check_anonymity up to ANONYMITY_EXHAUSTIVE_MAX_AGENTS
+agents, where it tries every permutation, and check_strategy_proofness for
+per-axis percentile picks on the coordinate axes (percentile_1d,
+percentile_multi_d without axes, the coordinate-wise median, coordinate
+max and min), where a report's rank on each axis is all that matters.
+Everywhere else the candidates are a budgeted lattice, and None only means
+"no violation found at the searched resolution".
 
 Inputs are validated once per call.  The strategy-proofness and anonymity
 checkers run the public run_mechanism on the honest profile, which checks
@@ -43,6 +49,7 @@ from .mechanisms import (
     AgentProfile,
     FacilitySpec,
     MechanismDescriptor,
+    MechanismKind,
     Solution,
     _integral,
     _place,
@@ -271,10 +278,46 @@ def candidate_points(profile: AgentProfile, budget: SearchBudget) -> list[Point]
     return sorted(points)
 
 
-def _multiset_gap(a: Sequence[Point], b: Sequence[Point]) -> float:
+def _picks_per_axis(descriptor: MechanismDescriptor) -> bool:
+    """Whether every facility coordinate the mechanism places is an order
+    statistic of the reports' coordinates on that coordinate axis; rotated
+    axes mix the coordinates."""
+    return descriptor.axes is None and descriptor.kind in (
+        MechanismKind.PERCENTILE_1D,
+        MechanismKind.PERCENTILE_MULTI_D,
+        MechanismKind.MULTI_DIM_MEDIAN,
+        MechanismKind.COORDINATE_MAX,
+        MechanismKind.COORDINATE_MIN,
+    )
+
+
+def _breakpoint_reports(profile: AgentProfile) -> list[Point]:
+    """Lexicographically sorted reports that are exhaustive against a
+    per-axis percentile pick, for every agent of the profile.
+
+    On axis k a lone report moves each facility coordinate only through its
+    rank among the other agents' k-coordinates: between two consecutive
+    ones a facility coordinate either stays put or equals the report.  So
+    the best report in each cell is the truth clamped into it, which is the
+    truth or one of the other agents' coordinates.  The reports are the
+    product over the axes of the agents' distinct coordinates: at most n^dim
+    points, one of them each agent's truth.
+    """
+    axes = [sorted({a[k] for a in profile.agents}) for k in range(profile.dim)]
+    # sized before anything is built, as the lattice is
+    size = math.prod(map(len, axes))
+    if size > _MAX_GRID_POINTS:
+        raise OracleCapError(
+            f"breakpoint product holds {size} reports (cap {_MAX_GRID_POINTS})"
+        )
+    return list(itertools.product(*axes))
+
+
+def _multiset_gap(ranked: Sequence[Point], b: Sequence[Point]) -> float:
     """How far two equally sized location multisets are apart: the largest
-    per-rank Euclidean distance after sorting both."""
-    return max(math.dist(p, q) for p, q in zip(sorted(a), sorted(b)))
+    per-rank Euclidean distance after sorting both.  The first comes
+    sorted."""
+    return max(math.dist(p, q) for p, q in zip(ranked, sorted(b)))
 
 
 def _sampled_permutations(n: int, seed: int = 0) -> list[tuple[int, ...]]:
@@ -297,18 +340,21 @@ def check_anonymity(
     multiset, or None.  Exhaustive up to ANONYMITY_EXHAUSTIVE_MAX_AGENTS
     agents, a fixed deterministic sample of permutations beyond that.
     """
-    base = run_mechanism(descriptor, profile, spec)
+    base = sorted(run_mechanism(descriptor, profile, spec).locations)
     identity = tuple(range(1, profile.n + 1))
     if profile.n <= ANONYMITY_EXHAUSTIVE_MAX_AGENTS:
         permutations: Iterator[tuple[int, ...]] | list[tuple[int, ...]]
         permutations = itertools.permutations(identity)
     else:
         permutations = _sampled_permutations(profile.n)
+    agents, metric = profile.agents, profile.metric
     for permutation in permutations:
         if permutation == identity:
             continue
-        moved = _place(descriptor, profile.permuted(permutation), spec.m)
-        gap = _multiset_gap(base.locations, moved)
+        reordered = AgentProfile._trusted(
+            tuple(agents[i - 1] for i in permutation), metric
+        )
+        gap = _multiset_gap(base, _place(descriptor, reordered, spec.m))
         if gap > tolerance:
             return Certificate(
                 kind=CertificateKind.ANONYMITY_VIOLATION,
@@ -467,11 +513,21 @@ def check_strategy_proofness(
     the profile's metric.  The certificate records the largest gain found,
     ties broken toward the smallest agent index and then the
     lexicographically smallest misreport.
+
+    For per-axis percentile picks on the coordinate axes the misreports are
+    the product over the axes of the agents' distinct coordinates, at most
+    n^dim - 1 per agent, and None proves that no lone misreport gains more
+    than the tolerance; the budget is not used.  Every other mechanism is
+    searched on the budget's lattice, and None only means none was found
+    there.
     """
-    budget = budget if budget is not None else SearchBudget()
     honest = run_mechanism(descriptor, profile, spec)
     honest_costs = _nearest_costs(profile, honest.locations)
-    pool = candidate_points(profile, budget)
+    if _picks_per_axis(descriptor):
+        pool = _breakpoint_reports(profile)
+    else:
+        budget = budget if budget is not None else SearchBudget()
+        pool = candidate_points(profile, budget)
     best_gain = tolerance
     best: tuple[int, Point] | None = None
     for index, agent in enumerate(profile.agents, start=1):
@@ -517,7 +573,7 @@ def verify_certificate(cert: Certificate) -> bool:
         moved = run_mechanism(
             cert.descriptor, cert.profile.permuted(cert.permutation), cert.spec
         )
-        margin = _multiset_gap(base.locations, moved.locations)
+        margin = _multiset_gap(sorted(base.locations), moved.locations)
     elif cert.kind is CertificateKind.PARETO_DOMINATION:
         old_costs = _assignment_costs(cert.profile, cert.original)
         new_costs = _assignment_costs(cert.profile, cert.dominating)

@@ -291,8 +291,13 @@ def percentile_1d(xs: Sequence[float], params: Sequence[float]) -> tuple[float, 
     if any(xs[i] > xs[i + 1] for i in range(len(xs) - 1)):
         raise ValueError("coordinates must be sorted ascending")
     _check_probabilities(params)
-    n = len(xs)
-    return tuple(xs[math.floor(p * (n - 1))] for p in params)
+    return _order_statistics(xs, params)
+
+
+def _order_statistics(xs: Sequence[float], params: Sequence[float]) -> tuple[float, ...]:
+    """percentile_1d on nonempty sorted coordinates and checked parameters."""
+    top = len(xs) - 1
+    return tuple(xs[math.floor(p * top)] for p in params)
 
 
 def percentile_multi_d(
@@ -302,30 +307,48 @@ def percentile_multi_d(
 ) -> tuple[Point, ...]:
     """Per-axis percentile mechanism: project onto an orthonormal basis,
     pick the per-axis percentile rank for each facility, recombine."""
-    dim = profile.dim
-    if axes is None:
-        basis = tuple(
-            tuple(1.0 if k == j else 0.0 for j in range(dim)) for k in range(dim)
-        )
-    else:
+    basis = None
+    if axes is not None:
         basis = tuple(tuple(float(c) for c in a) for a in axes)
         _check_orthonormal(basis)
-        if len(basis) != dim:
-            raise ValueError("axes dimension does not match the profile")
     rows = tuple(tuple(float(p) for p in row) for row in params)
+    for row in rows:
+        _check_probabilities(row)
+    return _percentile_picks(profile, rows, basis)
+
+
+def _percentile_picks(
+    profile: AgentProfile,
+    rows: tuple[tuple[float, ...], ...],
+    axes: tuple[tuple[float, ...], ...] | None,
+) -> tuple[Point, ...]:
+    """percentile_multi_d on checked parameter rows and an orthonormal basis
+    (None for the coordinate axes); only their dimensions are checked."""
+    dim = profile.dim
+    if axes is not None and len(axes) != dim:
+        raise ValueError("axes dimension does not match the profile")
     if any(len(row) != dim for row in rows):
         raise ValueError("each facility needs one percentile parameter per axis")
-    projected = [
-        sorted(sum(c * b for c, b in zip(agent, axis)) for agent in profile.agents)
-        for axis in basis
-    ]
-    locations = []
-    for row in rows:
-        comps = [percentile_1d(projected[k], (row[k],))[0] for k in range(dim)]
-        locations.append(
-            tuple(sum(comps[k] * basis[k][j] for k in range(dim)) for j in range(dim))
+    if axes is None:
+        columns = [sorted(a[k] for a in profile.agents) for k in range(dim)]
+    else:
+        columns = [
+            sorted(sum(c * b for c, b in zip(agent, axis)) for agent in profile.agents)
+            for axis in axes
+        ]
+    facilities = zip(
+        *(
+            _order_statistics(column, [row[k] for row in rows])
+            for k, column in enumerate(columns)
         )
-    return tuple(locations)
+    )
+    if axes is None:
+        # + 0.0 turns -0.0 into 0.0, as recombining over the identity basis does
+        return tuple(tuple(c + 0.0 for c in comps) for comps in facilities)
+    return tuple(
+        tuple(sum(comps[k] * axes[k][j] for k in range(dim)) for j in range(dim))
+        for comps in facilities
+    )
 
 
 def serial_dictatorship(
@@ -421,9 +444,11 @@ def _place(
         if profile.dim != 1:
             raise ValueError("percentile_1d runs on 1-d profiles")
         xs = sorted(a[0] for a in profile.agents)
-        locations = tuple((x,) for x in percentile_1d(xs, descriptor.percentile_params))
+        locations = tuple(
+            (x,) for x in _order_statistics(xs, descriptor.percentile_params)
+        )
     elif kind is MechanismKind.PERCENTILE_MULTI_D:
-        locations = percentile_multi_d(profile, descriptor.percentile_params, descriptor.axes)
+        locations = _percentile_picks(profile, descriptor.percentile_params, descriptor.axes)
     elif kind is MechanismKind.MULTI_DIM_MEDIAN:
         locations = (coordinate_median(profile.agents),)
     elif kind is MechanismKind.GEOMETRIC_MEDIAN:

@@ -40,6 +40,7 @@ from .mechanisms import (
     FacilitySpec,
     MechanismDescriptor,
     Solution,
+    _integral,
     run_mechanism,
 )
 
@@ -294,7 +295,7 @@ def optimal_capacitated_assignment(
     """
     objective = WelfareObjective(objective)
     locations = tuple(as_point(p) for p in locations)
-    caps = tuple(int(c) for c in capacities)
+    caps = tuple(_integral(c, "capacity") for c in capacities)
     if not caps or len(locations) != len(caps):
         raise ValueError("need one capacity per facility location")
     if any(c < 1 for c in caps):

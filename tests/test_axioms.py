@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facloc import axioms
 from facloc.axioms import (
     GAIN_TOLERANCE,
     Certificate,
@@ -613,3 +614,130 @@ class TestTrustedProfiles:
         permuted = self.PROFILE.permuted((3, 1, 2))
         validated = AgentProfile(((4.0, 5.0), (0.0, 1.0), (2.0, 3.0)), "manhattan")
         assert permuted == validated and hash(permuted) == hash(validated)
+
+
+# --- per-axis percentile picks are refuted on the breakpoint product, which
+# is exhaustive; the lattice search at PARITY_BUDGET is the reference
+
+def per_axis_descriptor(kind, dim, m):
+    if kind is MechanismKind.PERCENTILE_1D:
+        return MechanismDescriptor.percentile_line((0.0, 1.0, 0.5)[:m])
+    if kind is MechanismKind.PERCENTILE_MULTI_D:
+        rows = ((0.25, 1.0, 0.0), (0.75, 0.5, 1.0))
+        return MechanismDescriptor.percentile_plane([row[:dim] for row in rows[:m]])
+    return MechanismDescriptor(kind)
+
+
+PER_AXIS_KINDS = [
+    MechanismKind.PERCENTILE_1D,
+    MechanismKind.PERCENTILE_MULTI_D,
+    MechanismKind.MULTI_DIM_MEDIAN,
+    MechanismKind.COORDINATE_MAX,
+    MechanismKind.COORDINATE_MIN,
+]
+
+
+class TestExactStrategyProofness:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(PER_AXIS_KINDS),
+        n=st.integers(1, 5),
+        dim=st.integers(1, 3),
+        metric=st.sampled_from([Metric.EUCLIDEAN, Metric.MANHATTAN]),
+    )
+    def test_matches_the_lattice_reference(self, data, kind, n, dim, metric):
+        if kind is MechanismKind.PERCENTILE_1D:
+            dim = 1
+        single = kind not in (MechanismKind.PERCENTILE_1D, MechanismKind.PERCENTILE_MULTI_D)
+        m = 1 if single else data.draw(st.integers(1, 2))
+        coord = st.sampled_from([-1.5, -0.3, 0.0, 0.7, 1.0, 1.2])
+        agents = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
+        profile = AgentProfile(tuple(agents), metric)
+        desc, spec = per_axis_descriptor(kind, dim, m), FacilitySpec(m)
+        cert = check_strategy_proofness(desc, profile, spec, PARITY_BUDGET)
+        want = reference_strategy_proofness(desc, profile, spec, PARITY_BUDGET)
+        if want is None:
+            assert cert is None
+        else:
+            assert (cert.agent_index, cert.misreport, cert.improvement) == want
+
+    def test_mutant_rewarding_a_breakpoint_is_caught(self, monkeypatch):
+        # (2.1, 2.6) pairs agent 2's x with agent 3's y: no agent reports it
+        # and the lattice misses it, so only re-running the mechanism on the
+        # breakpoint product can see this mutant reward agent 1
+        profile = AgentProfile(_SKEWED)
+        real_place = axioms._place
+
+        def mutant(descriptor, reported, m):
+            if reported.agents[0] == (2.1, 2.6):
+                return (_SKEWED[0],)
+            return real_place(descriptor, reported, m)
+
+        monkeypatch.setattr(axioms, "_place", mutant)
+        median = MechanismDescriptor.median()
+        honest = run_mechanism(median, profile, ONE).locations[0]
+        assert (2.1, 2.6) not in candidate_points(profile, PARITY_BUDGET)
+        cert = check_strategy_proofness(median, profile, ONE, PARITY_BUDGET)
+        assert cert is not None
+        assert (cert.agent_index, cert.misreport) == (1, (2.1, 2.6))
+        assert cert.improvement == distance(_SKEWED[0], honest, Metric.EUCLIDEAN)
+
+    @pytest.mark.parametrize(
+        "kind, dim",
+        [(MechanismKind.PERCENTILE_1D, 1)]
+        + [(kind, dim) for kind in PER_AXIS_KINDS[1:] for dim in (1, 2, 3)],
+    )
+    def test_at_most_n_to_the_dim_minus_one_reports_per_agent(self, kind, dim, monkeypatch):
+        n = 4
+        agents = tuple(
+            tuple(0.1 * i + 0.37 * k * i * i for k in range(dim)) for i in range(n)
+        )
+        profile = AgentProfile(agents)
+        desc = per_axis_descriptor(kind, dim, 1)
+        calls = [0] * n
+        real_place = axioms._place
+
+        def counting(descriptor, reported, m):
+            moved = [i for i in range(n) if reported.agents[i] != agents[i]]
+            assert len(moved) == 1
+            calls[moved[0]] += 1
+            return real_place(descriptor, reported, m)
+
+        monkeypatch.setattr(axioms, "_place", counting)
+        assert check_strategy_proofness(desc, profile, ONE) is None
+        assert calls == [n**dim - 1] * n
+
+    def test_far_flung_median_is_proved_without_a_lattice(self):
+        # the default pad of this profile overflows the float range, which
+        # the lattice refuses; the breakpoint product does not need a box
+        profile = AgentProfile(((0.0, 0.0), (1e308, 1e308)))
+        with pytest.raises(OracleCapError, match="float range"):
+            candidate_points(profile, SearchBudget())
+        assert check_strategy_proofness(MechanismDescriptor.median(), profile, ONE) is None
+
+    def test_product_cap_checked_before_allocating(self):
+        # two agents apart on each of 20 axes: 2**20 reports, past the cap
+        profile = AgentProfile(((0.0,) * 20, (1.0,) * 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleCapError, match="holds 1048576 reports"):
+                check_strategy_proofness(MechanismDescriptor.median(), profile, ONE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_rotated_axes_stay_on_the_lattice(self, monkeypatch):
+        desc = MechanismDescriptor.percentile_plane(((0.5, 0.5),), _ROTATED)
+        calls = []
+        real_place = axioms._place
+
+        def counting(descriptor, reported, m):
+            calls.append(reported)
+            return real_place(descriptor, reported, m)
+
+        monkeypatch.setattr(axioms, "_place", counting)
+        profile = AgentProfile(_SKEWED)
+        check_strategy_proofness(desc, profile, ONE, PARITY_BUDGET)
+        assert len(calls) == 3 * (len(candidate_points(profile, PARITY_BUDGET)) - 1)

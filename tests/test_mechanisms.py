@@ -131,6 +131,37 @@ class TestPercentileMultiD:
         with pytest.raises(ValueError):
             percentile_multi_d(prof, ((0.5,),))
 
+    def test_rejects_out_of_range_parameters(self):
+        prof = euclid((0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            percentile_multi_d(prof, ((0.5, 1.5),))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 3),
+        n=st.integers(1, 5),
+        rows=st.lists(
+            st.tuples(*[st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0])] * 3),
+            min_size=1,
+            max_size=2,
+        ),
+    )
+    def test_coordinate_axes_match_the_explicit_identity_basis(self, data, dim, n, rows):
+        # bit for bit, signed zeros included: recombining over the identity
+        # basis turns -0.0 into 0.0, and the coordinate-axes path must too
+        coord = st.sampled_from([-0.0, 0.0, -1.5, 2.25, -3.0])
+        prof = AgentProfile(
+            tuple(data.draw(st.tuples(*[coord] * dim)) for _ in range(n))
+        )
+        params = tuple(row[:dim] for row in rows)
+        identity = tuple(tuple(float(j == k) for j in range(dim)) for k in range(dim))
+        plain = run_mechanism(
+            MechanismDescriptor.percentile_plane(params), prof, FacilitySpec(len(params))
+        ).locations
+        assert repr(plain) == repr(percentile_multi_d(prof, params, identity))
+        assert repr(plain) == repr(percentile_multi_d(prof, params))
+
 
 class TestSerialDictatorship:
     def test_skips_duplicate_locations(self):

@@ -426,6 +426,20 @@ class TestCapacitatedAssignment:
         assert assignment == (1, 1)
         assert welfare == 0.0
 
+    @pytest.mark.parametrize("bad", [1.9, True])
+    def test_non_integral_capacity_rejected(self, bad):
+        # truncating 1.9 or True to 1 would run a different instance
+        prof = AgentProfile(((0.0, 0.0), (1.0, 0.0), (9.0, 0.0)))
+        with pytest.raises(ValueError, match="capacity must be an integer"):
+            optimal_capacitated_assignment(prof, ((0.0, 0.0), (10.0, 0.0)), (bad, 2))
+
+    def test_integral_float_capacity_reads_as_int(self):
+        prof = AgentProfile(((0.0, 0.0), (1.0, 0.0), (9.0, 0.0)))
+        locs = ((0.0, 0.0), (10.0, 0.0))
+        assert optimal_capacitated_assignment(prof, locs, (2.0, 2)) == (
+            optimal_capacitated_assignment(prof, locs, (2, 2))
+        )
+
     def test_infeasible_capacity_rejected(self):
         prof = AgentProfile(((0.0, 0.0), (1.0, 0.0)))
         with pytest.raises(ValueError):
