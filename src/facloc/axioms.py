@@ -5,12 +5,16 @@ box behind a MechanismDescriptor, enumerate a finite candidate set, and
 either return a Certificate that replays through the public API or return
 None.  None is a proof of compliance for that profile where the candidate
 set is exhaustive: check_anonymity up to ANONYMITY_EXHAUSTIVE_MAX_AGENTS
-agents, where it tries every permutation, and check_strategy_proofness for
+agents, where it tries every permutation; check_strategy_proofness for
 per-axis percentile picks on the coordinate axes (percentile_1d,
 percentile_multi_d without axes, the coordinate-wise median, coordinate
-max and min), where a report's rank on each axis is all that matters.
-Everywhere else the candidates are a budgeted lattice, and None only means
-"no violation found at the searched resolution".
+max and min), where a report's rank on each axis is all that matters; and
+check_pareto for one facility in the plane, where a Euclidean placement in
+the agents' convex hull is undominated and Manhattan dominations are
+searched on the O(n^2) vertices of a line arrangement (exhaustive while no
+coordinate exceeds 64 in magnitude; see check_pareto).  Everywhere else
+the candidates are a budgeted lattice, and None only means "no violation
+found at the searched resolution".
 
 Inputs are validated once per call.  The strategy-proofness and anonymity
 checkers run the public run_mechanism on the honest profile, which checks
@@ -32,7 +36,7 @@ import enum
 import itertools
 import math
 import random
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .geometry import (
     Metric,
@@ -64,7 +68,7 @@ from .mechanisms import (
     spec_from_dict,
     spec_to_dict,
 )
-from .welfare import OracleCapError, _partitions
+from .welfare import OracleCapError, _orientation, _partitions
 
 # margins below this are treated as numeric noise, not violations
 GAIN_TOLERANCE = 1e-9
@@ -444,41 +448,98 @@ def _partition_placements(
             yield placed + (placed[-1],) * (m - len(placed))
 
 
-def check_pareto(
+def _diamond_vertices(
+    agents: Sequence[Point], costs: Sequence[float]
+) -> set[Point]:
+    """Vertices of the arrangement of the agents' axis lines x = a_x and
+    y = a_y and of the edge lines x + y = const and x - y = const of the
+    Manhattan balls of radius costs[i] around them; finite ones only."""
+    xs = {a[0] for a in agents}
+    ys = {a[1] for a in agents}
+    sums: set[float] = set()  # x + y
+    diffs: set[float] = set()  # x - y
+    for (ax, ay), c in zip(agents, costs):
+        sums.update((ax + ay - c, ax + ay + c))
+        diffs.update((ax - ay - c, ax - ay + c))
+    # sized before anything is built, as the lattice is
+    size = (
+        len(xs) * len(ys)
+        + (len(xs) + len(ys)) * (len(sums) + len(diffs))
+        + len(sums) * len(diffs)
+    )
+    if size > _MAX_GRID_POINTS:
+        raise OracleCapError(
+            f"line arrangement has {size} candidate vertices (cap {_MAX_GRID_POINTS})"
+        )
+    vertices = set(itertools.product(xs, ys))
+    for x in xs:
+        vertices.update((x, u - x) for u in sums)
+        vertices.update((x, x - v) for v in diffs)
+    for y in ys:
+        vertices.update((u - y, y) for u in sums)
+        vertices.update((v + y, y) for v in diffs)
+    vertices.update(((u + v) / 2.0, (u - v) / 2.0) for u in sums for v in diffs)
+    # offsets near the float range overflow; such a vertex is no placement
+    return {p for p in vertices if math.isfinite(p[0]) and math.isfinite(p[1])}
+
+
+def _convex_hull(points: Sequence[Point]) -> list[Point]:
+    """Counterclockwise hull vertices of 2-d points (Andrew's monotone
+    chain on exact orientations), without collinear ones: one point when
+    all coincide, the two ends when all are collinear."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def chain(ordered: Iterable[Point]) -> list[Point]:
+        out: list[Point] = []
+        for p in ordered:
+            while len(out) >= 2 and _orientation(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return chain(pts)[:-1] + chain(reversed(pts))[:-1]
+
+
+def _hull_edges(hull: list[Point]) -> list[tuple[Point, Point]]:
+    if len(hull) <= 2:
+        return list(zip(hull, hull[1:]))
+    return list(zip(hull, hull[1:] + hull[:1]))
+
+
+def _in_hull(p: Point, hull: list[Point]) -> bool:
+    """Whether p lies in the closed convex hull, decided exactly."""
+    if len(hull) == 1:
+        return p == hull[0]
+    if len(hull) == 2:
+        # along a line, lexicographic order is the order on it
+        return _orientation(hull[0], hull[1], p) == 0 and hull[0] <= p <= hull[1]
+    return all(_orientation(a, b, p) >= 0 for a, b in _hull_edges(hull))
+
+
+def _hull_projection(p: Point, hull: list[Point]) -> Point:
+    """The hull point nearest p, up to rounding."""
+    nearest = [(math.dist(p, v), v) for v in hull]
+    for a, b in _hull_edges(hull):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / (dx * dx + dy * dy)
+        # t is NaN where the products overflow; the ends stand in then
+        if 0.0 < t < 1.0:
+            q = (a[0] + t * dx, a[1] + t * dy)
+            nearest.append((math.dist(p, q), q))
+    return min(nearest)[1]
+
+
+def _best_domination(
     profile: AgentProfile,
     solution: Solution,
-    budget: SearchBudget | None = None,
-    tolerance: float = GAIN_TOLERANCE,
+    old_costs: Sequence[float],
+    candidates: Iterable[tuple[Point, ...]],
+    tolerance: float,
 ) -> Certificate | None:
-    """Search for a solution every agent weakly prefers and someone strictly
-    prefers, against the costs the given solution's own assignment implies.
-
-    Dominating candidates use uncapacitated semantics: agents go to their
-    nearest facility.  Among dominating candidates the one with the largest
-    single-agent improvement wins, ties broken toward the lexicographically
-    smallest location tuple.
-    """
-    budget = budget if budget is not None else SearchBudget()
-    if len(solution.assignment) != profile.n:
-        raise ValueError("solution must assign every agent in the profile")
-    old_costs = _assignment_costs(profile, solution)
-    m = len(solution.locations)
-    pool = set(candidate_points(profile, budget))
-    pool.update(_subset_centers(profile))
-
-    candidates: set[tuple[Point, ...]] = set()
-    if m == 1:
-        candidates.update((loc,) for loc in pool)
-    else:
-        # swap one facility at a time, keeping the others where they are
-        for j in range(m):
-            kept = list(solution.locations)
-            for loc in pool:
-                kept[j] = loc
-                candidates.add(tuple(sorted(kept)))
-        if profile.n <= _SUBSET_CANDIDATE_MAX_AGENTS:
-            candidates.update(_partition_placements(profile, m))
-
+    """Certificate for the candidate with the largest single-agent margin,
+    ties broken toward the lexicographically smallest location tuple."""
     best_margin = 0.0
     best_locations: tuple[Point, ...] | None = None
     for locations in sorted(candidates):
@@ -497,6 +558,79 @@ def check_pareto(
         original=solution,
         dominating=dominating,
     )
+
+
+def check_pareto(
+    profile: AgentProfile,
+    solution: Solution,
+    budget: SearchBudget | None = None,
+    tolerance: float = GAIN_TOLERANCE,
+) -> Certificate | None:
+    """Search for a solution every agent weakly prefers and someone strictly
+    prefers, against the costs the given solution's own assignment implies.
+
+    Dominating candidates use uncapacitated semantics: agents go to their
+    nearest facility.  Among dominating candidates the one with the largest
+    single-agent improvement wins, ties broken toward the lexicographically
+    smallest location tuple.
+
+    One facility in the plane has exact candidates, and the budget is not
+    used.  Under Manhattan distance each agent's gain is concave and
+    piecewise linear, so the best gain over the dominating set, and the
+    lexicographically smallest point reaching it, lie on a vertex of the
+    arrangement of the agents' axis lines and of the edge lines of the
+    balls the dominating set is the intersection of: O(n^2) candidates.
+    None then proves that no placement dominates by more than tolerance +
+    REPLAY_SLACK, as long as no coordinate of the agents or the placement
+    exceeds 64 in magnitude: up to there the rounding in a vertex and in
+    its trips stays below REPLAY_SLACK.  Further out a rounded vertex can
+    fail the REPLAY_SLACK test for an agent the exact vertex leaves exactly
+    as well off, and None only means that no vertex passed it.  Under
+    Euclidean distance a placement in the agents' convex hull is Pareto
+    optimal, since moving it lengthens the trip of some agent: None there
+    is a proof.  Outside the hull the budget's lattice is searched, and if
+    it finds nothing the projection onto the hull is tried.  Every other
+    case (several facilities, other dimensions) searches the lattice only,
+    and None only means none was found there.
+    """
+    budget = budget if budget is not None else SearchBudget()
+    if len(solution.assignment) != profile.n:
+        raise ValueError("solution must assign every agent in the profile")
+    old_costs = _assignment_costs(profile, solution)
+    m = len(solution.locations)
+    planar_single = m == 1 and profile.dim == 2
+    if planar_single and profile.metric is Metric.EUCLIDEAN:
+        hull = _convex_hull(profile.agents)
+        if _in_hull(solution.locations[0], hull):
+            return None
+    if planar_single and not all(map(math.isfinite, old_costs)):
+        raise OracleCapError("an agent's trip overflows the float range")
+    if planar_single and profile.metric is Metric.MANHATTAN:
+        vertices = _diamond_vertices(profile.agents, old_costs)
+        return _best_domination(
+            profile, solution, old_costs, ((v,) for v in vertices), tolerance
+        )
+
+    pool = set(candidate_points(profile, budget))
+    pool.update(_subset_centers(profile))
+    candidates: set[tuple[Point, ...]] = set()
+    if m == 1:
+        candidates.update((loc,) for loc in pool)
+    else:
+        # swap one facility at a time, keeping the others where they are
+        for j in range(m):
+            kept = list(solution.locations)
+            for loc in pool:
+                kept[j] = loc
+                candidates.add(tuple(sorted(kept)))
+        if profile.n <= _SUBSET_CANDIDATE_MAX_AGENTS:
+            candidates.update(_partition_placements(profile, m))
+    found = _best_domination(profile, solution, old_costs, candidates, tolerance)
+    # a planar single facility is Euclidean here, and outside the hull
+    if found is None and planar_single:
+        projection = _hull_projection(solution.locations[0], hull)
+        found = _best_domination(profile, solution, old_costs, [(projection,)], tolerance)
+    return found
 
 
 def check_strategy_proofness(

@@ -9,6 +9,7 @@ stay reproducible.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 import random
@@ -331,6 +332,15 @@ def _circle_one_fixed(pts: list[Point], q: Point) -> Circle:
     return circ
 
 
+@functools.lru_cache(maxsize=64)
+def _shuffle_order(n: int, seed: int) -> tuple[int, ...]:
+    """Where random.Random(seed).shuffle sends the items of a list of n:
+    its swaps depend on the list's length only, not on its items."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    return tuple(order)
+
+
 def smallest_enclosing_circle(points: Iterable[Iterable[float]], seed: int = 0) -> Circle:
     """Smallest circle containing every input point (2-d only).
 
@@ -341,8 +351,13 @@ def smallest_enclosing_circle(points: Iterable[Iterable[float]], seed: int = 0) 
     pts = _validated(points)
     if len(pts[0]) != 2:
         raise ValueError("smallest_enclosing_circle expects 2-d points")
-    shuffled = list(pts)
-    random.Random(seed).shuffle(shuffled)
+    return _enclosing_circle(pts, seed)
+
+
+def _enclosing_circle(pts: Sequence[Point], seed: int) -> Circle:
+    """smallest_enclosing_circle on a nonempty sequence of finite 2-d points,
+    which are not validated again."""
+    shuffled = [pts[i] for i in _shuffle_order(len(pts), seed)]
     circ: Circle | None = None
     for i, p in enumerate(shuffled):
         if circ is None or not _contains(circ, p):

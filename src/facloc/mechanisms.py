@@ -17,8 +17,8 @@ from typing import Any, Iterable, Literal, Sequence
 from .geometry import (
     Metric,
     Point,
+    _enclosing_circle,
     as_point,
-    coordinate_median,
     distance,
     geometric_median,
     smallest_enclosing_circle,
@@ -269,8 +269,8 @@ def _check_probabilities(values: Iterable[float]) -> None:
 
 
 def _check_orthonormal(axes: tuple[tuple[float, ...], ...], tol: float = 1e-9) -> None:
-    dim = len(axes[0])
-    if len(axes) != dim or any(len(a) != dim for a in axes):
+    dim = len(axes)
+    if not dim or any(len(a) != dim for a in axes):
         raise ValueError("axes must form a square basis")
     for i, a in enumerate(axes):
         for j, b in enumerate(axes):
@@ -450,7 +450,11 @@ def _place(
     elif kind is MechanismKind.PERCENTILE_MULTI_D:
         locations = _percentile_picks(profile, descriptor.percentile_params, descriptor.axes)
     elif kind is MechanismKind.MULTI_DIM_MEDIAN:
-        locations = (coordinate_median(profile.agents),)
+        # coordinate_median's lower median without its checks; -0.0 stays
+        mid = (profile.n - 1) // 2
+        locations = (
+            tuple(sorted(a[k] for a in profile.agents)[mid] for k in range(profile.dim)),
+        )
     elif kind is MechanismKind.GEOMETRIC_MEDIAN:
         # sorted so the iteration path, hence the rounding, is order-free
         locations = (geometric_median(sorted(profile.agents)),)
@@ -459,7 +463,7 @@ def _place(
     elif kind is MechanismKind.ONE_CENTRE:
         if profile.dim != 2:
             raise ValueError("one_centre runs on 2-d profiles")
-        locations = (one_centre(profile),)
+        locations = (_enclosing_circle(sorted(profile.agents), 0).center,)
     elif kind is MechanismKind.COORDINATE_MAX:
         locations = (coordinate_extreme(profile, "max"),)
     elif kind is MechanismKind.COORDINATE_MIN:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -741,3 +742,179 @@ class TestExactStrategyProofness:
         profile = AgentProfile(_SKEWED)
         check_strategy_proofness(desc, profile, ONE, PARITY_BUDGET)
         assert len(calls) == 3 * (len(candidate_points(profile, PARITY_BUDGET)) - 1)
+
+
+# --- one facility in the plane: exact Pareto candidates, checked against
+# the budgeted lattice they replace
+
+AUDIT_DESCRIPTORS = (
+    MechanismDescriptor.median(),
+    MechanismDescriptor.percentile_plane(((0.25, 0.75),)),
+    MechanismDescriptor.one_centre(),
+    MechanismDescriptor.coordinate_extreme("max"),
+    MechanismDescriptor.coordinate_extreme("min"),
+)
+# the budget of the rectilinear fuzzing acceptance test
+FUZZ_BUDGET = SearchBudget(grid_resolution=0.1, bounding_box_pad=0.5)
+# coordinates near the float range, where offsets and trips overflow
+HUGE = (0.0, 1.0, -1.0, 8.9e307, -8.9e307, 1e308, -1e308, 1.7976931348623157e308)
+# (0.6, 0) dominates the corner (2, 1.4), off every 0.25 lattice point
+CORNER_MISS = AgentProfile(((0.4, 0.0), (0.0, 1.4), (2.0, 0.0)), Metric.MANHATTAN)
+
+
+def lattice_margin(profile, solution, budget):
+    """Largest single-agent margin of a lattice point that dominates the
+    one-facility solution, or 0.0."""
+    old = [distance(a, solution.locations[0], profile.metric) for a in profile.agents]
+    best = 0.0
+    for point in candidate_points(profile, budget):
+        new = [distance(a, point, profile.metric) for a in profile.agents]
+        if all(b <= a + axioms.REPLAY_SLACK for a, b in zip(old, new)):
+            best = max(best, max(a - b for a, b in zip(old, new)))
+    return best if best > GAIN_TOLERANCE else 0.0
+
+
+def in_hull_reference(point, agents):
+    """Exact hull membership by Caratheodory: the point lies in the hull of
+    at most three of the agents, or on a segment of two, or on one."""
+    p = tuple(map(Fraction, point))
+    pts = [tuple(map(Fraction, a)) for a in agents]
+
+    def cross(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    if p in pts:
+        return True
+    for a, b in itertools.combinations(pts, 2):
+        if a != b and cross(a, b, p) == 0 and min(a, b) <= p <= max(a, b):
+            return True
+    for a, b, c in itertools.combinations(pts, 3):
+        sides = (cross(a, b, p), cross(b, c, p), cross(c, a, p))
+        if cross(a, b, c) != 0 and (min(sides) >= 0 or max(sides) <= 0):
+            return True
+    return False
+
+
+@st.composite
+def planar_profiles(draw):
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["unit", "grid", "scaled"]))
+    if shape == "grid":
+        coords = st.integers(-3, 3).map(float)
+    else:
+        coords = st.floats(0.0, 1.0)
+    pts = draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n))
+    if shape == "scaled":
+        scale = draw(st.sampled_from([1e-3, 3.0, 7.5]))
+        pts = [(x * scale, y * scale) for x, y in pts]
+    return AgentProfile(tuple(pts), draw(st.sampled_from(list(Metric))))
+
+
+class TestExactPareto:
+    def test_corner_pick_domination_off_the_lattice_is_found(self):
+        desc = MechanismDescriptor.coordinate_extreme("max")
+        sol = run_mechanism(desc, CORNER_MISS, ONE)
+        assert sol.locations == ((2.0, 1.4),)
+        assert lattice_margin(CORNER_MISS, sol, SearchBudget()) == 0.0
+        cert = check_pareto(CORNER_MISS, sol)
+        assert cert is not None
+        assert cert.improvement == pytest.approx(2.8, abs=1e-12)
+        (x, y), = cert.dominating.locations
+        assert (x, y) == pytest.approx((0.6, 0.0), abs=1e-12)
+        assert verify_certificate(cert)
+
+    @pytest.mark.parametrize("scale", [1e-6, 8.0, 32.0])
+    def test_scaled_corner_miss_is_found(self, scale):
+        # coordinates up to 64 in magnitude keep the vertices exact enough
+        agents = tuple((x * scale, y * scale) for x, y in CORNER_MISS.agents)
+        profile = AgentProfile(agents, Metric.MANHATTAN)
+        desc = MechanismDescriptor.coordinate_extreme("max")
+        cert = check_pareto(profile, run_mechanism(desc, profile, ONE))
+        assert cert is not None
+        assert cert.improvement == pytest.approx(2.8 * scale, rel=1e-12)
+        assert verify_certificate(cert)
+
+    def test_manhattan_builds_no_lattice(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("lattice built")
+
+        monkeypatch.setattr(axioms, "candidate_points", refuse)
+        sol = run_mechanism(MechanismDescriptor.median(), CORNER_MISS, ONE)
+        assert check_pareto(CORNER_MISS, sol) is None
+
+    def test_vertex_cap_checked_before_allocating(self):
+        # 300 agents on distinct rows and columns: over 700 000 vertices
+        agents = tuple((float(i), (7 * i) % 300 + 0.5) for i in range(300))
+        profile = AgentProfile(agents, Metric.MANHATTAN)
+        sol = Solution(((100.3, 97.7),), (1,) * 300)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleCapError, match="candidate vertices"):
+                check_pareto(profile, sol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_in_hull_placement_is_a_proof(self):
+        # the padded box of this profile overflows, but no lattice is needed
+        profile = AgentProfile(((0.0, 0.0), (1e308, 1e308)))
+        sol = run_mechanism(MechanismDescriptor.median(), profile, ONE)
+        assert check_pareto(profile, sol) is None
+        collinear = AgentProfile(((0.0, 0.0), (1.0, 1.0), (3.0, 3.0)))
+        assert check_pareto(collinear, Solution(((2.0, 2.0),), (1, 1, 1))) is None
+
+    def test_outside_hull_falls_back_to_the_projection(self):
+        # no lattice point or subset centre dominates, the projection does
+        profile = AgentProfile(((0.0, 0.0), (1.0, 0.0)))
+        sol = Solution(((0.3, 0.01),), (1, 1))
+        cert = check_pareto(profile, sol, COARSE)
+        assert cert is not None
+        assert cert.dominating.locations == ((0.3, 0.0),)
+        assert cert.improvement == pytest.approx(math.hypot(0.3, 0.01) - 0.3, rel=1e-9)
+        assert verify_certificate(cert)
+
+    def test_outside_hull_keeps_the_lattice_certificate(self):
+        profile = AgentProfile(((0.0, 0.0), (2.0, 0.0), (1.0, 2.0)))
+        sol = Solution(((3.0, 3.0),), (1, 1, 1))
+        cert = check_pareto(profile, sol, COARSE)
+        assert cert is not None
+        assert cert.dominating.locations == ((0.0, 0.0),)
+        assert cert.improvement == math.hypot(3.0, 3.0)
+
+    @settings(deadline=None, max_examples=40)
+    @given(profile=planar_profiles(), desc=st.sampled_from(AUDIT_DESCRIPTORS))
+    def test_exact_candidates_beat_the_lattice(self, profile, desc):
+        honest = run_mechanism(desc, profile, ONE)
+        cert = check_pareto(profile, honest, FUZZ_BUDGET)
+        if cert is not None:
+            assert verify_certificate(cert)
+        margin = 0.0 if cert is None else cert.improvement
+        assert lattice_margin(profile, honest, FUZZ_BUDGET) <= margin + 1e-12
+        if profile.metric is Metric.EUCLIDEAN:
+            in_hull = in_hull_reference(honest.locations[0], profile.agents)
+            assert in_hull == axioms._in_hull(
+                honest.locations[0], axioms._convex_hull(profile.agents)
+            )
+            if in_hull:
+                assert cert is None
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        pts=st.lists(
+            st.tuples(st.sampled_from(HUGE), st.sampled_from(HUGE)),
+            min_size=1,
+            max_size=4,
+        ),
+        at=st.tuples(st.sampled_from(HUGE), st.sampled_from(HUGE)),
+        metric=st.sampled_from(list(Metric)),
+    )
+    def test_overflowing_profiles_are_refused_or_answered(self, pts, at, metric):
+        profile = AgentProfile(tuple(pts), metric)
+        try:
+            cert = check_pareto(profile, Solution((at,), (1,) * profile.n))
+        except OracleCapError:
+            return
+        if cert is not None:
+            assert verify_certificate(cert)
+

@@ -121,6 +121,15 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith("error: point coordinates must be numbers")
 
+    def test_empty_axes_fail_validation(self, tmp_path, capsys):
+        doc = dict(RECTANGLE, mechanism={
+            "kind": "percentile_multi_d", "params": [[0.5, 0.5]], "axes": [],
+        })
+        assert main(["run", "--instance", write(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: axes must form a square basis\n"
+
     def test_solver_failure_maps_to_exit_four(self, tmp_path, capsys, monkeypatch):
         def kernel(pts, **kwargs):
             raise ConvergenceError("geometric median did not converge", best=pts[0])
@@ -181,13 +190,44 @@ class TestCheck:
         assert verify_certificate(cert)
 
     def test_overflowing_search_box_maps_to_resource_exit(self, tmp_path, capsys):
+        # one_centre's strategy-proofness search stays on the lattice
+        doc = {
+            "version": 1,
+            "agents": [[0, 0], [1e308, 1e308]],
+            "mechanism": {"kind": "one_centre"},
+        }
+        assert main(["check", "--instance", write(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err.startswith("error: padded search box overflows")
+
+    def test_far_flung_median_needs_no_lattice(self, tmp_path, capsys):
+        # the median sits on a hull vertex, and its manipulations are
+        # searched on the agents' coordinates, so no box is padded
         doc = {
             "version": 1,
             "agents": [[0, 0], [1e308, 1e308]],
             "mechanism": {"kind": "multi_dim_median"},
         }
-        assert main(["check", "--instance", write(tmp_path, doc)]) == 3
-        assert capsys.readouterr().err.startswith("error: padded search box overflows")
+        assert main(["check", "--instance", write(tmp_path, doc)]) == 0
+        assert "pareto none" in lines_of(capsys)
+
+    def test_corner_pick_domination_off_the_lattice_is_found(self, tmp_path, capsys):
+        # every point dominating (2, 1.4) lies on the segment x - y = 0.6,
+        # which no point of the 0.25 lattice is on
+        doc = {
+            "version": 1,
+            "metric": "manhattan",
+            "agents": [[0.4, 0], [0, 1.4], [2, 0]],
+            "mechanism": {"kind": "coordinate_max"},
+        }
+        assert main(["check", "--instance", write(tmp_path, doc)]) == 0
+        out = lines_of(capsys)
+        gain_line = next(l for l in out if l.startswith("pareto violation"))
+        assert float(gain_line.split()[-1]) == pytest.approx(2.8, abs=1e-9)
+        cert_line = next(l for l in out if l.startswith("pareto_certificate"))
+        cert = certificate_from_dict(json.loads(cert_line.split(" ", 1)[1]))
+        assert verify_certificate(cert)
+        (x, y), = cert.dominating.locations
+        assert x - y == pytest.approx(0.6, abs=1e-12)
 
     def test_capacitated_instances_rejected(self, tmp_path, capsys):
         doc = {

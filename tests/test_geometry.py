@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facloc import geometry
 from facloc.bench import BenchConfig, sample_profile
 from facloc.geometry import (
     _RESIDUAL_ACCEPT,
@@ -292,6 +293,32 @@ def test_sec_matches_brute_force_on_random_instances():
 def test_sec_seed_determinism():
     pts = [(1.0, 2.0), (4.0, -1.0), (3.0, 3.0), (0.0, 0.0)]
     assert smallest_enclosing_circle(pts, seed=5) == smallest_enclosing_circle(pts, seed=5)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2026])
+def test_cached_shuffle_order_is_the_fresh_shuffle(seed):
+    for n in range(1, 13):
+        items = [object() for _ in range(n)]
+        shuffled = list(items)
+        random.Random(seed).shuffle(shuffled)
+        assert [items[i] for i in geometry._shuffle_order(n, seed)] == shuffled
+
+
+def reference_circle(pts, seed):
+    """The enclosing circle over a list shuffled by a fresh Random(seed)."""
+    shuffled = [tuple(map(float, p)) for p in pts]
+    random.Random(seed).shuffle(shuffled)
+    circ = None
+    for i, p in enumerate(shuffled):
+        if circ is None or not geometry._contains(circ, p):
+            circ = geometry._circle_one_fixed(shuffled[: i + 1], p)
+    return circ
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(points_2d, min_size=1, max_size=9), st.integers(0, 4))
+def test_enclosing_circle_matches_a_fresh_shuffle(pts, seed):
+    assert repr(smallest_enclosing_circle(pts, seed)) == repr(reference_circle(pts, seed))
 
 
 def test_median_lies_in_enclosing_circle_odd_counts():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facloc.geometry import Metric, distance
+from facloc.geometry import Metric, coordinate_median, distance, smallest_enclosing_circle
 from facloc.mechanisms import (
+    _place,
     AgentProfile,
     FacilitySpec,
     MechanismDescriptor,
@@ -125,6 +126,17 @@ class TestPercentileMultiD:
         prof = euclid((0.0, 0.0), (1.0, 1.0))
         with pytest.raises(ValueError):
             percentile_multi_d(prof, ((0.5, 0.5),), axes=((1.0, 0.0), (1.0, 1.0)))
+
+    def test_rejects_empty_axes(self):
+        prof = euclid((0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="square basis"):
+            percentile_multi_d(prof, ((0.5, 0.5),), axes=())
+        with pytest.raises(ValueError, match="square basis"):
+            MechanismDescriptor.percentile_plane(((0.5, 0.5),), axes=())
+        with pytest.raises(ValueError, match="square basis"):
+            descriptor_from_dict(
+                {"kind": "percentile_multi_d", "params": [[0.5, 0.5]], "axes": []}
+            )
 
     def test_rejects_row_width_mismatch(self):
         prof = euclid((0.0, 0.0), (1.0, 1.0))
@@ -328,6 +340,35 @@ def test_percentile_1d_resists_unilateral_misreports(xs, p, data):
     d_honest = distance(truth, honest.locations[0])
     d_lie = distance(truth, twisted.locations[0])
     assert d_lie >= d_honest - 1e-12
+
+
+# --- _place skips the exported kernels' input checks; the kernels are the
+# reference it must agree with bit for bit (signed zeros included)
+
+signed_coords = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    pts=st.lists(st.tuples(signed_coords, signed_coords), min_size=1, max_size=9),
+    metric=st.sampled_from(list(Metric)),
+)
+def test_placement_matches_the_exported_kernels(pts, metric):
+    prof = AgentProfile(tuple(pts), metric)
+    median = _place(MechanismDescriptor.median(), prof, 1)
+    assert repr(median) == repr((coordinate_median(prof.agents),))
+    centre = _place(MechanismDescriptor.one_centre(), prof, 1)
+    assert repr(centre) == repr((smallest_enclosing_circle(sorted(prof.agents)).center,))
+
+
+def test_median_keeps_a_negative_zero():
+    prof = euclid((-0.0, 1.0), (-1.0, -0.0), (1.0, 2.0))
+    (loc,) = run_mechanism(MechanismDescriptor.median(), prof, FacilitySpec(1)).locations
+    assert loc == (0.0, 1.0)
+    assert math.copysign(1.0, loc[0]) == -1.0
 
 
 class TestWireFormat:
