@@ -45,15 +45,12 @@ from .geometry import (
     bounding_box,
     coordinate_median,
     distance,
-    geometric_median,
-    manhattan_one_center,
-    smallest_enclosing_circle,
 )
 from .mechanisms import (
+    _KINDS,
     AgentProfile,
     FacilitySpec,
     MechanismDescriptor,
-    MechanismKind,
     Solution,
     _integral,
     _place,
@@ -68,7 +65,8 @@ from .mechanisms import (
     spec_from_dict,
     spec_to_dict,
 )
-from .welfare import OracleCapError, _orientation, _partitions
+from .welfare import OracleCapError, WelfareObjective, _agent_costs, _one_facility_centre
+from .welfare import _orientation, _partitions
 
 # margins below this are treated as numeric noise, not violations
 GAIN_TOLERANCE = 1e-9
@@ -284,15 +282,9 @@ def candidate_points(profile: AgentProfile, budget: SearchBudget) -> list[Point]
 
 def _picks_per_axis(descriptor: MechanismDescriptor) -> bool:
     """Whether every facility coordinate the mechanism places is an order
-    statistic of the reports' coordinates on that coordinate axis; rotated
-    axes mix the coordinates."""
-    return descriptor.axes is None and descriptor.kind in (
-        MechanismKind.PERCENTILE_1D,
-        MechanismKind.PERCENTILE_MULTI_D,
-        MechanismKind.MULTI_DIM_MEDIAN,
-        MechanismKind.COORDINATE_MAX,
-        MechanismKind.COORDINATE_MIN,
-    )
+    statistic of the reports' coordinates on that coordinate axis: the
+    percentile family without rotated axes, which mix the coordinates."""
+    return descriptor.axes is None and _KINDS[descriptor.kind].rows is not None
 
 
 def _breakpoint_reports(profile: AgentProfile) -> list[Point]:
@@ -371,13 +363,6 @@ def check_anonymity(
     return None
 
 
-def _assignment_costs(profile: AgentProfile, solution: Solution) -> tuple[float, ...]:
-    return tuple(
-        distance(agent, solution.locations[j - 1], profile.metric)
-        for agent, j in zip(profile.agents, solution.assignment)
-    )
-
-
 def _nearest_costs(
     profile: AgentProfile, locations: Sequence[Point]
 ) -> tuple[float, ...]:
@@ -399,19 +384,16 @@ def _domination_margin(
 
 
 def _group_centers(group: Sequence[Point], metric: Metric) -> list[Point]:
-    """Center candidates a small dominating move tends to land on."""
+    """Center candidates a small dominating move tends to land on: the lower
+    and upper coordinate medians and the group's one-facility optima (for
+    the max objective in 1-d and 2-d only)."""
     pts = sorted(group)
-    dim = len(pts[0])
     centers = [coordinate_median(pts, "lower"), coordinate_median(pts, "upper")]
+    # under Manhattan distance the total's optimum is the lower median
     if metric is Metric.EUCLIDEAN:
-        centers.append(geometric_median(pts))
-    if dim == 1:
-        centers.append(((pts[0][0] + pts[-1][0]) / 2.0,))
-    elif dim == 2:
-        if metric is Metric.EUCLIDEAN:
-            centers.append(smallest_enclosing_circle(pts).center)
-        else:
-            centers.append(manhattan_one_center(pts))
+        centers.append(_one_facility_centre(pts, metric, WelfareObjective.TOTAL))
+    if len(pts[0]) <= 2:
+        centers.append(_one_facility_centre(pts, metric, WelfareObjective.MAX))
     return centers
 
 
@@ -596,7 +578,7 @@ def check_pareto(
     budget = budget if budget is not None else SearchBudget()
     if len(solution.assignment) != profile.n:
         raise ValueError("solution must assign every agent in the profile")
-    old_costs = _assignment_costs(profile, solution)
+    old_costs = _agent_costs(profile, solution)
     m = len(solution.locations)
     planar_single = m == 1 and profile.dim == 2
     if planar_single and profile.metric is Metric.EUCLIDEAN:
@@ -709,8 +691,8 @@ def verify_certificate(cert: Certificate) -> bool:
         )
         margin = _multiset_gap(sorted(base.locations), moved.locations)
     elif cert.kind is CertificateKind.PARETO_DOMINATION:
-        old_costs = _assignment_costs(cert.profile, cert.original)
-        new_costs = _assignment_costs(cert.profile, cert.dominating)
+        old_costs = _agent_costs(cert.profile, cert.original)
+        new_costs = _agent_costs(cert.profile, cert.dominating)
         margin = _domination_margin(old_costs, new_costs, GAIN_TOLERANCE)
     else:
         honest = run_mechanism(cert.descriptor, cert.profile, cert.spec)

@@ -27,6 +27,7 @@ from .bench import BenchConfig, histogram_edges, run_bench
 from .geometry import ConvergenceError
 from .instances import Instance, load_instance
 from .mechanisms import (
+    _KINDS,
     FacilitySpec,
     MechanismDescriptor,
     MechanismKind,
@@ -101,11 +102,13 @@ def _parse_params(kind: str, text: str) -> dict[str, Any]:
     rows = [row.strip() for row in text.split(";") if row.strip()]
     if not rows:
         raise ValueError("--params is empty")
-    if kind == MechanismKind.SERIAL_DICTATORSHIP.value:
+    # an unknown kind reads as rows, and descriptor_from_dict names it
+    shape = next((k.params for key, k in _KINDS.items() if key.value == kind), "rows")
+    if shape == "order":
         if len(rows) != 1:
             raise ValueError("an agent order is a single comma-separated row")
         return {"order": [int(x) for x in rows[0].split(",")]}
-    if kind == MechanismKind.PERCENTILE_1D.value:
+    if shape == "row":
         if len(rows) != 1:
             raise ValueError("1-d percentiles are a single comma-separated row")
         return {"params": [float(x) for x in rows[0].split(",")]}

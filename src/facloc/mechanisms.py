@@ -5,6 +5,11 @@ agents to facilities is not part of the mechanism: for uncapacitated
 specifications it is always recomputed as nearest-facility with the lowest
 index winning ties.  Facility and agent indices are 1-based everywhere they
 appear in public records, matching the usual presentation of assignments.
+
+One table, _KINDS, gives each MechanismKind's parameter shape, facility
+count and placement.  The per-axis percentile family (percentile_1d,
+percentile_multi_d, and the coordinate-wise median, max and min at 0.5, 1
+and 0 on every axis) runs through one kernel.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Literal, Sequence
+from typing import Any, Callable, Iterable, Literal, Sequence
 
 from .geometry import (
     Metric,
@@ -21,7 +26,6 @@ from .geometry import (
     as_point,
     distance,
     geometric_median,
-    smallest_enclosing_circle,
 )
 
 
@@ -150,16 +154,6 @@ class MechanismKind(enum.Enum):
     LEXICOGRAPHIC_FIRST_AGENT = "lexicographic_first_agent"
 
 
-_SINGLE_FACILITY_KINDS = {
-    MechanismKind.MULTI_DIM_MEDIAN,
-    MechanismKind.GEOMETRIC_MEDIAN,
-    MechanismKind.ONE_CENTRE,
-    MechanismKind.COORDINATE_MAX,
-    MechanismKind.COORDINATE_MIN,
-    MechanismKind.LEXICOGRAPHIC_FIRST_AGENT,
-}
-
-
 @dataclass(frozen=True)
 class MechanismDescriptor:
     """Black-box handle the checkers and the harness run mechanisms through.
@@ -167,6 +161,7 @@ class MechanismDescriptor:
     percentile_params is a flat tuple of probabilities for PERCENTILE_1D and
     a per-facility tuple of per-axis probabilities for PERCENTILE_MULTI_D.
     axes, when given, is an orthonormal basis replacing the coordinate axes.
+    Which of these fields a kind takes is its parameter shape in _KINDS.
     """
 
     kind: MechanismKind
@@ -176,31 +171,30 @@ class MechanismDescriptor:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", MechanismKind(self.kind))
-        if self.kind is MechanismKind.PERCENTILE_1D:
+        shape = _KINDS[self.kind].params
+        if shape in ("row", "rows"):
             if self.percentile_params is None:
-                raise ValueError("percentile_1d needs percentile_params")
-            params = tuple(float(p) for p in self.percentile_params)
-            _check_probabilities(params)
-            object.__setattr__(self, "percentile_params", params)
-        elif self.kind is MechanismKind.PERCENTILE_MULTI_D:
-            if self.percentile_params is None:
-                raise ValueError("percentile_multi_d needs percentile_params")
-            params = tuple(tuple(float(p) for p in row) for row in self.percentile_params)
-            if not params or any(not row for row in params):
-                raise ValueError("percentile_params rows must be nonempty")
-            for row in params:
-                _check_probabilities(row)
+                raise ValueError(f"{self.kind.value} needs percentile_params")
+            if shape == "row":
+                params = tuple(float(p) for p in self.percentile_params)
+                _check_probabilities(params)
+            else:
+                params = tuple(tuple(float(p) for p in row) for row in self.percentile_params)
+                if not params or any(not row for row in params):
+                    raise ValueError("percentile_params rows must be nonempty")
+                for row in params:
+                    _check_probabilities(row)
             object.__setattr__(self, "percentile_params", params)
         elif self.percentile_params is not None:
             raise ValueError(f"{self.kind.value} takes no percentile_params")
         if self.axes is not None:
-            if self.kind is not MechanismKind.PERCENTILE_MULTI_D:
+            if shape != "rows":
                 raise ValueError(f"{self.kind.value} takes no axes")
             axes = tuple(tuple(float(c) for c in axis) for axis in self.axes)
             _check_orthonormal(axes)
             object.__setattr__(self, "axes", axes)
         if self.agent_order is not None:
-            if self.kind is not MechanismKind.SERIAL_DICTATORSHIP:
+            if shape != "order":
                 raise ValueError(f"{self.kind.value} takes no agent_order")
             object.__setattr__(
                 self,
@@ -210,12 +204,11 @@ class MechanismDescriptor:
 
     @property
     def implied_facilities(self) -> int | None:
-        """Facility count pinned by the parameters, if any."""
-        if self.kind in (MechanismKind.PERCENTILE_1D, MechanismKind.PERCENTILE_MULTI_D):
+        """Facility count pinned by the kind or its parameters, if any."""
+        count = _KINDS[self.kind].facilities
+        if count == "per_param":
             return len(self.percentile_params)  # type: ignore[arg-type]
-        if self.kind in _SINGLE_FACILITY_KINDS:
-            return 1
-        return None
+        return 1 if count == "one" else None
 
     # convenience constructors ------------------------------------------------
 
@@ -283,21 +276,46 @@ def _check_orthonormal(axes: tuple[tuple[float, ...], ...], tol: float = 1e-9) -
 # --- the mechanisms ----------------------------------------------------------
 
 
+def _percentile_picks(
+    agents: Sequence[Point],
+    rows: Sequence[Sequence[float]],
+    axes: tuple[tuple[float, ...], ...] | None,
+) -> tuple[Point, ...]:
+    """The percentile family's one kernel: one facility per parameter row,
+    whose coordinate on axis k is sorted(column k)[floor(row[k] * (n - 1))].
+    The columns are the agents' coordinates, each pick one of them, -0.0
+    included; or, given an orthonormal basis, their projections onto it,
+    the picks recombined over it, which folds -0.0 into 0.0.  Rows and
+    basis come checked, one entry per axis."""
+    top = len(agents) - 1
+    if axes is None:
+        columns = [sorted(column) for column in zip(*agents)]
+    else:
+        columns = [
+            sorted(sum(c * b for c, b in zip(agent, axis)) for agent in agents)
+            for axis in axes
+        ]
+    # p * top is nonnegative, so int() is its floor
+    picks = tuple(
+        [tuple([column[int(p * top)] for column, p in zip(columns, row)]) for row in rows]
+    )
+    if axes is None:
+        return picks
+    dim = len(axes)
+    return tuple(
+        tuple(sum(comps[k] * axes[k][j] for k in range(dim)) for j in range(dim))
+        for comps in picks
+    )
+
+
 def percentile_1d(xs: Sequence[float], params: Sequence[float]) -> tuple[float, ...]:
     """Facility coordinates x_(1+floor(p*(n-1))) of a sorted 1-d profile,
     one per parameter (1-based rank on the sorted reports)."""
-    if not xs:
-        raise ValueError("need at least one coordinate")
     if any(xs[i] > xs[i + 1] for i in range(len(xs) - 1)):
         raise ValueError("coordinates must be sorted ascending")
-    _check_probabilities(params)
-    return _order_statistics(xs, params)
-
-
-def _order_statistics(xs: Sequence[float], params: Sequence[float]) -> tuple[float, ...]:
-    """percentile_1d on nonempty sorted coordinates and checked parameters."""
-    top = len(xs) - 1
-    return tuple(xs[math.floor(p * top)] for p in params)
+    line = MechanismDescriptor.percentile_line(params)
+    profile = AgentProfile(tuple((x,) for x in xs))
+    return tuple(x for (x,) in _place(line, profile, len(params)))
 
 
 def percentile_multi_d(
@@ -307,48 +325,7 @@ def percentile_multi_d(
 ) -> tuple[Point, ...]:
     """Per-axis percentile mechanism: project onto an orthonormal basis,
     pick the per-axis percentile rank for each facility, recombine."""
-    basis = None
-    if axes is not None:
-        basis = tuple(tuple(float(c) for c in a) for a in axes)
-        _check_orthonormal(basis)
-    rows = tuple(tuple(float(p) for p in row) for row in params)
-    for row in rows:
-        _check_probabilities(row)
-    return _percentile_picks(profile, rows, basis)
-
-
-def _percentile_picks(
-    profile: AgentProfile,
-    rows: tuple[tuple[float, ...], ...],
-    axes: tuple[tuple[float, ...], ...] | None,
-) -> tuple[Point, ...]:
-    """percentile_multi_d on checked parameter rows and an orthonormal basis
-    (None for the coordinate axes); only their dimensions are checked."""
-    dim = profile.dim
-    if axes is not None and len(axes) != dim:
-        raise ValueError("axes dimension does not match the profile")
-    if any(len(row) != dim for row in rows):
-        raise ValueError("each facility needs one percentile parameter per axis")
-    if axes is None:
-        columns = [sorted(a[k] for a in profile.agents) for k in range(dim)]
-    else:
-        columns = [
-            sorted(sum(c * b for c, b in zip(agent, axis)) for agent in profile.agents)
-            for axis in axes
-        ]
-    facilities = zip(
-        *(
-            _order_statistics(column, [row[k] for row in rows])
-            for k, column in enumerate(columns)
-        )
-    )
-    if axes is None:
-        # + 0.0 turns -0.0 into 0.0, as recombining over the identity basis does
-        return tuple(tuple(c + 0.0 for c in comps) for comps in facilities)
-    return tuple(
-        tuple(sum(comps[k] * axes[k][j] for k in range(dim)) for j in range(dim))
-        for comps in facilities
-    )
+    return _place(MechanismDescriptor.percentile_plane(params, axes), profile, len(params))
 
 
 def serial_dictatorship(
@@ -375,25 +352,68 @@ def serial_dictatorship(
     return tuple(placed)
 
 
-def one_centre(profile: AgentProfile, seed: int = 0) -> Point:
-    """Center of the smallest circle enclosing the reports (2-d).
-
-    Reports are sorted first so the answer is bitwise independent of the
-    order agents appear in."""
-    return smallest_enclosing_circle(sorted(profile.agents), seed=seed).center
-
-
-def coordinate_extreme(profile: AgentProfile, which: Literal["max", "min"]) -> Point:
-    if which not in ("max", "min"):
-        raise ValueError(f"which must be 'max' or 'min', got {which!r}")
-    pick = max if which == "max" else min
-    return tuple(pick(a[k] for a in profile.agents) for k in range(profile.dim))
+def _one_centre(
+    descriptor: MechanismDescriptor, profile: AgentProfile, m: int
+) -> tuple[Point, ...]:
+    """Center of the smallest circle enclosing the reports (2-d), sorted
+    first so the answer is bitwise independent of the agents' order."""
+    if profile.dim != 2:
+        raise ValueError("one_centre runs on 2-d profiles")
+    return (_enclosing_circle(sorted(profile.agents), 0).center,)
 
 
-def lexicographic_first_agent(profile: AgentProfile) -> Point:
-    """Location of the lexicographically smallest report (smallest first
-    coordinate, remaining coordinates breaking ties)."""
-    return min(profile.agents)
+def _line_rows(descriptor: MechanismDescriptor, dim: int) -> list[tuple[float]]:
+    if dim != 1:
+        raise ValueError("percentile_1d runs on 1-d profiles")
+    return [(p,) for p in descriptor.percentile_params]  # type: ignore[union-attr]
+
+
+def _plane_rows(descriptor: MechanismDescriptor, dim: int) -> tuple:
+    if descriptor.axes is not None and len(descriptor.axes) != dim:
+        raise ValueError("axes dimension does not match the profile")
+    rows: tuple = descriptor.percentile_params  # type: ignore[assignment]
+    if any(len(row) != dim for row in rows):
+        raise ValueError("each facility needs one percentile parameter per axis")
+    return rows
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """A kind's parameter shape: none, one probability per facility
+    ("row"), per-facility rows of per-axis ones with optional axes
+    ("rows"), or an agent order; the facilities it places: one, one per
+    parameter, or the spec's count; and its placement.  The percentile
+    family gives rows, its per-axis parameters for a profile's dimension,
+    for _percentile_picks; every other kind gives place."""
+
+    params: Literal["none", "row", "rows", "order"]
+    facilities: Literal["one", "per_param", "free"]
+    rows: Callable[[MechanismDescriptor, int], Sequence[Sequence[float]]] | None = None
+    place: Callable[[MechanismDescriptor, AgentProfile, int], tuple[Point, ...]] | None = None
+
+
+_KINDS: dict[MechanismKind, _Kind] = {
+    MechanismKind.PERCENTILE_1D: _Kind("row", "per_param", rows=_line_rows),
+    MechanismKind.PERCENTILE_MULTI_D: _Kind("rows", "per_param", rows=_plane_rows),
+    # the median, max and min are the family at 0.5, 1 and 0 on every axis;
+    # floor(0.5 * (n - 1)) is the lower median's (n - 1) // 2
+    MechanismKind.MULTI_DIM_MEDIAN: _Kind("none", "one", rows=lambda d, dim: ((0.5,) * dim,)),
+    MechanismKind.COORDINATE_MAX: _Kind("none", "one", rows=lambda d, dim: ((1.0,) * dim,)),
+    MechanismKind.COORDINATE_MIN: _Kind("none", "one", rows=lambda d, dim: ((0.0,) * dim,)),
+    # sorted so the iteration path, hence the rounding, is order-free
+    MechanismKind.GEOMETRIC_MEDIAN: _Kind(
+        "none", "one", place=lambda d, profile, m: (geometric_median(sorted(profile.agents)),)
+    ),
+    MechanismKind.SERIAL_DICTATORSHIP: _Kind(
+        "order", "free", place=lambda d, profile, m: serial_dictatorship(profile, d.agent_order, m)
+    ),
+    MechanismKind.ONE_CENTRE: _Kind("none", "one", place=_one_centre),
+    # the lexicographically smallest report: smallest first coordinate,
+    # the remaining coordinates breaking ties
+    MechanismKind.LEXICOGRAPHIC_FIRST_AGENT: _Kind(
+        "none", "one", place=lambda d, profile, m: (min(profile.agents),)
+    ),
+}
 
 
 def assign_nearest(locations: Sequence[Point], profile: AgentProfile) -> tuple[int, ...]:
@@ -439,40 +459,11 @@ def _place(
     """Facility locations the mechanism picks for m facilities, without the
     spec checks run_mechanism makes; callers have made them for this
     descriptor and facility count."""
-    kind = descriptor.kind
-    if kind is MechanismKind.PERCENTILE_1D:
-        if profile.dim != 1:
-            raise ValueError("percentile_1d runs on 1-d profiles")
-        xs = sorted(a[0] for a in profile.agents)
-        locations = tuple(
-            (x,) for x in _order_statistics(xs, descriptor.percentile_params)
-        )
-    elif kind is MechanismKind.PERCENTILE_MULTI_D:
-        locations = _percentile_picks(profile, descriptor.percentile_params, descriptor.axes)
-    elif kind is MechanismKind.MULTI_DIM_MEDIAN:
-        # coordinate_median's lower median without its checks; -0.0 stays
-        mid = (profile.n - 1) // 2
-        locations = (
-            tuple(sorted(a[k] for a in profile.agents)[mid] for k in range(profile.dim)),
-        )
-    elif kind is MechanismKind.GEOMETRIC_MEDIAN:
-        # sorted so the iteration path, hence the rounding, is order-free
-        locations = (geometric_median(sorted(profile.agents)),)
-    elif kind is MechanismKind.SERIAL_DICTATORSHIP:
-        locations = serial_dictatorship(profile, descriptor.agent_order, m)
-    elif kind is MechanismKind.ONE_CENTRE:
-        if profile.dim != 2:
-            raise ValueError("one_centre runs on 2-d profiles")
-        locations = (_enclosing_circle(sorted(profile.agents), 0).center,)
-    elif kind is MechanismKind.COORDINATE_MAX:
-        locations = (coordinate_extreme(profile, "max"),)
-    elif kind is MechanismKind.COORDINATE_MIN:
-        locations = (coordinate_extreme(profile, "min"),)
-    elif kind is MechanismKind.LEXICOGRAPHIC_FIRST_AGENT:
-        locations = (lexicographic_first_agent(profile),)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown mechanism kind {kind!r}")
-    return locations
+    kind = _KINDS[descriptor.kind]
+    if kind.rows is None:
+        return kind.place(descriptor, profile, m)  # type: ignore[misc]
+    agents = profile.agents
+    return _percentile_picks(agents, kind.rows(descriptor, len(agents[0])), descriptor.axes)
 
 
 # --- wire format helpers ------------------------------------------------------
@@ -480,16 +471,32 @@ def _place(
 
 def descriptor_to_dict(descriptor: MechanismDescriptor) -> dict[str, Any]:
     doc: dict[str, Any] = {"kind": descriptor.kind.value}
-    if descriptor.percentile_params is not None:
-        doc["params"] = [
-            list(row) if isinstance(row, tuple) else row
-            for row in descriptor.percentile_params
-        ]
+    params = descriptor.percentile_params
+    if params is not None:
+        rows = _KINDS[descriptor.kind].params == "rows"
+        doc["params"] = [list(row) for row in params] if rows else list(params)
     if descriptor.axes is not None:
         doc["axes"] = [list(a) for a in descriptor.axes]
     if descriptor.agent_order is not None:
         doc["order"] = list(descriptor.agent_order)
     return doc
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numbers(value: Any) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _require_list(
+    doc: dict[str, Any], field: str, entry_ok: Callable[[Any], bool], what: str
+) -> None:
+    # a scalar is no sequence, and a string would read as its characters
+    value = doc.get(field)
+    if value is not None and not (isinstance(value, list) and all(map(entry_ok, value))):
+        raise ValueError(f"mechanism {field!r} must be {what}, got {value!r}")
 
 
 def descriptor_from_dict(doc: dict[str, Any]) -> MechanismDescriptor:
@@ -500,21 +507,16 @@ def descriptor_from_dict(doc: dict[str, Any]) -> MechanismDescriptor:
     except ValueError:
         known = ", ".join(k.value for k in MechanismKind)
         raise ValueError(f"unknown mechanism kind {doc['kind']!r} (known: {known})")
-    params = doc.get("params")
-    if params is not None:
-        if kind is MechanismKind.PERCENTILE_1D:
-            params = tuple(params)
-        else:
-            params = tuple(tuple(row) for row in params)
-    axes = doc.get("axes")
-    if axes is not None:
-        axes = tuple(tuple(a) for a in axes)
-    order = doc.get("order")
-    if order is not None:
-        order = tuple(order)
-    return MechanismDescriptor(
-        kind, percentile_params=params, axes=axes, agent_order=order
-    )
+    # fields the kind does not take, and the order's entries, are left to the descriptor
+    shape = _KINDS[kind].params
+    if shape == "row":
+        _require_list(doc, "params", _is_number, "a list of numbers")
+    elif shape == "rows":
+        _require_list(doc, "params", _is_numbers, "a list of lists of numbers")
+        _require_list(doc, "axes", _is_numbers, "a list of lists of numbers")
+    elif shape == "order":
+        _require_list(doc, "order", lambda entry: True, "a list of agent indices")
+    return MechanismDescriptor(kind, doc.get("params"), doc.get("axes"), doc.get("order"))
 
 
 def profile_to_dict(profile: AgentProfile) -> dict[str, Any]:

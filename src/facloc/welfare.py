@@ -64,21 +64,25 @@ class WelfareObjective(enum.Enum):
     MAX = "max"
 
 
-def evaluate(
-    profile: AgentProfile, solution: Solution, objective: WelfareObjective
-) -> float:
-    """Welfare of a solution: agent i's cost is the distance to the facility
-    assignment[i] points at (the assigned one, not necessarily the nearest),
-    measured in the profile metric."""
-    objective = WelfareObjective(objective)
+def _agent_costs(profile: AgentProfile, solution: Solution) -> list[float]:
+    """Agent i's cost: the distance to the facility assignment[i] points at
+    (the assigned one, not necessarily the nearest), in the profile metric."""
     if len(solution.assignment) != profile.n:
         raise ValueError(
             f"assignment covers {len(solution.assignment)} agents, profile has {profile.n}"
         )
-    costs = [
+    return [
         distance(agent, solution.locations[j - 1], profile.metric)
         for agent, j in zip(profile.agents, solution.assignment)
     ]
+
+
+def evaluate(
+    profile: AgentProfile, solution: Solution, objective: WelfareObjective
+) -> float:
+    """Welfare of a solution: the total or the largest of its _agent_costs."""
+    objective = WelfareObjective(objective)
+    costs = _agent_costs(profile, solution)
     return sum(costs) if objective is WelfareObjective.TOTAL else max(costs)
 
 
@@ -118,27 +122,30 @@ class RatioReport:
         return math.isinf(self.ratio)
 
 
+def _one_facility_centre(
+    pts: Sequence[Point], metric: Metric, objective: WelfareObjective
+) -> Point:
+    """Exact one-facility optimum location for a group of agents, given
+    sorted.  The max objective has one in 1-d and 2-d only."""
+    if objective is WelfareObjective.TOTAL:
+        if metric is Metric.MANHATTAN:
+            return coordinate_median(pts)
+        return geometric_median(pts)
+    if len(pts[0]) == 1:
+        return ((pts[0][0] + pts[-1][0]) / 2.0,)
+    if metric is Metric.MANHATTAN:
+        return manhattan_one_center(pts)
+    if len(pts[0]) == 2:
+        return smallest_enclosing_circle(pts).center
+    raise ValueError("max-distance optimum supports 1-d and 2-d points only")
+
+
 def _single_facility_optimum(
     points: Sequence[Point], metric: Metric, objective: WelfareObjective
 ) -> tuple[float, Point]:
     """Exact one-facility optimum (cost, location) for a group of agents."""
     pts = sorted(points)
-    dim = len(pts[0])
-    if objective is WelfareObjective.TOTAL:
-        if metric is Metric.MANHATTAN:
-            center = coordinate_median(pts)
-        else:
-            center = geometric_median(pts, tolerance=1e-9)
-    else:
-        if dim == 1:
-            lo, hi = pts[0][0], pts[-1][0]
-            center = ((lo + hi) / 2.0,)
-        elif metric is Metric.MANHATTAN:
-            center = manhattan_one_center(pts)
-        elif dim == 2:
-            center = smallest_enclosing_circle(pts).center
-        else:
-            raise ValueError("max-distance optimum supports 1-d and 2-d points only")
+    center = _one_facility_centre(pts, metric, objective)
     costs = [distance(p, center, metric) for p in pts]
     value = sum(costs) if objective is WelfareObjective.TOTAL else max(costs)
     return value, center
@@ -238,7 +245,7 @@ def optimal_welfare(
     n = profile.n
     agents, metric = profile.agents, profile.metric
     if spec.m == 1:
-        _, center = _single_facility_optimum(agents, metric, objective)
+        center = _one_facility_centre(sorted(agents), metric, objective)
         solution = Solution((center,), (1,) * n)
         return evaluate(profile, solution, objective), solution
     line_splits = metric is Metric.EUCLIDEAN and profile.dim == 2 and spec.m == 2

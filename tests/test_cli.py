@@ -130,6 +130,30 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == "error: axes must form a square basis\n"
 
+    @pytest.mark.parametrize(
+        "agents, facilities, mechanism",
+        [
+            ([[0, 0], [1, 1]], 1, {"kind": "percentile_multi_d", "params": [[0.5, 0.5]], "axes": [1]}),
+            ([[0], [1], [2]], 1, {"kind": "percentile_1d", "params": 0.5}),
+            ([[0, 0], [1, 1]], 1, {"kind": "percentile_multi_d", "params": [1]}),
+            ([[0, 0], [1, 1]], 2, {"kind": "serial_dictatorship", "order": 5}),
+            # a string is no list of numbers, not even one of digits
+            ([[0], [1], [2]], 2, {"kind": "percentile_1d", "params": "01"}),
+        ],
+        ids=["axes_of_numbers", "line_params_number", "plane_params_flat",
+             "order_number", "line_params_string"],
+    )
+    def test_non_list_mechanism_field_fails_validation(
+        self, tmp_path, capsys, agents, facilities, mechanism
+    ):
+        doc = {"version": 1, "agents": agents, "facilities": facilities, "mechanism": mechanism}
+        assert main(["run", "--instance", write(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: mechanism '")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_solver_failure_maps_to_exit_four(self, tmp_path, capsys, monkeypatch):
         def kernel(pts, **kwargs):
             raise ConvergenceError("geometric median did not converge", best=pts[0])

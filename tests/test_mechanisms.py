@@ -160,8 +160,9 @@ class TestPercentileMultiD:
         ),
     )
     def test_coordinate_axes_match_the_explicit_identity_basis(self, data, dim, n, rows):
-        # bit for bit, signed zeros included: recombining over the identity
-        # basis turns -0.0 into 0.0, and the coordinate-axes path must too
+        # equal in value: recombining over the identity basis folds -0.0
+        # into 0.0, while the coordinate axes keep the reported coordinate,
+        # bit for bit the order statistic
         coord = st.sampled_from([-0.0, 0.0, -1.5, 2.25, -3.0])
         prof = AgentProfile(
             tuple(data.draw(st.tuples(*[coord] * dim)) for _ in range(n))
@@ -171,8 +172,73 @@ class TestPercentileMultiD:
         plain = run_mechanism(
             MechanismDescriptor.percentile_plane(params), prof, FacilitySpec(len(params))
         ).locations
-        assert repr(plain) == repr(percentile_multi_d(prof, params, identity))
+        assert plain == percentile_multi_d(prof, params, identity)
+        assert repr(plain) == repr(order_statistics(prof, params))
         assert repr(plain) == repr(percentile_multi_d(prof, params))
+
+
+def order_statistics(prof, rows):
+    """Reference for the per-axis percentile picks: on axis k, the sorted
+    reports' entry floor(row[k] * (n - 1))."""
+    columns = [sorted(a[k] for a in prof.agents) for k in range(prof.dim)]
+    return tuple(
+        tuple(col[math.floor(p * (prof.n - 1))] for col, p in zip(columns, row))
+        for row in rows
+    )
+
+
+family_coords = st.one_of(
+    st.sampled_from([-0.0, 0.0, -1.5, 2.25]),
+    st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    data=st.data(),
+    dim=st.integers(1, 3),
+    n=st.integers(1, 7),
+    params=st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.75, 1.0]), min_size=1, max_size=3),
+)
+def test_median_max_min_and_line_are_the_percentile_family(data, dim, n, params):
+    # bit for bit, signed zeros and ties included: the coordinate-wise
+    # median, max and min are the family at 0.5, 1 and 0 on every axis
+    prof = AgentProfile(
+        tuple(data.draw(st.tuples(*[family_coords] * dim)) for _ in range(n))
+    )
+
+    def placed(desc):
+        return repr(_place(desc, prof, desc.implied_facilities))
+
+    for desc, p in (
+        (MechanismDescriptor.median(), 0.5),
+        (MechanismDescriptor.coordinate_extreme("max"), 1.0),
+        (MechanismDescriptor.coordinate_extreme("min"), 0.0),
+    ):
+        rows = ((p,) * dim,)
+        assert placed(desc) == placed(MechanismDescriptor.percentile_plane(rows))
+        assert placed(desc) == repr(order_statistics(prof, rows))
+    assert placed(MechanismDescriptor.median()) == repr((coordinate_median(prof.agents),))
+    if dim == 1:
+        rows = tuple((p,) for p in params)
+        line = placed(MechanismDescriptor.percentile_line(params))
+        assert line == placed(MechanismDescriptor.percentile_plane(rows))
+        assert line == repr(order_statistics(prof, rows))
+
+
+def test_signed_zero_picks():
+    # the coordinate axes return the reported coordinate itself; of tied
+    # values the sorted pick at rank n - 1 is the last reported, so max
+    # keeps the later of 0.0 and -0.0 where max() kept the first
+    top = MechanismDescriptor.coordinate_extreme("max")
+    assert repr(_place(top, AgentProfile(((0.0,), (-0.0,))), 1)) == "((-0.0,),)"
+    assert repr(_place(top, AgentProfile(((-0.0,), (0.0,))), 1)) == "((0.0,),)"
+    plane = MechanismDescriptor.percentile_plane(((0.5, 0.5),))
+    prof = AgentProfile(((-0.0, -0.0), (-0.0, 1.0), (2.0, -0.0)))
+    assert repr(_place(plane, prof, 1)) == "((-0.0, -0.0),)"
+    # rotated axes recombine, which folds -0.0 into 0.0
+    rotated = MechanismDescriptor.percentile_plane(((0.5, 0.5),), ((0.0, 1.0), (1.0, 0.0)))
+    assert repr(_place(rotated, prof, 1)) == "((0.0, 0.0),)"
 
 
 class TestSerialDictatorship:

@@ -2,6 +2,13 @@ import math
 
 import pytest
 
+from facloc.axioms import (
+    SearchBudget,
+    check_anonymity,
+    check_pareto,
+    check_strategy_proofness,
+    verify_certificate,
+)
 from facloc.scenarios import (
     Expectation,
     Scenario,
@@ -11,7 +18,7 @@ from facloc.scenarios import (
     run_scenario,
     values_match,
 )
-from facloc.mechanisms import AgentProfile, FacilitySpec, MechanismDescriptor
+from facloc.mechanisms import AgentProfile, FacilitySpec, MechanismDescriptor, run_mechanism
 
 # names the registry must always carry; CLI users script against them
 REQUIRED_NAMES = (
@@ -72,6 +79,43 @@ def test_scenario_passes(name):
     assert report.passed, [
         (r.name, r.expected, r.measured) for r in failed
     ]
+
+
+# the axiom checkers take uncapacitated instances only
+UNCAPACITATED = [n for n in ALL_NAMES if get_scenario(n).spec.capacities is None]
+CERTIFICATE_BUDGET = SearchBudget(grid_resolution=0.5, bounding_box_pad=1.0)
+# the certificates the checkers emit on the worked counterexamples at that
+# budget; every other uncapacitated scenario gets none
+EXPECTED_CERTIFICATES = {
+    "thm1_manipulation": ["manipulation"],
+    "onecentre_manipulation": ["manipulation"],
+    "thm4_case1": ["pareto_domination"],
+    "thm4_case2": ["pareto_domination"],
+    "thm4_case3": ["pareto_domination"],
+    "manhattan_3agent_max_dominated": ["pareto_domination"],
+    "manhattan_4agent_min_dominated": ["pareto_domination"],
+}
+
+
+def test_certificates_cover_only_uncapacitated_scenarios():
+    assert set(EXPECTED_CERTIFICATES) <= set(UNCAPACITATED)
+
+
+@pytest.mark.parametrize("name", UNCAPACITATED)
+def test_checkers_emit_replayable_certificates(name):
+    s = get_scenario(name)
+    honest = run_mechanism(s.mechanism, s.profile, s.spec)
+    found = [
+        cert
+        for cert in (
+            check_anonymity(s.mechanism, s.profile, s.spec),
+            check_pareto(s.profile, honest, CERTIFICATE_BUDGET),
+            check_strategy_proofness(s.mechanism, s.profile, s.spec, CERTIFICATE_BUDGET),
+        )
+        if cert is not None
+    ]
+    assert [cert.kind.value for cert in found] == EXPECTED_CERTIFICATES.get(name, [])
+    assert all(verify_certificate(cert) for cert in found)
 
 
 class TestDeterminism:
