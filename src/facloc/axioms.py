@@ -41,9 +41,9 @@ from typing import Any, Iterable, Iterator, Sequence
 from .geometry import (
     Metric,
     Point,
+    _coordinate_median,
     as_point,
     bounding_box,
-    coordinate_median,
     distance,
 )
 from .mechanisms import (
@@ -388,7 +388,7 @@ def _group_centers(group: Sequence[Point], metric: Metric) -> list[Point]:
     and upper coordinate medians and the group's one-facility optima (for
     the max objective in 1-d and 2-d only)."""
     pts = sorted(group)
-    centers = [coordinate_median(pts, "lower"), coordinate_median(pts, "upper")]
+    centers = [_coordinate_median(pts), _coordinate_median(pts, upper=True)]
     # under Manhattan distance the total's optimum is the lower median
     if metric is Metric.EUCLIDEAN:
         centers.append(_one_facility_centre(pts, metric, WelfareObjective.TOTAL))
@@ -417,13 +417,13 @@ def _partition_placements(
 ) -> Iterator[tuple[Point, ...]]:
     """Per-block center products over every way of splitting the agents
     into at most m groups; blocks short of m are padded with repeats."""
-    for labels in _partitions(profile.n, m):
-        blocks: dict[int, list[Point]] = {}
-        for agent, label in zip(profile.agents, labels):
-            blocks.setdefault(label, []).append(agent)
+    agents = profile.agents
+    for masks in _partitions(profile.n, m):
         options = [
-            sorted(set(_group_centers(block, profile.metric)))
-            for _, block in sorted(blocks.items())
+            sorted(set(_group_centers(
+                [a for i, a in enumerate(agents) if mask >> i & 1], profile.metric
+            )))
+            for mask in masks
         ]
         for combo in itertools.product(*options):
             placed = tuple(sorted(combo))

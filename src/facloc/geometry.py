@@ -3,7 +3,9 @@
 Points are bare tuples of floats: they hash, compare lexicographically and
 survive JSON round trips without a wrapper class.  Everything here is pure.
 The randomized enclosing-circle solver takes an explicit seed so callers
-stay reproducible.
+stay reproducible.  Each public kernel validates its input and calls an
+underscored core that takes nonempty finite points of one dimension as
+given, for callers that validated them once already.
 """
 
 from __future__ import annotations
@@ -46,7 +48,10 @@ def as_point(coords: Iterable[float]) -> Point:
     # float(True) is 1.0: a JSON true must not pass for a coordinate
     if bool in map(type, coords):
         raise ValueError(f"point coordinates must be numbers, got {coords!r}")
-    pt = tuple(map(float, coords))
+    try:
+        pt = tuple(map(float, coords))
+    except OverflowError:
+        raise ValueError("point has a coordinate beyond the float range") from None
     if not pt:
         raise ValueError("a point needs at least one coordinate")
     if not all(map(math.isfinite, pt)):
@@ -86,8 +91,13 @@ def coordinate_median(points: Iterable[Iterable[float]], policy: str = "lower") 
     pts = _validated(points)
     if policy not in ("lower", "upper"):
         raise ValueError(f"unknown even-count policy {policy!r}")
-    n = len(pts)
-    idx = (n - 1) // 2 if policy == "lower" else n // 2
+    return _coordinate_median(pts, upper=policy == "upper")
+
+
+def _coordinate_median(pts: Sequence[Point], upper: bool = False) -> Point:
+    """coordinate_median on a nonempty sequence of finite points of one
+    dimension, which are not validated again."""
+    idx = len(pts) // 2 if upper else (len(pts) - 1) // 2
     return tuple(sorted(p[k] for p in pts)[idx] for k in range(len(pts[0])))
 
 
@@ -224,6 +234,14 @@ def geometric_median(
     pts = _validated(points)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
+    return _geometric_median(pts, tolerance, max_iterations)
+
+
+def _geometric_median(
+    pts: Sequence[Point], tolerance: float = 1e-9, max_iterations: int = 10_000
+) -> Point:
+    """geometric_median on a nonempty sequence of finite points of one
+    dimension, which are not validated again."""
     if len(pts) == 1:
         return pts[0]
     dim = len(pts[0])
@@ -375,6 +393,12 @@ def manhattan_one_center(points: Iterable[Iterable[float]]) -> Point:
     pts = _validated(points)
     if len(pts[0]) != 2:
         raise ValueError("manhattan_one_center expects 2-d points")
+    return _manhattan_centre(pts)
+
+
+def _manhattan_centre(pts: Sequence[Point]) -> Point:
+    """manhattan_one_center on a nonempty sequence of finite 2-d points,
+    which are not validated again."""
     us = [x + y for x, y in pts]
     vs = [x - y for x, y in pts]
     uc = (min(us) + max(us)) / 2.0

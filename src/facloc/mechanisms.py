@@ -23,9 +23,9 @@ from .geometry import (
     Metric,
     Point,
     _enclosing_circle,
+    _geometric_median,
     as_point,
     distance,
-    geometric_median,
 )
 
 
@@ -176,10 +176,10 @@ class MechanismDescriptor:
             if self.percentile_params is None:
                 raise ValueError(f"{self.kind.value} needs percentile_params")
             if shape == "row":
-                params = tuple(float(p) for p in self.percentile_params)
+                params = tuple(map(_as_float, self.percentile_params))
                 _check_probabilities(params)
             else:
-                params = tuple(tuple(float(p) for p in row) for row in self.percentile_params)
+                params = tuple(tuple(map(_as_float, row)) for row in self.percentile_params)
                 if not params or any(not row for row in params):
                     raise ValueError("percentile_params rows must be nonempty")
                 for row in params:
@@ -190,7 +190,7 @@ class MechanismDescriptor:
         if self.axes is not None:
             if shape != "rows":
                 raise ValueError(f"{self.kind.value} takes no axes")
-            axes = tuple(tuple(float(c) for c in axis) for axis in self.axes)
+            axes = tuple(tuple(map(_as_float, axis)) for axis in self.axes)
             _check_orthonormal(axes)
             object.__setattr__(self, "axes", axes)
         if self.agent_order is not None:
@@ -253,6 +253,13 @@ class MechanismDescriptor:
     @classmethod
     def first_agent(cls) -> "MechanismDescriptor":
         return cls(MechanismKind.LEXICOGRAPHIC_FIRST_AGENT)
+
+
+def _as_float(value: Any) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("mechanism parameter beyond the float range") from None
 
 
 def _check_probabilities(values: Iterable[float]) -> None:
@@ -402,7 +409,7 @@ _KINDS: dict[MechanismKind, _Kind] = {
     MechanismKind.COORDINATE_MIN: _Kind("none", "one", rows=lambda d, dim: ((0.0,) * dim,)),
     # sorted so the iteration path, hence the rounding, is order-free
     MechanismKind.GEOMETRIC_MEDIAN: _Kind(
-        "none", "one", place=lambda d, profile, m: (geometric_median(sorted(profile.agents)),)
+        "none", "one", place=lambda d, profile, m: (_geometric_median(sorted(profile.agents)),)
     ),
     MechanismKind.SERIAL_DICTATORSHIP: _Kind(
         "order", "free", place=lambda d, profile, m: serial_dictatorship(profile, d.agent_order, m)
@@ -491,12 +498,16 @@ def _is_numbers(value: Any) -> bool:
 
 
 def _require_list(
-    doc: dict[str, Any], field: str, entry_ok: Callable[[Any], bool], what: str
+    doc: dict[str, Any],
+    field: str,
+    entry_ok: Callable[[Any], bool],
+    what: str,
+    owner: str = "mechanism",
 ) -> None:
     # a scalar is no sequence, and a string would read as its characters
     value = doc.get(field)
     if value is not None and not (isinstance(value, list) and all(map(entry_ok, value))):
-        raise ValueError(f"mechanism {field!r} must be {what}, got {value!r}")
+        raise ValueError(f"{owner} {field!r} must be {what}, got {value!r}")
 
 
 def descriptor_from_dict(doc: dict[str, Any]) -> MechanismDescriptor:
@@ -528,10 +539,17 @@ def profile_from_dict(doc: dict[str, Any]) -> AgentProfile:
         metric = Metric(doc.get("metric", "euclidean"))
     except ValueError:
         raise ValueError(f"unknown metric {doc.get('metric')!r} (use euclidean or manhattan)")
-    agents = doc.get("agents")
-    if not isinstance(agents, list) or not agents:
+    if not doc.get("agents"):
         raise ValueError("'agents' must be a nonempty list of coordinate lists")
-    return AgentProfile(tuple(tuple(a) for a in agents), metric)
+    # bools pass here, for as_point to name them
+    _require_list(
+        doc,
+        "agents",
+        lambda a: isinstance(a, list) and all(isinstance(c, (int, float)) for c in a),
+        "a nonempty list of coordinate lists",
+        "instance",
+    )
+    return AgentProfile(tuple(tuple(a) for a in doc["agents"]), metric)
 
 
 def spec_to_dict(spec: FacilitySpec) -> dict[str, Any]:
@@ -542,9 +560,10 @@ def spec_to_dict(spec: FacilitySpec) -> dict[str, Any]:
 
 
 def spec_from_dict(doc: dict[str, Any]) -> FacilitySpec:
-    m = doc.get("facilities", 1)
+    # the entries are left to FacilitySpec
+    _require_list(doc, "capacities", lambda entry: True, "a list of integers", "instance")
     caps = doc.get("capacities")
-    return FacilitySpec(m, None if caps is None else tuple(caps))
+    return FacilitySpec(doc.get("facilities", 1), None if caps is None else tuple(caps))
 
 
 def solution_to_dict(solution: Solution) -> dict[str, Any]:

@@ -15,6 +15,13 @@ objective alike (the planar 2-median / 2-centre argument).  Those O(n^2)
 line splits are enumerated instead, up to LINE_SPLIT_MAX_AGENTS agents.
 Manhattan bisectors are not lines, so Manhattan profiles, other dimensions
 and m >= 3 keep the full enumeration.
+
+The profile is validated once, when it is built.  Each candidate is a
+tuple of block bitmasks.  A block's points are read off its mask in the
+agents' lexicographic order, sorted once per call, and solved by the
+geometry cores, which do not check their input again; each block's answer
+is cached by its mask.  Candidates run in restricted-growth order and the
+first of equal (value, facility tuple) wins, so that order decides ties.
 """
 
 from __future__ import annotations
@@ -22,18 +29,19 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .geometry import (
     Metric,
     Point,
+    _coordinate_median,
+    _enclosing_circle,
+    _geometric_median,
+    _manhattan_centre,
     as_point,
-    coordinate_median,
     distance,
-    geometric_median,
-    manhattan_one_center,
-    smallest_enclosing_circle,
 )
 from .mechanisms import (
     AgentProfile,
@@ -126,47 +134,40 @@ def _one_facility_centre(
     pts: Sequence[Point], metric: Metric, objective: WelfareObjective
 ) -> Point:
     """Exact one-facility optimum location for a group of agents, given
-    sorted.  The max objective has one in 1-d and 2-d only."""
+    sorted and already validated: the geometry cores do not check them
+    again.  The max objective has one in 1-d and 2-d only."""
     if objective is WelfareObjective.TOTAL:
         if metric is Metric.MANHATTAN:
-            return coordinate_median(pts)
-        return geometric_median(pts)
-    if len(pts[0]) == 1:
+            return _coordinate_median(pts)
+        return _geometric_median(pts)
+    dim = len(pts[0])
+    if dim == 1:
         return ((pts[0][0] + pts[-1][0]) / 2.0,)
+    if dim != 2:
+        raise ValueError("max-distance optimum supports 1-d and 2-d points only")
     if metric is Metric.MANHATTAN:
-        return manhattan_one_center(pts)
-    if len(pts[0]) == 2:
-        return smallest_enclosing_circle(pts).center
-    raise ValueError("max-distance optimum supports 1-d and 2-d points only")
+        return _manhattan_centre(pts)
+    return _enclosing_circle(pts, 0).center
 
 
-def _single_facility_optimum(
-    points: Sequence[Point], metric: Metric, objective: WelfareObjective
-) -> tuple[float, Point]:
-    """Exact one-facility optimum (cost, location) for a group of agents."""
-    pts = sorted(points)
-    center = _one_facility_centre(pts, metric, objective)
-    costs = [distance(p, center, metric) for p in pts]
-    value = sum(costs) if objective is WelfareObjective.TOTAL else max(costs)
-    return value, center
-
-
-def _partitions(n: int, max_blocks: int) -> Iterator[list[int]]:
-    """Set partitions of range(n) into at most max_blocks groups, encoded as
-    restricted-growth label strings (labels[i] is agent i's block)."""
-    labels = [0] * n
-
-    def extend(i: int, used: int) -> Iterator[list[int]]:
-        if i == n:
-            yield list(labels)
-            return
-        for b in range(min(used + 1, max_blocks)):
-            labels[i] = b
-            yield from extend(i + 1, max(used, b + 1))
-
+def _partitions(n: int, max_blocks: int) -> list[tuple[int, ...]]:
+    """Set partitions of range(n) into at most max_blocks groups, each a
+    tuple of block bitmasks (bit i of a block is set when agent i is in it),
+    in restricted-growth order: agent i joins an earlier block before a
+    later one and opens a new block last, and agent 0 opens block 0."""
     if n < 1:
         raise ValueError("need at least one agent")
-    yield from extend(1, 1)
+    layer = [(1,)]
+    for i in range(1, n):
+        bit = 1 << i
+        grown = []
+        for masks in layer:
+            for b in range(len(masks)):
+                grown.append(masks[:b] + (masks[b] | bit,) + masks[b + 1 :])
+            if len(masks) < max_blocks:
+                grown.append(masks + (bit,))
+        layer = grown
+    return layer
 
 
 def _orientation(a: Point, b: Point, c: Point) -> int:
@@ -177,17 +178,18 @@ def _orientation(a: Point, b: Point, c: Point) -> int:
     det = left - right
     if abs(det) > _ORIENT_ERRBOUND * (abs(left) + abs(right)) + _ORIENT_UNDERFLOW:
         return 1 if det > 0 else -1
-    # deferred: importing fractions pulls in decimal, and few calls get here
-    from fractions import Fraction
-
-    ax, ay, bx, by, cx, cy = map(Fraction, (*a, *b, *c))
+    # exact on integers: every float is num / 2^k, so scaling all six
+    # coordinates by the largest denominator keeps them integral
+    ratios = [v.as_integer_ratio() for v in (*a, *b, *c)]
+    den = max(d for _, d in ratios)
+    ax, ay, bx, by, cx, cy = (num * (den // d) for num, d in ratios)
     exact = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
     return (exact > 0) - (exact < 0)
 
 
 def _line_splits(points: Sequence[Point]) -> list[tuple[int, ...]]:
-    """Every bipartition of 2-d points that a line separates, as
-    restricted-growth labels sorted in the order _partitions yields them.
+    """Every bipartition of 2-d points that a line separates, as block
+    bitmasks in the order _partitions yields them.
 
     A separating line can be moved until it passes through two distinct
     points.  The points strictly left of it then form one side, and the
@@ -196,30 +198,32 @@ def _line_splits(points: Sequence[Point]) -> list[tuple[int, ...]]:
     few extra splits are still partitions, so the search stays exact.
     """
     n = len(points)
-    splits = {(0,) * n}
+    full = (1 << n) - 1
+    sides = {full}  # the side holding agent 0
     for i, j in itertools.combinations(range(n), 2):
         a, b = points[i], points[j]
         if a == b:
             continue
-        left, on = [], [i, j]
+        left, on = 0, [i, j]
         for k in range(n):
             if k != i and k != j:
                 side = _orientation(a, b, points[k])
                 if side > 0:
-                    left.append(k)
+                    left |= 1 << k
                 elif side == 0:
                     on.append(k)
         # lexicographic order is the order along the line
         on.sort(key=points.__getitem__)
         for t in range(len(on) + 1):
             for part in (on[:t], on[t:]):
-                labels = [1] * n
-                for k in itertools.chain(left, part):
-                    labels[k] = 0
-                if labels[0]:
-                    labels = [1 - label for label in labels]
-                splits.add(tuple(labels))
-    return sorted(splits)
+                mask = left
+                for k in part:
+                    mask |= 1 << k
+                sides.add(mask if mask & 1 else full ^ mask)
+    # restricted-growth order: the agents' labels in index order, with
+    # label 0 for agent 0's side sorting first
+    ordered = sorted(sides, key=lambda mask: [~mask >> i & 1 for i in range(n)])
+    return [(mask,) if mask == full else (mask, full ^ mask) for mask in ordered]
 
 
 def optimal_welfare(
@@ -235,9 +239,10 @@ def optimal_welfare(
     other case with m >= 2 searches all agent partitions, up to
     PARTITION_ORACLE_MAX_AGENTS agents.  Either cap raises OracleCapError
     before any enumeration.  Ties break toward the lexicographically smallest
-    facility tuple among the partitions searched, so for two facilities on a
-    2-d Euclidean profile among the line splits only.  Unused facilities
-    duplicate the last used location.
+    facility tuple, and among equal tuples toward the partition first in
+    restricted-growth order, among the partitions searched: for two
+    facilities on a 2-d Euclidean profile among the line splits only.
+    Unused facilities duplicate the last used location.
     """
     objective = WelfareObjective(objective)
     if spec.capacitated:
@@ -253,39 +258,43 @@ def optimal_welfare(
     if n > cap:
         raise OracleCapError(f"exact oracle capped at {cap} agents, got {n}")
     candidates = _line_splits(agents) if line_splits else _partitions(n, min(spec.m, n))
+    total = objective is WelfareObjective.TOTAL
+    euclidean = metric is Metric.EUCLIDEAN
+    # a group's points in this order are its sorted points, ties included
+    order = sorted(range(n), key=agents.__getitem__)
     best: tuple[float, tuple[Point, ...], tuple[int, ...]] | None = None
-    # keyed by the block's agent bitmask; the optimum is computed on the
-    # block's sorted points, so equal blocks get equal answers
+    # keyed by the block's agent bitmask
     group_cache: dict[int, tuple[float, Point]] = {}
-    for labels in candidates:
-        block_count = max(labels) + 1
-        masks = [0] * block_count
-        for i, b in enumerate(labels):
-            masks[b] |= 1 << i
+    for masks in candidates:
         centers: list[Point] = []
         block_costs: list[float] = []
         for mask in masks:
             group = group_cache.get(mask)
             if group is None:
-                key = tuple(sorted(agents[i] for i in range(n) if mask >> i & 1))
-                group = group_cache[mask] = _single_facility_optimum(
-                    key, metric, objective
-                )
-            cost, center = group
-            centers.append(center)
-            block_costs.append(cost)
-        value = (
-            sum(block_costs)
-            if objective is WelfareObjective.TOTAL
-            else max(block_costs)
-        )
-        padded = tuple(centers) + (centers[-1],) * (spec.m - block_count)
-        assignment = tuple(labels[i] + 1 for i in range(n))
-        if best is None or (value, padded) < (best[0], best[1]):
-            best = (value, padded, assignment)
+                pts = [agents[i] for i in order if mask >> i & 1]
+                center = _one_facility_centre(pts, metric, objective)
+                # the float operations of geometry.distance
+                costs = [
+                    math.dist(p, center)
+                    if euclidean
+                    else sum(map(abs, map(operator.sub, p, center)))
+                    for p in pts
+                ]
+                group = group_cache[mask] = (sum(costs) if total else max(costs), center)
+            block_costs.append(group[0])
+            centers.append(group[1])
+        value = sum(block_costs) if total else max(block_costs)
+        padded = tuple(centers) + (centers[-1],) * (spec.m - len(masks))
+        if best is None or (value, padded) < best[:2]:
+            best = (value, padded, masks)
     assert best is not None
-    value, locations, assignment = best
-    solution = Solution(locations, assignment)
+    _, locations, masks = best
+    assignment = [0] * n
+    for b, mask in enumerate(masks, 1):
+        for i in range(n):
+            if mask >> i & 1:
+                assignment[i] = b
+    solution = Solution(locations, tuple(assignment))
     return evaluate(profile, solution, objective), solution
 
 

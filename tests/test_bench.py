@@ -164,7 +164,7 @@ class TestRunBench:
                 raise ConvergenceError("stalled", best=pts[0])
             return geometric_median(pts, **kwargs)
 
-        monkeypatch.setattr(welfare, "geometric_median", kernel)
+        monkeypatch.setattr(welfare, "_geometric_median", kernel)
         cfg = small_config(trials=30, objective=WelfareObjective.TOTAL)
         fours = sum(1 for i in range(cfg.trials) if sample_profile(cfg, i).n == 4)
         assert 0 < fours < cfg.trials

@@ -154,11 +154,37 @@ class TestRun:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "command, fields, message",
+        [
+            ("run", {"agents": [1]}, "instance 'agents' must be a nonempty list"),
+            # a string is no point, not even one of digits
+            ("run", {"agents": ["12"]}, "instance 'agents' must be a nonempty list"),
+            ("oracle", {"facilities": 2, "capacities": 5, "mechanism": None},
+             "instance 'capacities' must be a list of integers, got 5"),
+            ("run", {"agents": [[10**400, 0], [1, 1]]},
+             "point has a coordinate beyond the float range"),
+            ("run", {"mechanism": {"kind": "percentile_multi_d", "params": [[10**400, 0.5]]}},
+             "mechanism parameter beyond the float range"),
+        ],
+        ids=["agent_number", "agent_string", "capacities_number",
+             "coordinate_beyond_float", "parameter_beyond_float"],
+    )
+    def test_malformed_instance_field_fails_validation(
+        self, tmp_path, capsys, command, fields, message
+    ):
+        doc = dict(RECTANGLE, **fields)
+        assert main([command, "--instance", write(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
     def test_solver_failure_maps_to_exit_four(self, tmp_path, capsys, monkeypatch):
         def kernel(pts, **kwargs):
             raise ConvergenceError("geometric median did not converge", best=pts[0])
 
-        monkeypatch.setattr(mechanisms, "geometric_median", kernel)
+        monkeypatch.setattr(mechanisms, "_geometric_median", kernel)
         doc = dict(RECTANGLE, mechanism={"kind": "geometric_median"})
         assert main(["run", "--instance", write(tmp_path, doc)]) == 4
         captured = capsys.readouterr()
@@ -400,7 +426,7 @@ class TestBench:
                 raise ConvergenceError("stalled", best=pts[0])
             return geometric_median(pts, **kwargs)
 
-        monkeypatch.setattr(welfare, "geometric_median", kernel)
+        monkeypatch.setattr(welfare, "_geometric_median", kernel)
         args = [
             "bench", "--mechanism", "multi_dim_median", "--trials", "20",
             "--n-min", "3", "--n-max", "5",

@@ -13,6 +13,7 @@ from facloc.geometry import (
     Circle,
     ConvergenceError,
     Metric,
+    as_point,
     bounding_box,
     coordinate_median,
     distance,
@@ -43,6 +44,11 @@ def test_distance_is_a_metric(a, b, c, metric):
     assert distance(a, b, metric) == pytest.approx(distance(b, a, metric), abs=1e-9)
     assert distance(a, b, metric) >= 0.0
     assert distance(a, c, metric) <= distance(a, b, metric) + distance(b, c, metric) + 1e-9
+
+
+def test_as_point_rejects_integers_beyond_the_float_range():
+    with pytest.raises(ValueError, match="beyond the float range"):
+        as_point((10**400, 0))
 
 
 def test_coordinate_median_examples():

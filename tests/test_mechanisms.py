@@ -138,6 +138,15 @@ class TestPercentileMultiD:
                 {"kind": "percentile_multi_d", "params": [[0.5, 0.5]], "axes": []}
             )
 
+    @pytest.mark.parametrize(
+        "params, axes",
+        [(((10**400, 0.5),), None), (((0.5, 0.5),), ((10**400, 0), (0, 1)))],
+        ids=["parameter", "axis"],
+    )
+    def test_rejects_integers_beyond_the_float_range(self, params, axes):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            MechanismDescriptor.percentile_plane(params, axes)
+
     def test_rejects_row_width_mismatch(self):
         prof = euclid((0.0, 0.0), (1.0, 1.0))
         with pytest.raises(ValueError):

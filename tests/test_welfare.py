@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facloc.geometry import Metric, coordinate_median, distance, geometric_median
+from facloc.geometry import (
+    Metric,
+    coordinate_median,
+    distance,
+    geometric_median,
+    manhattan_one_center,
+    smallest_enclosing_circle,
+)
 from facloc.mechanisms import (
     AgentProfile,
     FacilitySpec,
@@ -27,7 +34,7 @@ from facloc.welfare import (
     optimal_capacitated_assignment,
     optimal_welfare,
 )
-from facloc.welfare import _line_splits, _orientation, _partitions, _single_facility_optimum
+from facloc.welfare import _line_splits, _orientation, _partitions
 from helpers import grid_min_max_distance
 
 RECTANGLE = ((0.0, 0.0), (0.0, 2.0), (12.0, 2.0), (12.0, 0.0))
@@ -258,16 +265,49 @@ def test_half_diameter_bounds_max_optimum(pts):
     assert value >= diameter / 2.0 - 1e-9
 
 
+def restricted_growth_labels(n, m):
+    """Set partitions of range(n) into at most m blocks as label strings in
+    lexicographic order: each label exceeds every earlier one by at most 1."""
+    for labels in itertools.product(range(m), repeat=n):
+        if all(labels[i] <= max(labels[:i], default=-1) + 1 for i in range(n)):
+            yield labels
+
+
+def _as_masks(labels):
+    return tuple(
+        sum(1 << i for i, label in enumerate(labels) if label == b)
+        for b in range(max(labels) + 1)
+    )
+
+
+def reference_group_optimum(group, metric, objective):
+    """(cost, centre) of one sorted group, from the public kernels."""
+    if objective is WelfareObjective.TOTAL:
+        if metric is Metric.MANHATTAN:
+            center = coordinate_median(group)
+        else:
+            center = geometric_median(group)
+    elif len(group[0]) == 1:
+        center = ((group[0][0] + group[-1][0]) / 2.0,)
+    elif metric is Metric.MANHATTAN:
+        center = manhattan_one_center(group)
+    else:
+        center = smallest_enclosing_circle(group).center
+    costs = [distance(p, center, metric) for p in group]
+    return (sum(costs) if objective is WelfareObjective.TOTAL else max(costs)), center
+
+
 def full_enumeration_optimum(prof, m, objective):
-    """The partition oracle without line splits: every partition _partitions
-    yields, each group solved on its sorted points, ties broken toward the
-    lexicographically smallest facility tuple."""
+    """The partition oracle without line splits: every restricted-growth
+    labelling, each group solved on its sorted points, ties broken toward
+    the lexicographically smallest facility tuple and then toward the
+    first labelling."""
     best = None
-    for labels in _partitions(prof.n, min(m, prof.n)):
+    for labels in restricted_growth_labels(prof.n, min(m, prof.n)):
         centers, costs = [], []
         for b in range(max(labels) + 1):
             group = tuple(sorted(p for p, label in zip(prof.agents, labels) if label == b))
-            cost, center = _single_facility_optimum(group, prof.metric, objective)
+            cost, center = reference_group_optimum(group, prof.metric, objective)
             centers.append(center)
             costs.append(cost)
         value = sum(costs) if objective is WelfareObjective.TOTAL else max(costs)
@@ -276,6 +316,13 @@ def full_enumeration_optimum(prof, m, objective):
             best = (value, padded, tuple(label + 1 for label in labels))
     solution = Solution(best[1], best[2])
     return evaluate(prof, solution, objective), solution
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("m", range(1, 5))
+def test_partitions_are_block_masks_in_restricted_growth_order(n, m):
+    expected = [_as_masks(labels) for labels in restricted_growth_labels(n, m)]
+    assert list(_partitions(n, m)) == expected
 
 
 def _floats(pts):
@@ -317,13 +364,69 @@ def test_line_splits_match_full_enumeration(pts, objective):
         assert evaluate(prof, sol, objective) == value
 
 
+@st.composite
+def _enumerated_cases(draw):
+    """A profile, facility count and objective the full enumeration serves:
+    any but two facilities on a 2-d Euclidean profile, which take line
+    splits.  Agents repeat points from a small pool to make duplicates."""
+    metric = draw(st.sampled_from(list(Metric)))
+    m = draw(st.sampled_from((2, 3)))
+    objective = draw(st.sampled_from(list(WelfareObjective)))
+    dims = (1, 2) if objective is WelfareObjective.MAX else (1, 2, 3)
+    if metric is Metric.EUCLIDEAN and m == 2:
+        dims = tuple(d for d in dims if d != 2)
+    dim = draw(st.sampled_from(dims))
+    coordinate = st.one_of(st.integers(-3, 3).map(float), _coordinate)
+    point = st.tuples(*[coordinate] * dim)
+    pool = draw(st.lists(point, min_size=1, max_size=4))
+    agents = draw(
+        st.lists(st.one_of(st.sampled_from(pool), point), min_size=1, max_size=8 if m == 2 else 6)
+    )
+    return AgentProfile(tuple(agents), metric), m, objective
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_enumerated_cases())
+def test_partition_oracle_matches_the_reference_bit_for_bit(case):
+    prof, m, objective = case
+    assert repr(optimal_welfare(prof, FacilitySpec(m), objective)) == repr(
+        full_enumeration_optimum(prof, m, objective)
+    )
+
+
+def test_tied_interior_agent_joins_the_first_group_in_restricted_growth_order():
+    # agent 5 lies inside both groups' rotated bounding boxes, so it joins
+    # either group without moving a centre or changing the max
+    prof = AgentProfile(
+        ((1.0, 5.0), (1.0, 2.0), (2.0, 0.0), (6.0, 3.0), (3.0, 2.0)), Metric.MANHATTAN
+    )
+    objective = WelfareObjective.MAX
+    value, sol = optimal_welfare(prof, FacilitySpec(2), objective)
+    assert repr((value, sol)) == repr(full_enumeration_optimum(prof, 2, objective))
+    assert (value, sol.assignment) == (3.0, (1, 2, 1, 2, 1))
+    later = (1, 2, 1, 2, 2)
+    groups = [tuple(sorted(p for p, b in zip(prof.agents, later) if b == k)) for k in (1, 2)]
+    solved = [reference_group_optimum(g, prof.metric, objective) for g in groups]
+    assert tuple(center for _, center in solved) == sol.locations
+    assert max(cost for cost, _ in solved) == value
+
+
+# integers, ordinary floats and the ends of the float range
+_spread = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.floats(-100.0, 100.0),
+    st.floats(-1e300, 1e300),
+    st.floats(-1e-300, 1e-300),
+)
+
+
 class TestLineSplits:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_general_position_gives_one_split_per_pair_plus_one(self, n):
         rng = random.Random(n)
         splits = _line_splits([(rng.random(), rng.random()) for _ in range(n)])
         assert len(splits) == math.comb(n, 2) + 1
-        order = {tuple(labels): k for k, labels in enumerate(_partitions(n, 2))}
+        order = {_as_masks(labels): k for k, labels in enumerate(restricted_growth_labels(n, 2))}
         assert [order[s] for s in splits] == sorted(order[s] for s in splits)
 
     def test_collinear_points_split_only_along_the_line(self):
@@ -332,10 +435,10 @@ class TestLineSplits:
         expected = {(0,) * 6} | {
             tuple(int(t >= cut) ^ int(ts[0] >= cut) for t in ts) for cut in range(1, 6)
         }
-        assert splits == sorted(expected)
+        assert splits == [_as_masks(labels) for labels in sorted(expected)]
 
     def test_coincident_points_give_one_split(self):
-        assert _line_splits([(1.0, 1.0)] * 4) == [(0, 0, 0, 0)]
+        assert _line_splits([(1.0, 1.0)] * 4) == [(0b1111,)]
 
     def test_orientation_is_exact_where_the_float_determinant_is_wrong(self):
         u = 2.0**-53
@@ -348,6 +451,23 @@ class TestLineSplits:
             fp, fq, fr = ([Fraction(x) for x in pt] for pt in (p, q, r))
             det = (fq[0] - fp[0]) * (fr[1] - fp[1]) - (fq[1] - fp[1]) * (fr[0] - fp[0])
             assert _orientation(p, q, r) == (det > 0) - (det < 0)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        a=st.tuples(_spread, _spread),
+        b=st.tuples(_spread, _spread),
+        c=st.tuples(_spread, _spread),
+        t=st.sampled_from((None, -1.0, 0.5, 2.0, 3.0)),
+    )
+    def test_orientation_matches_fractions(self, a, b, c, t):
+        # t puts c on the line through a and b, up to the rounding of c
+        if t is not None:
+            c = tuple(p + t * (q - p) for p, q in zip(a, b))
+        if not all(map(math.isfinite, c)):
+            return
+        fa, fb, fc = ([Fraction(x) for x in p] for p in (a, b, c))
+        det = (fb[0] - fa[0]) * (fc[1] - fa[1]) - (fb[1] - fa[1]) * (fc[0] - fa[0])
+        assert _orientation(a, b, c) == (det > 0) - (det < 0)
 
     @pytest.mark.parametrize("objective", list(WelfareObjective))
     def test_cap_is_checked_before_enumerating(self, monkeypatch, objective):
