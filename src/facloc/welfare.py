@@ -22,6 +22,20 @@ agents' lexicographic order, sorted once per call, and solved by the
 geometry cores, which do not check their input again; each block's answer
 is cached by its mask.  Candidates run in restricted-growth order and the
 first of equal (value, facility tuple) wins, so that order decides ties.
+
+The partitions are walked depth first, placing agents in index order, and
+the walk cuts a subtree once its partial groups already cost more than the
+best partition found, up to a rounding slack (1e-12 relative plus 64 ulp
+of the largest coordinate, derived in optimal_welfare): a group's optimal
+cost never drops when an agent joins it, so the partial
+groups' values, summed or maxed as the objective folds them, bound every
+partition below.  A cut subtree holds no partition that could equal the
+winner, so the winner and its tie-break stay those of the full
+enumeration.  Only groups whose kernel is exact up to rounding are pruned:
+Manhattan ones and the 1-d midpoint.  The geometric median is certified
+only to a residual, and the enclosing circle loses accuracy on thin
+triangles, so a partial Euclidean group in the plane can cost more than a
+completion by more than any rounding slack; those are searched in full.
 """
 
 from __future__ import annotations
@@ -31,7 +45,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .geometry import (
     Metric,
@@ -150,24 +164,37 @@ def _one_facility_centre(
     return _enclosing_circle(pts, 0).center
 
 
-def _partitions(n: int, max_blocks: int) -> list[tuple[int, ...]]:
+def _partitions(
+    n: int, max_blocks: int, cut: Callable[[tuple[int, ...]], bool] | None = None
+) -> Iterator[tuple[int, ...]]:
     """Set partitions of range(n) into at most max_blocks groups, each a
     tuple of block bitmasks (bit i of a block is set when agent i is in it),
     in restricted-growth order: agent i joins an earlier block before a
-    later one and opens a new block last, and agent 0 opens block 0."""
+    later one and opens a new block last, and agent 0 opens block 0.
+
+    A depth-first walk of the tree whose node at depth i places agents
+    0..i, so it holds one root-to-leaf path's siblings at a time, never the
+    Bell(n) partitions.  When `cut` is given it is asked about each node as
+    the walk reaches it, and a node it returns True for is skipped with its
+    whole subtree.
+    """
     if n < 1:
         raise ValueError("need at least one agent")
-    layer = [(1,)]
-    for i in range(1, n):
-        bit = 1 << i
-        grown = []
-        for masks in layer:
-            for b in range(len(masks)):
-                grown.append(masks[:b] + (masks[b] | bit,) + masks[b + 1 :])
-            if len(masks) < max_blocks:
-                grown.append(masks + (bit,))
-        layer = grown
-    return layer
+    stack = [((1,), 1)]
+    while stack:
+        masks, placed = stack.pop()
+        if cut is not None and cut(masks):
+            continue
+        if placed == n:
+            yield masks
+            continue
+        bit = 1 << placed
+        # pushed last-first, so joining block 0 is walked first and a new
+        # block last
+        if len(masks) < max_blocks:
+            stack.append((masks + (bit,), placed + 1))
+        for b in reversed(range(len(masks))):
+            stack.append((masks[:b] + (masks[b] | bit,) + masks[b + 1 :], placed + 1))
 
 
 def _orientation(a: Point, b: Point, c: Point) -> int:
@@ -243,6 +270,38 @@ def optimal_welfare(
     restricted-growth order, among the partitions searched: for two
     facilities on a 2-d Euclidean profile among the line splits only.
     Unused facilities duplicate the last used location.
+
+    The partition search is a branch and bound over the restricted-growth
+    tree (_partitions), pruned where every group kernel is exact up to
+    rounding: on Manhattan profiles, and under the max objective on 1-d
+    profiles.  Adding an agent to a group never lowers its optimal cost,
+    so the values of a node's partial groups, summed under the total and
+    maxed under the max objective, bound from below the value of every
+    partition under the node.  In floats, with eps = 2^-53 and M the
+    largest coordinate magnitude:
+    - a Manhattan total's centre is exact (coordinate medians are input
+      coordinates), and its value and the block sum take at most
+      dim + 2n roundings, each relative;
+    - a max centre (the rotated box's or the 1-d midpoint) is rounded by a
+      few ulp(M), so a max group's value lies between its optimum minus
+      4 ulp(M) and its optimum plus 10 ulp(M), and the max fold is exact.
+    So a node's bound exceeds the value V of any partition under it by at
+    most rel * V + 64 ulp(M), where rel = max(1e-12, 8 (dim + 2n) eps)
+    leaves room to spare.  A node is cut when its bound exceeds
+    best * (1 + rel) + 64 ulp(M), best being the lowest value of a
+    partition already found; every partition under it is then strictly
+    worse than that one, so it can neither win nor tie, and the search
+    returns what the full enumeration does.  The two-block splits of each
+    axis' sorted order into a prefix and a suffix give the first best.
+    Profiles with a coordinate beyond 2^512 in magnitude, where sums of
+    distances could overflow, are searched in full.
+
+    Euclidean groups in 2-d and more are searched in full too.  The
+    geometric median is certified only to geometry._RESIDUAL_ACCEPT, and
+    the enclosing circle's centre is ill-conditioned on needle-thin
+    triangles, where its value can exceed a superset's by 1e-11 relative
+    and more: a partial group's value can then exceed every completion's
+    by more than any rounding slack.
     """
     objective = WelfareObjective(objective)
     if spec.capacitated:
@@ -257,36 +316,64 @@ def optimal_welfare(
     cap = LINE_SPLIT_MAX_AGENTS if line_splits else PARTITION_ORACLE_MAX_AGENTS
     if n > cap:
         raise OracleCapError(f"exact oracle capped at {cap} agents, got {n}")
-    candidates = _line_splits(agents) if line_splits else _partitions(n, min(spec.m, n))
     total = objective is WelfareObjective.TOTAL
     euclidean = metric is Metric.EUCLIDEAN
+    fold = sum if total else max
     # a group's points in this order are its sorted points, ties included
     order = sorted(range(n), key=agents.__getitem__)
-    best: tuple[float, tuple[Point, ...], tuple[int, ...]] | None = None
     # keyed by the block's agent bitmask
     group_cache: dict[int, tuple[float, Point]] = {}
+
+    def solve(mask: int) -> tuple[float, Point]:
+        pts = [agents[i] for i in order if mask >> i & 1]
+        center = _one_facility_centre(pts, metric, objective)
+        # the float operations of geometry.distance
+        costs = [
+            math.dist(p, center) if euclidean else sum(map(abs, map(operator.sub, p, center)))
+            for p in pts
+        ]
+        group = group_cache[mask] = (fold(costs), center)
+        return group
+
+    def lower(masks: tuple[int, ...]) -> float:
+        return fold([(group_cache.get(mask) or solve(mask))[0] for mask in masks])
+
+    def cut(masks: tuple[int, ...]) -> bool:
+        return lower(masks) > cutoff
+
+    # the slack derived in the docstring
+    scale = max(abs(c) for p in agents for c in p)
+    rel = max(1e-12, (profile.dim + 2 * n) * 2.0**-50)
+    absolute = 64 * math.ulp(scale)
+    cutoff = math.inf
+    prune = (not euclidean or (not total and profile.dim == 1)) and scale <= 2.0**512
+    if prune:
+        # the splits of each axis' sorted order into a prefix and a suffix
+        # are two-block partitions: their best value seeds the cutoff
+        full = (1 << n) - 1
+        for k in range(profile.dim):
+            prefix = 0
+            for i in sorted(range(n), key=lambda i: agents[i][k])[:-1]:
+                prefix |= 1 << i
+                value = lower((prefix, full ^ prefix))
+                cutoff = min(cutoff, value + value * rel + absolute)
+    if line_splits:
+        candidates: Iterable[tuple[int, ...]] = _line_splits(agents)
+    else:
+        candidates = _partitions(n, min(spec.m, n), cut if prune else None)
+    best: tuple[float, tuple[Point, ...], tuple[int, ...]] | None = None
     for masks in candidates:
         centers: list[Point] = []
         block_costs: list[float] = []
         for mask in masks:
-            group = group_cache.get(mask)
-            if group is None:
-                pts = [agents[i] for i in order if mask >> i & 1]
-                center = _one_facility_centre(pts, metric, objective)
-                # the float operations of geometry.distance
-                costs = [
-                    math.dist(p, center)
-                    if euclidean
-                    else sum(map(abs, map(operator.sub, p, center)))
-                    for p in pts
-                ]
-                group = group_cache[mask] = (sum(costs) if total else max(costs), center)
+            group = group_cache.get(mask) or solve(mask)
             block_costs.append(group[0])
             centers.append(group[1])
-        value = sum(block_costs) if total else max(block_costs)
+        value = fold(block_costs)
         padded = tuple(centers) + (centers[-1],) * (spec.m - len(masks))
         if best is None or (value, padded) < best[:2]:
             best = (value, padded, masks)
+            cutoff = min(cutoff, value + value * rel + absolute)
     assert best is not None
     _, locations, masks = best
     assignment = [0] * n

@@ -394,6 +394,21 @@ class TestVerification:
         with pytest.raises(ValueError):
             verify_certificate({"kind": "manipulation"})
 
+    def test_slack_sized_domination_of_an_in_hull_placement_fails(self):
+        # the move off the hull edge lengthens the trips of the agents on it
+        # by about 5e-13, inside REPLAY_SLACK
+        profile = AgentProfile(((0.0, 0.0), (2.0, 0.0), (1.0, 1.0)))
+        median = Solution(((1.0, 0.0),), (1, 1, 1))
+        assert check_pareto(profile, median) is None
+        cert = Certificate(
+            kind=CertificateKind.PARETO_DOMINATION,
+            profile=profile,
+            improvement=1e-6,
+            original=median,
+            dominating=Solution(((1.0, 1e-6),), (1, 1, 1)),
+        )
+        assert not verify_certificate(cert)
+
     def test_wire_round_trip_preserves_everything(self):
         cert = check_strategy_proofness(
             MechanismDescriptor.geometric(), RECTANGLE, ONE, COARSE

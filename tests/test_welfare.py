@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -409,6 +410,121 @@ def test_tied_interior_agent_joins_the_first_group_in_restricted_growth_order():
     solved = [reference_group_optimum(g, prof.metric, objective) for g in groups]
     assert tuple(center for _, center in solved) == sol.locations
     assert max(cost for cost, _ in solved) == value
+
+
+@st.composite
+def _pruned_search_cases(draw):
+    """A profile, facility count and objective for the partition search,
+    up to the agent cap: integer grids, duplicate agents, and coordinates
+    scaled by 1e-6 or 1e6.  Two facilities on a 2-d Euclidean profile take
+    line splits and are left out."""
+    metric = draw(st.sampled_from(list(Metric)))
+    m = draw(st.sampled_from((2, 3, 4)))
+    objective = draw(st.sampled_from(list(WelfareObjective)))
+    dims = (1, 2) if objective is WelfareObjective.MAX else (1, 2, 3)
+    if metric is Metric.EUCLIDEAN and m == 2:
+        dims = tuple(d for d in dims if d != 2)
+    dim = draw(st.sampled_from(dims))
+    scale = draw(st.sampled_from((1.0, 1e-6, 1e6)))
+    coordinate = st.one_of(st.integers(-4, 4).map(float), st.floats(-100.0, 100.0))
+    point = st.tuples(*[coordinate] * dim)
+    pool = draw(st.lists(point, min_size=1, max_size=5))
+    # the reference enumerates m^n labellings
+    most = {2: PARTITION_ORACLE_MAX_AGENTS, 3: 8, 4: 7}[m]
+    agents = draw(st.lists(st.one_of(st.sampled_from(pool), point), min_size=1, max_size=most))
+    agents = tuple(tuple(c * scale for c in p) for p in agents)
+    return AgentProfile(agents, metric), m, objective
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=_pruned_search_cases())
+def test_pruned_search_matches_the_reference_bit_for_bit(case):
+    prof, m, objective = case
+    assert repr(optimal_welfare(prof, FacilitySpec(m), objective)) == repr(
+        full_enumeration_optimum(prof, m, objective)
+    )
+
+
+@pytest.mark.parametrize(
+    "agents, metric",
+    [
+        # a needle-thin triangle whose enclosing circle's value exceeds that
+        # of the circle around it and the interior agent 7 by 7e-12 relative
+        (
+            (
+                (50.55688586495703, 50.04187633145736),
+                (50.55688459504355, 50.04187733899522),
+                (49.62458580466496, 48.86679480340068),
+                (0.0, 0.0),
+                (1.0, 0.0),
+                (2.0, 0.0),
+                (50.3538817092219, 49.78600862564652),
+            ),
+            Metric.EUCLIDEAN,
+        ),
+        # rotated-box centres near 1e6 are rounded by an ulp of 1e6, so the
+        # group of agents 1-3 costs 1.5e-10 more than with agent 7 in it
+        (
+            (
+                (1000000.0000000003, 300000.0000000001),
+                (1000000.0000000013, 299999.9999999994),
+                (1000000.3500000014, 300000.0000000013),
+                (0.0, 0.0),
+                (0.2, 0.0),
+                (0.4, 0.0),
+                (999999.9999999999, 300000.00000000035),
+            ),
+            Metric.MANHATTAN,
+        ),
+    ],
+    ids=["needle-circle", "offset-box"],
+)
+def test_a_tie_is_not_cut_by_a_partial_group_that_rounds_high(agents, metric):
+    # agent 5 joins either small group at the same max, and the later
+    # partition has the smaller facility tuple; a partial group of agents
+    # 1-3 rounding above the winner's value must not cut the winner
+    prof = AgentProfile(agents, metric)
+    value, sol = optimal_welfare(prof, FacilitySpec(3), WelfareObjective.MAX)
+    assert repr((value, sol)) == repr(full_enumeration_optimum(prof, 3, WelfareObjective.MAX))
+    assert sol.assignment == (1, 1, 1, 2, 3, 3, 1)
+
+
+def _two_clusters(n):
+    rng = random.Random(n)
+    return tuple(
+        (100.0 * (i % 2) + rng.uniform(-5, 5), rng.uniform(-5, 5)) for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("objective", list(WelfareObjective))
+def test_pruning_solves_fewer_groups_than_the_full_search(monkeypatch, objective):
+    solved = []
+    kernel = welfare._one_facility_centre
+
+    def counting(pts, metric, objective):
+        solved.append(len(pts))
+        return kernel(pts, metric, objective)
+
+    monkeypatch.setattr(welfare, "_one_facility_centre", counting)
+    prof = AgentProfile(_two_clusters(PARTITION_ORACLE_MAX_AGENTS), Metric.MANHATTAN)
+    _, sol = optimal_welfare(prof, FacilitySpec(2), objective)
+    assert sol.assignment == (1, 2) * 5
+    # the full search solves every nonempty group once
+    assert len(solved) < 2**PARTITION_ORACLE_MAX_AGENTS - 1
+
+
+def test_many_facilities_hold_no_partition_list():
+    rng = random.Random(10)
+    agents = tuple((rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(10))
+    prof = AgentProfile(agents, Metric.MANHATTAN)
+    tracemalloc.start()
+    try:
+        optimal_welfare(prof, FacilitySpec(10), WelfareObjective.TOTAL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Bell(10) = 115 975 partitions as tuples would take about 15 MB
+    assert peak < 1_000_000
 
 
 # integers, ordinary floats and the ends of the float range
