@@ -4,11 +4,16 @@ All three checkers follow the same recipe: treat the mechanism as a black
 box behind a MechanismDescriptor, enumerate a finite candidate set, and
 either return a Certificate that replays through the public API or return
 None.  None is a proof of compliance for that profile where the candidate
-set is exhaustive: check_anonymity up to ANONYMITY_EXHAUSTIVE_MAX_AGENTS
-agents, where it tries every permutation; check_strategy_proofness for
-per-axis percentile picks on the coordinate axes (percentile_1d,
-percentile_multi_d without axes, the coordinate-wise median, coordinate
-max and min), where a report's rank on each axis is all that matters; and
+set is exhaustive: check_anonymity for every kind whose placement ignores
+the agents' order (all but serial dictatorship), which needs no candidate,
+and otherwise up to ANONYMITY_EXHAUSTIVE_MAX_AGENTS agents, where it tries
+every permutation; check_strategy_proofness wherever the kind table gives
+the misreports: per-axis percentile picks on the coordinate axes
+(percentile_1d, percentile_multi_d without axes, the coordinate-wise
+median, coordinate max and min), where a report's rank on each axis is all
+that matters, one_centre, where one reflection per agent moves the centre
+onto the agent, and lexicographic_first_agent, where at most dim reports
+per agent clamp it just below the others' smallest report; and
 check_pareto for one facility in the plane, where a Euclidean placement in
 the agents' convex hull is undominated and Manhattan dominations are
 searched on the O(n^2) vertices of a line arrangement (exhaustive while no
@@ -40,6 +45,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from .geometry import (
     Metric,
+    OracleCapError,
     Point,
     _coordinate_median,
     as_point,
@@ -65,7 +71,7 @@ from .mechanisms import (
     spec_from_dict,
     spec_to_dict,
 )
-from .welfare import OracleCapError, WelfareObjective, _agent_costs, _one_facility_centre
+from .welfare import WelfareObjective, _agent_costs, _one_facility_centre
 from .welfare import _orientation, _partitions
 
 # margins below this are treated as numeric noise, not violations
@@ -280,35 +286,6 @@ def candidate_points(profile: AgentProfile, budget: SearchBudget) -> list[Point]
     return sorted(points)
 
 
-def _picks_per_axis(descriptor: MechanismDescriptor) -> bool:
-    """Whether every facility coordinate the mechanism places is an order
-    statistic of the reports' coordinates on that coordinate axis: the
-    percentile family without rotated axes, which mix the coordinates."""
-    return descriptor.axes is None and _KINDS[descriptor.kind].rows is not None
-
-
-def _breakpoint_reports(profile: AgentProfile) -> list[Point]:
-    """Lexicographically sorted reports that are exhaustive against a
-    per-axis percentile pick, for every agent of the profile.
-
-    On axis k a lone report moves each facility coordinate only through its
-    rank among the other agents' k-coordinates: between two consecutive
-    ones a facility coordinate either stays put or equals the report.  So
-    the best report in each cell is the truth clamped into it, which is the
-    truth or one of the other agents' coordinates.  The reports are the
-    product over the axes of the agents' distinct coordinates: at most n^dim
-    points, one of them each agent's truth.
-    """
-    axes = [sorted({a[k] for a in profile.agents}) for k in range(profile.dim)]
-    # sized before anything is built, as the lattice is
-    size = math.prod(map(len, axes))
-    if size > _MAX_GRID_POINTS:
-        raise OracleCapError(
-            f"breakpoint product holds {size} reports (cap {_MAX_GRID_POINTS})"
-        )
-    return list(itertools.product(*axes))
-
-
 def _multiset_gap(ranked: Sequence[Point], b: Sequence[Point]) -> float:
     """How far two equally sized location multisets are apart: the largest
     per-rank Euclidean distance after sorting both.  The first comes
@@ -333,10 +310,15 @@ def check_anonymity(
     tolerance: float = GAIN_TOLERANCE,
 ) -> Certificate | None:
     """First permutation (in lexicographic order) that moves the facility
-    multiset, or None.  Exhaustive up to ANONYMITY_EXHAUSTIVE_MAX_AGENTS
-    agents, a fixed deterministic sample of permutations beyond that.
+    multiset, or None.  A kind whose placement ignores the agents' order
+    (every kind but serial dictatorship) returns None once the honest run
+    passes: a proof, whatever the agent count.  Otherwise the search is
+    exhaustive up to ANONYMITY_EXHAUSTIVE_MAX_AGENTS agents, a fixed
+    deterministic sample of permutations beyond that.
     """
     base = sorted(run_mechanism(descriptor, profile, spec).locations)
+    if _KINDS[descriptor.kind].order_free:
+        return None
     identity = tuple(range(1, profile.n + 1))
     if profile.n <= ANONYMITY_EXHAUSTIVE_MAX_AGENTS:
         permutations: Iterator[tuple[int, ...]] | list[tuple[int, ...]]
@@ -627,26 +609,33 @@ def check_strategy_proofness(
 
     Costs are measured from the true location to the nearest facility, in
     the profile's metric.  The certificate records the largest gain found,
-    ties broken toward the smallest agent index and then the
-    lexicographically smallest misreport.
+    ties broken toward the smallest agent index and then the first report
+    tried.
 
-    For per-axis percentile picks on the coordinate axes the misreports are
-    the product over the axes of the agents' distinct coordinates, at most
-    n^dim - 1 per agent, and None proves that no lone misreport gains more
-    than the tolerance; the budget is not used.  Every other mechanism is
-    searched on the budget's lattice, and None only means none was found
-    there.
+    Where the kind table gives a kind's misreports, they are exhaustive, and
+    None proves that no lone misreport gains more than the tolerance; the
+    budget is not used.  For per-axis percentile picks on the coordinate
+    axes they are the product over the axes of the agents' distinct
+    coordinates, at most n^dim - 1 per agent, tried in lexicographic order.
+    For one_centre each agent tries one report, its reflection through
+    itself of the other agent farthest from it, which moves the centre onto
+    it: the best gain is the largest honest cost, up to rounding.  For
+    lexicographic_first_agent each agent tries at most dim reports, the
+    nearest ones below the other agents' smallest report.  These two report
+    their own witness, not the lexicographically smallest report of equal
+    gain.  Every other mechanism is searched on the budget's lattice, tried
+    in lexicographic order, and None only means none was found there.
     """
     honest = run_mechanism(descriptor, profile, spec)
     honest_costs = _nearest_costs(profile, honest.locations)
-    if _picks_per_axis(descriptor):
-        pool = _breakpoint_reports(profile)
-    else:
+    misreports = _KINDS[descriptor.kind].misreports
+    pools = misreports(descriptor, profile) if misreports is not None else None
+    if pools is None:
         budget = budget if budget is not None else SearchBudget()
-        pool = candidate_points(profile, budget)
+        pools = [candidate_points(profile, budget)] * profile.n
     best_gain = tolerance
     best: tuple[int, Point] | None = None
-    for index, agent in enumerate(profile.agents, start=1):
+    for index, (agent, pool) in enumerate(zip(profile.agents, pools), start=1):
         agents = list(profile.agents)
         for report in pool:
             if report == agent:

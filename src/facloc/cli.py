@@ -184,7 +184,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if instance.spec.capacitated:
         raise ValueError("axiom checks take uncapacitated instances only")
     descriptor = _require_mechanism(instance, args)
-    budget = SearchBudget(grid_resolution=args.grid_resolution, seed=args.seed)
+    budget = SearchBudget(grid_resolution=args.grid_resolution)
     profile, spec = instance.profile, instance.spec
     honest = run_mechanism(descriptor, profile, spec)
     sections = (
@@ -328,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--instance", required=True)
     _add_mechanism_flags(p_check)
     p_check.add_argument("--grid-resolution", type=float, default=0.25)
-    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument(
         "--strict", action="store_true",
         help="exit with code 2 when any violation is found",

@@ -43,6 +43,11 @@ class ConvergenceError(RuntimeError):
         self.best = best
 
 
+class OracleCapError(RuntimeError):
+    """Raised when an exact oracle or exhaustive search is asked for an
+    instance above its enumeration cap, or past the float range."""
+
+
 def as_point(coords: Iterable[float]) -> Point:
     coords = tuple(coords)
     # float(True) is 1.0: a JSON true must not pass for a coordinate

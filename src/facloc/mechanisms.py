@@ -7,26 +7,33 @@ index winning ties.  Facility and agent indices are 1-based everywhere they
 appear in public records, matching the usual presentation of assignments.
 
 One table, _KINDS, gives each MechanismKind's parameter shape, facility
-count and placement.  The per-axis percentile family (percentile_1d,
-percentile_multi_d, and the coordinate-wise median, max and min at 0.5, 1
-and 0 on every axis) runs through one kernel.
+count and placement, whether the placement ignores the agents' order, and
+where it has one, the exhaustive set of lone misreports the
+strategy-proofness refuter tries.  The per-axis percentile family
+(percentile_1d, percentile_multi_d, and the coordinate-wise median, max and
+min at 0.5, 1 and 0 on every axis) runs through one kernel.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Literal, Sequence
 
 from .geometry import (
     Metric,
+    OracleCapError,
     Point,
     _enclosing_circle,
     _geometric_median,
     as_point,
     distance,
 )
+
+# the breakpoint product is sized before it is built, and refused past this
+_MAX_MISREPORTS = 500_000
 
 
 @dataclass(frozen=True)
@@ -384,6 +391,92 @@ def _plane_rows(descriptor: MechanismDescriptor, dim: int) -> tuple:
     return rows
 
 
+def _breakpoints(
+    descriptor: MechanismDescriptor, profile: AgentProfile
+) -> list[list[Point]] | None:
+    """Lexicographically sorted reports that are exhaustive against a
+    per-axis percentile pick on the coordinate axes, one list shared by
+    every agent; None under rotated axes, which mix the coordinates.
+
+    On axis k a lone report moves each facility coordinate only through its
+    rank among the other agents' k-coordinates: between two consecutive
+    ones a facility coordinate either stays put or equals the report.  So
+    the best report in each cell is the truth clamped into it, which is the
+    truth or one of the other agents' coordinates.  The reports are the
+    product over the axes of the agents' distinct coordinates: at most n^dim
+    points, one of them each agent's truth.
+    """
+    if descriptor.axes is not None:
+        return None
+    axes = [sorted({a[k] for a in profile.agents}) for k in range(profile.dim)]
+    size = math.prod(map(len, axes))
+    if size > _MAX_MISREPORTS:
+        raise OracleCapError(
+            f"breakpoint product holds {size} reports (cap {_MAX_MISREPORTS})"
+        )
+    return [list(itertools.product(*axes))] * profile.n
+
+
+def _reflections(
+    descriptor: MechanismDescriptor, profile: AgentProfile
+) -> list[list[Point]]:
+    """One report per agent that moves the enclosing circle's centre onto
+    the agent: r = 2a - s, where s is the other agent farthest from a.
+
+    r and s are antipodal on the circle centred at a that holds every other
+    agent, so that circle is the smallest enclosing one, and the reporter
+    ends up at the facility, up to rounding, under either metric.  No report
+    can gain more than the whole honest cost, so these are exhaustive.  An
+    agent with no other agent away from it is at the facility already and
+    gets none.
+    """
+    agents = profile.agents
+    reports: list[list[Point]] = []
+    for i, a in enumerate(agents):
+        others = agents[:i] + agents[i + 1 :]
+        far = max(others, key=lambda p: math.dist(a, p), default=a)
+        if far == a:
+            reports.append([])
+            continue
+        r = tuple([2.0 * x - y for x, y in zip(a, far)])
+        if not all(map(math.isfinite, r)):
+            raise OracleCapError(
+                f"reflected misreport of agent {i + 1} overflows the float range"
+            )
+        reports.append([r])
+    return reports
+
+
+def _lexicographic_clamps(
+    descriptor: MechanismDescriptor, profile: AgentProfile
+) -> list[list[Point]]:
+    """At most dim reports per agent that are exhaustive against the
+    lexicographically smallest report.
+
+    With m the smallest of the other reports, an agent a at or below m is
+    picked already.  Otherwise only a report r below m moves the facility,
+    onto r, and those reports split by the first coordinate k on which r
+    falls below m: r[:k] = m[:k] and r[k] < m[k], the rest free.  The point
+    of piece k nearest a in either metric keeps a's coordinates after k and
+    clamps a[k] to below m[k], which for a[k] >= m[k] is the largest float
+    below m[k], where there is one.  The pieces run from the last coordinate
+    to the first.
+    """
+    agents = profile.agents
+    reports: list[list[Point]] = []
+    for i, a in enumerate(agents):
+        others = agents[:i] + agents[i + 1 :]
+        m = min(others, default=a)
+        own: list[Point] = []
+        if a > m:
+            for k in reversed(range(len(a))):
+                c = a[k] if a[k] < m[k] else math.nextafter(m[k], -math.inf)
+                if math.isfinite(c):
+                    own.append(m[:k] + (c,) + a[k + 1 :])
+        reports.append(own)
+    return reports
+
+
 @dataclass(frozen=True)
 class _Kind:
     """A kind's parameter shape: none, one probability per facility
@@ -391,34 +484,63 @@ class _Kind:
     ("rows"), or an agent order; the facilities it places: one, one per
     parameter, or the spec's count; and its placement.  The percentile
     family gives rows, its per-axis parameters for a profile's dimension,
-    for _percentile_picks; every other kind gives place."""
+    for _percentile_picks; every other kind gives place.
+
+    order_free says the placement depends on the reports only as a
+    multiset, up to the sign of a zero coordinate.  misreports gives, per
+    agent, lone reports among which one gains as much as any report can, up
+    to rounding, or None where the descriptor has no such set; a kind
+    without it, or a None, leaves the refuter to its search lattice.
+    """
 
     params: Literal["none", "row", "rows", "order"]
     facilities: Literal["one", "per_param", "free"]
     rows: Callable[[MechanismDescriptor, int], Sequence[Sequence[float]]] | None = None
     place: Callable[[MechanismDescriptor, AgentProfile, int], tuple[Point, ...]] | None = None
+    order_free: bool = True
+    misreports: (
+        Callable[[MechanismDescriptor, AgentProfile], list[list[Point]] | None] | None
+    ) = None
 
 
 _KINDS: dict[MechanismKind, _Kind] = {
-    MechanismKind.PERCENTILE_1D: _Kind("row", "per_param", rows=_line_rows),
-    MechanismKind.PERCENTILE_MULTI_D: _Kind("rows", "per_param", rows=_plane_rows),
+    MechanismKind.PERCENTILE_1D: _Kind(
+        "row", "per_param", rows=_line_rows, misreports=_breakpoints
+    ),
+    MechanismKind.PERCENTILE_MULTI_D: _Kind(
+        "rows", "per_param", rows=_plane_rows, misreports=_breakpoints
+    ),
     # the median, max and min are the family at 0.5, 1 and 0 on every axis;
     # floor(0.5 * (n - 1)) is the lower median's (n - 1) // 2
-    MechanismKind.MULTI_DIM_MEDIAN: _Kind("none", "one", rows=lambda d, dim: ((0.5,) * dim,)),
-    MechanismKind.COORDINATE_MAX: _Kind("none", "one", rows=lambda d, dim: ((1.0,) * dim,)),
-    MechanismKind.COORDINATE_MIN: _Kind("none", "one", rows=lambda d, dim: ((0.0,) * dim,)),
+    MechanismKind.MULTI_DIM_MEDIAN: _Kind(
+        "none", "one", rows=lambda d, dim: ((0.5,) * dim,), misreports=_breakpoints
+    ),
+    MechanismKind.COORDINATE_MAX: _Kind(
+        "none", "one", rows=lambda d, dim: ((1.0,) * dim,), misreports=_breakpoints
+    ),
+    MechanismKind.COORDINATE_MIN: _Kind(
+        "none", "one", rows=lambda d, dim: ((0.0,) * dim,), misreports=_breakpoints
+    ),
     # sorted so the iteration path, hence the rounding, is order-free
     MechanismKind.GEOMETRIC_MEDIAN: _Kind(
         "none", "one", place=lambda d, profile, m: (_geometric_median(sorted(profile.agents)),)
     ),
     MechanismKind.SERIAL_DICTATORSHIP: _Kind(
-        "order", "free", place=lambda d, profile, m: serial_dictatorship(profile, d.agent_order, m)
+        "order",
+        "free",
+        place=lambda d, profile, m: serial_dictatorship(profile, d.agent_order, m),
+        order_free=False,
     ),
-    MechanismKind.ONE_CENTRE: _Kind("none", "one", place=_one_centre),
+    MechanismKind.ONE_CENTRE: _Kind(
+        "none", "one", place=_one_centre, misreports=_reflections
+    ),
     # the lexicographically smallest report: smallest first coordinate,
     # the remaining coordinates breaking ties
     MechanismKind.LEXICOGRAPHIC_FIRST_AGENT: _Kind(
-        "none", "one", place=lambda d, profile, m: (min(profile.agents),)
+        "none",
+        "one",
+        place=lambda d, profile, m: (min(profile.agents),),
+        misreports=_lexicographic_clamps,
     ),
 }
 

@@ -49,6 +49,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .geometry import (
     Metric,
+    OracleCapError,
     Point,
     _coordinate_median,
     _enclosing_circle,
@@ -76,11 +77,6 @@ _ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 _ORIENT_UNDERFLOW = 2.0**-1073
 
 
-class OracleCapError(RuntimeError):
-    """Raised when an exact oracle or exhaustive search is asked for an
-    instance above its enumeration cap."""
-
-
 class WelfareObjective(enum.Enum):
     TOTAL = "total"
     MAX = "max"
@@ -106,16 +102,6 @@ def evaluate(
     objective = WelfareObjective(objective)
     costs = _agent_costs(profile, solution)
     return sum(costs) if objective is WelfareObjective.TOTAL else max(costs)
-
-
-def max_distance_lower_bound(total: float, n: int) -> float:
-    """Identity bound: a solution with total distance T over n agents has
-    maximum distance at least T/n."""
-    if n < 1:
-        raise ValueError("need at least one agent")
-    if total < 0.0:
-        raise ValueError("total distance cannot be negative")
-    return total / n
 
 
 @dataclass(frozen=True)

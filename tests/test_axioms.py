@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from facloc import axioms
 from facloc.axioms import (
     GAIN_TOLERANCE,
+    REPLAY_SLACK,
     Certificate,
     CertificateKind,
     SearchBudget,
@@ -30,6 +31,8 @@ from facloc.mechanisms import (
     MechanismDescriptor,
     MechanismKind,
     Solution,
+    _KINDS,
+    _place,
     run_mechanism,
 )
 from facloc.welfare import OracleCapError
@@ -519,13 +522,15 @@ def test_every_emitted_certificate_verifies(pts, desc, metric):
 # --- the refuter loops place facilities directly; the public path is the
 # reference they must agree with bit for bit
 
-def reference_strategy_proofness(descriptor, profile, spec, budget):
+def reference_strategy_proofness(descriptor, profile, spec, budget, pools=None):
     """(agent_index, misreport, improvement) of the best lone misreport, with
-    every candidate run through the public run_mechanism / with_report path."""
+    every candidate run through the public run_mechanism / with_report path.
+    The candidates are the budget's lattice, or per agent the given pools."""
     honest = run_mechanism(descriptor, profile, spec)
-    pool = candidate_points(profile, budget)
+    if pools is None:
+        pools = [candidate_points(profile, budget)] * profile.n
     best_gain, best = GAIN_TOLERANCE, None
-    for index, agent in enumerate(profile.agents, start=1):
+    for index, (agent, pool) in enumerate(zip(profile.agents, pools), start=1):
         honest_cost = min(distance(agent, loc, profile.metric) for loc in honest.locations)
         for report in pool:
             if report == agent:
@@ -571,6 +576,55 @@ PARITY_CASES = [
     (MechanismDescriptor.first_agent(), _COLLINEAR_PAIR, 1),
 ]
 PARITY_BUDGET = SearchBudget(grid_resolution=0.5, bounding_box_pad=1.0, random_restarts=4, seed=3)
+# kinds whose exact misreports name their own witness, which need not be
+# the lattice's: the lattice is then a floor on the gain, not the answer
+OWN_WITNESS_KINDS = (MechanismKind.ONE_CENTRE, MechanismKind.LEXICOGRAPHIC_FIRST_AGENT)
+
+
+def best_gain_in_closed_form(desc, profile):
+    """The supremum of a lone misreport's gain, worked out without the kind
+    table: for one_centre the largest honest cost; for the first agent an
+    agent's honest cost less its distance to the closure of the reports
+    below the other agents' lexicographic minimum m, whose pieces keep
+    m[:k], stay at most m[k] on axis k and are free after it."""
+    (honest,) = run_mechanism(desc, profile, ONE).locations
+    costs = [distance(a, honest, profile.metric) for a in profile.agents]
+    if desc.kind is MechanismKind.ONE_CENTRE:
+        return max(costs)
+    best = 0.0
+    for i, a in enumerate(profile.agents):
+        m = min(profile.agents[:i] + profile.agents[i + 1 :], default=a)
+        if a > m:
+            nearest = min(
+                distance(a, m[:k] + (min(a[k], m[k]),) + a[k + 1 :], profile.metric)
+                for k in range(len(a))
+            )
+            best = max(best, costs[i] - nearest)
+    return best
+
+
+def assert_beats_the_lattice(desc, profile, cert):
+    """The refuter's certificate is the public path's best over the kind
+    table's misreports, replays, gains at least what the lattice at
+    PARITY_BUDGET finds, and comes within rounding of the closed-form best
+    gain; a one_centre gain is the manipulator's whole honest cost."""
+    pools = _KINDS[desc.kind].misreports(desc, profile)
+    want = reference_strategy_proofness(desc, profile, ONE, None, pools)
+    lattice = reference_strategy_proofness(desc, profile, ONE, PARITY_BUDGET)
+    scale = max(1.0, *(abs(c) for a in profile.agents for c in a))
+    gain = GAIN_TOLERANCE if cert is None else cert.improvement
+    assert gain >= best_gain_in_closed_form(desc, profile) - 1e-15 * scale
+    if want is None:
+        assert cert is None and lattice is None
+        return
+    assert (cert.agent_index, cert.misreport, cert.improvement) == want
+    assert verify_certificate(cert)
+    if lattice is not None:
+        assert cert.improvement >= lattice[2] - REPLAY_SLACK
+    if desc.kind is MechanismKind.ONE_CENTRE:
+        (centre,) = run_mechanism(desc, profile, ONE).locations
+        cost = distance(profile.agents[cert.agent_index - 1], centre, profile.metric)
+        assert cert.improvement == pytest.approx(cost, abs=1e-15 * scale)
 
 
 def test_parity_cases_cover_every_kind():
@@ -586,6 +640,9 @@ class TestRefutersMatchThePublicPath:
         profile = AgentProfile(agents, metric)
         spec = FacilitySpec(m)
         cert = check_strategy_proofness(desc, profile, spec, PARITY_BUDGET)
+        if desc.kind in OWN_WITNESS_KINDS:
+            assert_beats_the_lattice(desc, profile, cert)
+            return
         want = reference_strategy_proofness(desc, profile, spec, PARITY_BUDGET)
         if want is None:
             assert cert is None
@@ -757,6 +814,101 @@ class TestExactStrategyProofness:
         profile = AgentProfile(_SKEWED)
         check_strategy_proofness(desc, profile, ONE, PARITY_BUDGET)
         assert len(calls) == 3 * (len(candidate_points(profile, PARITY_BUDGET)) - 1)
+
+
+# --- one_centre and the first agent are refuted on the kind table's own
+# misreports; the lattice at PARITY_BUDGET is a floor on their gain
+
+class TestOwnWitnessStrategyProofness:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(OWN_WITNESS_KINDS),
+        n=st.integers(1, 4),
+        dim=st.integers(1, 3),
+        metric=st.sampled_from([Metric.EUCLIDEAN, Metric.MANHATTAN]),
+    )
+    def test_beats_the_lattice_reference(self, data, kind, n, dim, metric):
+        if kind is MechanismKind.ONE_CENTRE:
+            dim = 2
+        coord = st.one_of(
+            st.sampled_from([-1.5, -0.3, -0.0, 0.0, 0.7, 1.0, 1.2]), st.floats(-1.5, 1.5)
+        )
+        agents = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
+        profile = AgentProfile(tuple(agents), metric)
+        desc = MechanismDescriptor(kind)
+        most = 1 if kind is MechanismKind.ONE_CENTRE else dim
+        assert all(len(pool) <= most for pool in _KINDS[kind].misreports(desc, profile))
+        cert = check_strategy_proofness(desc, profile, ONE, PARITY_BUDGET)
+        assert_beats_the_lattice(desc, profile, cert)
+
+    def test_overflowing_reflection_is_refused_before_placing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("placed a misreport")
+
+        monkeypatch.setattr(axioms, "_place", refuse)
+        profile = AgentProfile(((0.0, 0.0), (1e308, 1e308)))
+        with pytest.raises(OracleCapError, match="agent 2 overflows the float range"):
+            check_strategy_proofness(MechanismDescriptor.one_centre(), profile, ONE)
+
+    def test_first_agent_has_no_report_below_the_float_range(self):
+        # agent 2 cannot undercut -max on the first axis: only the second
+        # axis offers a report, and it gains nothing
+        low = -1.7976931348623157e308
+        profile = AgentProfile(((low, 0.0), (0.0, 0.0)))
+        desc = MechanismDescriptor.first_agent()
+        assert _KINDS[desc.kind].misreports(desc, profile) == [[], [(low, -5e-324)]]
+        assert check_strategy_proofness(desc, profile, ONE) is None
+
+
+# --- anonymity of the kinds whose placement ignores the agents' order is a
+# proof without permuting; the column is checked against permuted inputs
+
+ORDER_FREE_KINDS = [kind for kind in MechanismKind if _KINDS[kind].order_free]
+
+
+def test_order_free_column():
+    assert set(MechanismKind) - set(ORDER_FREE_KINDS) == {MechanismKind.SERIAL_DICTATORSHIP}
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(ORDER_FREE_KINDS),
+    rotated=st.booleans(),
+    n=st.integers(1, 6),
+    dim=st.integers(1, 3),
+)
+def test_order_free_kinds_place_alike_in_any_order(data, kind, rotated, n, dim):
+    rotated = rotated and kind is MechanismKind.PERCENTILE_MULTI_D
+    if kind is MechanismKind.PERCENTILE_1D:
+        dim = 1
+    if kind is MechanismKind.ONE_CENTRE or rotated:
+        dim = 2
+    m = 2 if kind in (MechanismKind.PERCENTILE_1D, MechanismKind.PERCENTILE_MULTI_D) else 1
+    if rotated:
+        desc = MechanismDescriptor.percentile_plane(((0.5, 0.0), (1.0, 0.5)), _ROTATED)
+    else:
+        desc = per_axis_descriptor(kind, dim, m)
+    coord = st.sampled_from([-1.5, -0.3, -0.0, 0.0, 0.7, 1.0, 1.2])
+    agents = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
+    profile = AgentProfile(tuple(agents))
+    permutation = data.draw(st.permutations(range(1, n + 1)))
+    # by value: a stable sort may keep either sign of a zero first
+    assert _place(desc, profile.permuted(permutation), m) == _place(desc, profile, m)
+
+
+@pytest.mark.parametrize("kind", ORDER_FREE_KINDS)
+def test_order_free_anonymity_places_no_permutation(kind, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("placed a permutation")
+
+    monkeypatch.setattr(axioms, "_place", refuse)
+    dim = 1 if kind is MechanismKind.PERCENTILE_1D else 2
+    m = 2 if kind in (MechanismKind.PERCENTILE_1D, MechanismKind.PERCENTILE_MULTI_D) else 1
+    agents = tuple(tuple(0.1 * i + 0.37 * k * i * i for k in range(dim)) for i in range(9))
+    profile = AgentProfile(agents)
+    assert check_anonymity(per_axis_descriptor(kind, dim, m), profile, FacilitySpec(m)) is None
 
 
 # --- one facility in the plane: exact Pareto candidates, checked against

@@ -240,14 +240,26 @@ class TestCheck:
         assert verify_certificate(cert)
 
     def test_overflowing_search_box_maps_to_resource_exit(self, tmp_path, capsys):
-        # one_centre's strategy-proofness search stays on the lattice
+        # the geometric median's strategy-proofness search stays on the lattice
+        doc = {
+            "version": 1,
+            "agents": [[0, 0], [1e308, 1e308]],
+            "mechanism": {"kind": "geometric_median"},
+        }
+        assert main(["check", "--instance", write(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err.startswith("error: padded search box overflows")
+
+    def test_overflowing_reflection_maps_to_resource_exit(self, tmp_path, capsys):
+        # agent 2's reflection through itself of agent 1 is (2e308, 2e308)
         doc = {
             "version": 1,
             "agents": [[0, 0], [1e308, 1e308]],
             "mechanism": {"kind": "one_centre"},
         }
         assert main(["check", "--instance", write(tmp_path, doc)]) == 3
-        assert capsys.readouterr().err.startswith("error: padded search box overflows")
+        err = capsys.readouterr().err
+        assert err.startswith("error: reflected misreport of agent 2 overflows")
+        assert len(err.splitlines()) == 1
 
     def test_far_flung_median_needs_no_lattice(self, tmp_path, capsys):
         # the median sits on a hull vertex, and its manipulations are

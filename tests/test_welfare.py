@@ -31,7 +31,6 @@ from facloc.welfare import (
     WelfareObjective,
     approximation_ratio,
     evaluate,
-    max_distance_lower_bound,
     optimal_capacitated_assignment,
     optimal_welfare,
 )
@@ -90,19 +89,6 @@ class TestRatioReport:
     def test_negative_welfare_rejected(self):
         with pytest.raises(ValueError):
             RatioReport.from_welfares(-1.0, 2.0)
-
-
-class TestLowerBound:
-    def test_total_over_n(self):
-        assert max_distance_lower_bound(24.33105, 4) == pytest.approx(6.0827625)
-        assert max_distance_lower_bound(0.0, 7) == 0.0
-        assert max_distance_lower_bound(10.0, 1) == 10.0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            max_distance_lower_bound(1.0, 0)
-        with pytest.raises(ValueError):
-            max_distance_lower_bound(-1.0, 3)
 
 
 class TestSingleFacilityOptimum:
@@ -232,7 +218,8 @@ def test_max_welfare_at_least_average(pts):
     sol = Solution(((0.0, 0.0),), (1,) * prof.n)
     total = evaluate(prof, sol, WelfareObjective.TOTAL)
     worst = evaluate(prof, sol, WelfareObjective.MAX)
-    assert worst >= max_distance_lower_bound(total, prof.n) - 1e-12
+    # the largest of n distances is at least their mean
+    assert worst >= total / prof.n - 1e-12
 
 
 @settings(deadline=None, max_examples=30)
