@@ -977,6 +977,51 @@ def planar_profiles(draw):
     return AgentProfile(tuple(pts), draw(st.sampled_from(list(Metric))))
 
 
+def lens_gains(agents, p, points):
+    """Each agent's largest gain over the points that dominate the one
+    facility at p, up to REPLAY_SLACK; 0.0 where none does."""
+    old = [math.dist(a, p) for a in agents]
+    best = [0.0] * len(agents)
+    for q in points:
+        new = [math.dist(a, q) for a in agents]
+        if all(b <= a + REPLAY_SLACK for a, b in zip(old, new)):
+            best = [max(g, a - b) for g, a, b in zip(best, old, new)]
+    return best
+
+
+def lens_brute_force(agents, p, steps=40, turns=360):
+    """Points of D, the intersection of the agents' disks through p, by
+    brute force: a steps x steps grid on its bounding box, and turns points
+    around each circle."""
+    old = [math.dist(a, p) for a in agents]
+    lo = [max(a[k] - c for a, c in zip(agents, old)) for k in (0, 1)]
+    hi = [min(a[k] + c for a, c in zip(agents, old)) for k in (0, 1)]
+    points = [
+        (lo[0] + (hi[0] - lo[0]) * i / steps, lo[1] + (hi[1] - lo[1]) * j / steps)
+        for i in range(steps + 1)
+        for j in range(steps + 1)
+    ]
+    points += [
+        (a[0] + c * math.cos(2 * math.pi * t / turns), a[1] + c * math.sin(2 * math.pi * t / turns))
+        for a, c in zip(agents, old)
+        for t in range(turns)
+    ]
+    return points
+
+
+@st.composite
+def outside_placements(draw):
+    """Euclidean planar profiles and a placement that is mostly outside
+    their hull, but near enough for arc ends to matter."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        coords, far = st.integers(-3, 3).map(float), st.integers(-4, 4).map(float)
+    else:
+        coords, far = st.floats(0.0, 1.0), st.floats(-0.3, 1.3)
+    agents = tuple(draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n)))
+    return AgentProfile(agents), draw(st.tuples(far, far))
+
+
 class TestExactPareto:
     def test_corner_pick_domination_off_the_lattice_is_found(self):
         desc = MechanismDescriptor.coordinate_extreme("max")
@@ -1031,23 +1076,62 @@ class TestExactPareto:
         collinear = AgentProfile(((0.0, 0.0), (1.0, 1.0), (3.0, 3.0)))
         assert check_pareto(collinear, Solution(((2.0, 2.0),), (1, 1, 1))) is None
 
-    def test_outside_hull_falls_back_to_the_projection(self):
-        # no lattice point or subset centre dominates, the projection does
+    def test_euclidean_builds_no_lattice(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("lattice built")
+
+        monkeypatch.setattr(axioms, "candidate_points", refuse)
+        monkeypatch.setattr(axioms, "_subset_centers", refuse)
+        profile = AgentProfile(((0.0, 0.0), (2.0, 0.0), (1.0, 2.0)))
+        cert = check_pareto(profile, Solution(((3.0, 3.0),), (1, 1, 1)))
+        assert cert is not None and verify_certificate(cert)
+
+    def test_outside_hull_takes_the_nearest_point_on_a_circle(self):
+        # each agent gains most at the point of the other's circle nearest
+        # it; both gain c1 + c2 - 1 there, and the smaller point wins the tie
         profile = AgentProfile(((0.0, 0.0), (1.0, 0.0)))
         sol = Solution(((0.3, 0.01),), (1, 1))
         cert = check_pareto(profile, sol, COARSE)
         assert cert is not None
-        assert cert.dominating.locations == ((0.3, 0.0),)
-        assert cert.improvement == pytest.approx(math.hypot(0.3, 0.01) - 0.3, rel=1e-9)
+        assert cert.dominating.locations == ((0.29992857507251447, 0.0),)
+        c1, c2 = math.hypot(0.3, 0.01), math.hypot(0.7, 0.01)
+        assert cert.improvement == pytest.approx(c1 + c2 - 1.0, abs=1e-15)
+        # the projection onto the hull, (0.3, 0), gains less
+        assert cert.improvement > c1 - 0.3 + 7e-5
         assert verify_certificate(cert)
 
-    def test_outside_hull_keeps_the_lattice_certificate(self):
+    def test_outside_hull_agent_in_the_lens_wins(self):
+        # (0, 0) is on agent 3's circle and inside agent 2's, so agent 1
+        # gains their whole trip
         profile = AgentProfile(((0.0, 0.0), (2.0, 0.0), (1.0, 2.0)))
         sol = Solution(((3.0, 3.0),), (1, 1, 1))
         cert = check_pareto(profile, sol, COARSE)
         assert cert is not None
         assert cert.dominating.locations == ((0.0, 0.0),)
         assert cert.improvement == math.hypot(3.0, 3.0)
+
+    def test_projection_certifies_where_lens_points_round_out(self):
+        # at this scale every lens point leaves some agent worse off by more
+        # than REPLAY_SLACK after rounding; the projection onto the hull
+        # lies strictly inside every ball and still dominates
+        agents = ((96280.0, 760143.0), (108223.0, 314558.0))
+        profile = AgentProfile(agents)
+        sol = run_mechanism(MechanismDescriptor.coordinate_extreme("max"), profile, ONE)
+        p = sol.locations[0]
+        assert p == (108223.0, 760143.0)
+        old = [math.dist(a, p) for a in agents]
+        lens = axioms._lens_points(agents, old, p)
+        assert all(
+            axioms._domination_margin(old, [math.dist(a, q) for a in agents], 0.0) == 0.0
+            for q in lens
+        )
+        cert = check_pareto(profile, sol)
+        hull = axioms._convex_hull(agents)
+        assert cert is not None
+        assert cert.dominating.locations == (axioms._hull_projection(p, hull),)
+        assert verify_certificate(cert)
+        # the projection is short of the exact c1 + c2 - |a1 - a2| by ~160
+        assert 0.0 < cert.improvement < old[0] + old[1] - math.dist(*agents) - 100.0
 
     @settings(deadline=None, max_examples=40)
     @given(profile=planar_profiles(), desc=st.sampled_from(AUDIT_DESCRIPTORS))
@@ -1065,6 +1149,22 @@ class TestExactPareto:
             )
             if in_hull:
                 assert cert is None
+
+    @settings(deadline=None, max_examples=100)
+    @given(case=outside_placements())
+    def test_no_point_of_the_lens_beats_the_refuter(self, case):
+        profile, p = case
+        agents = profile.agents
+        reference = lens_gains(agents, p, lens_brute_force(agents, p))
+        # the point of D nearest each agent is among the lens points
+        old = [math.dist(a, p) for a in agents]
+        exact = lens_gains(agents, p, axioms._lens_points(agents, old, p))
+        assert all(e >= r - 1e-12 for e, r in zip(exact, reference))
+        cert = check_pareto(profile, Solution((p,), (1,) * profile.n))
+        margin = 0.0 if cert is None else cert.improvement
+        if cert is not None:
+            assert verify_certificate(cert)
+        assert max(reference) <= margin + 1e-12
 
     @settings(deadline=None, max_examples=60)
     @given(

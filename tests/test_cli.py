@@ -272,6 +272,23 @@ class TestCheck:
         assert main(["check", "--instance", write(tmp_path, doc)]) == 0
         assert "pareto none" in lines_of(capsys)
 
+    def test_far_flung_outside_hull_domination_needs_no_lattice(self, tmp_path, capsys):
+        # the corner (1e5, 1e5) lies outside the agents' hull, and the agent
+        # at the origin is on both other circles, so it gains its whole trip;
+        # the 0.25 lattice of this box would hold about 7e12 points
+        doc = {
+            "version": 1,
+            "agents": [[0, 0], [100000, 0], [0, 100000]],
+            "mechanism": {"kind": "coordinate_max"},
+        }
+        assert main(["check", "--instance", write(tmp_path, doc)]) == 0
+        out = lines_of(capsys)
+        assert "pareto violation 141421.356237" in out
+        cert_line = next(l for l in out if l.startswith("pareto_certificate"))
+        cert = certificate_from_dict(json.loads(cert_line.split(" ", 1)[1]))
+        assert cert.dominating.locations == ((0.0, 0.0),)
+        assert verify_certificate(cert)
+
     def test_corner_pick_domination_off_the_lattice_is_found(self, tmp_path, capsys):
         # every point dominating (2, 1.4) lies on the segment x - y = 0.6,
         # which no point of the 0.25 lattice is on
