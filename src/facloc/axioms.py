@@ -60,7 +60,9 @@ from .mechanisms import (
     MechanismDescriptor,
     Solution,
     _integral,
+    _is_number,
     _place,
+    _require_list,
     assign_nearest,
     descriptor_from_dict,
     descriptor_to_dict,
@@ -131,7 +133,12 @@ class Certificate:
         object.__setattr__(self, "kind", CertificateKind(self.kind))
         if not isinstance(self.profile, AgentProfile):
             raise ValueError("certificate needs an AgentProfile")
-        improvement = float(self.improvement)
+        # a bool or a string is no margin, and an int past the float range
+        # reads as inf
+        try:
+            improvement = float(self.improvement) if _is_number(self.improvement) else math.nan
+        except OverflowError:
+            improvement = math.inf
         if not math.isfinite(improvement) or improvement < 0:
             raise ValueError(
                 f"improvement must be a finite nonnegative margin, got {self.improvement!r}"
@@ -204,8 +211,6 @@ class SearchBudget:
     """
 
     grid_resolution: float = 0.25
-    random_restarts: int = 0
-    seed: int = 0
     bounding_box_pad: float | None = None
 
     def __post_init__(self):
@@ -213,13 +218,6 @@ class SearchBudget:
         if not math.isfinite(resolution) or resolution <= 0:
             raise ValueError(f"grid_resolution must be positive, got {self.grid_resolution!r}")
         object.__setattr__(self, "grid_resolution", resolution)
-        restarts = int(self.random_restarts)
-        if restarts != self.random_restarts or restarts < 0:
-            raise ValueError(
-                f"random_restarts must be a nonnegative integer, got {self.random_restarts!r}"
-            )
-        object.__setattr__(self, "random_restarts", restarts)
-        object.__setattr__(self, "seed", int(self.seed))
         if self.bounding_box_pad is not None:
             pad = float(self.bounding_box_pad)
             if not math.isfinite(pad) or pad < 0:
@@ -248,16 +246,15 @@ def candidate_points(profile: AgentProfile, budget: SearchBudget) -> list[Point]
     """Deduplicated, lexicographically sorted candidate locations.
 
     The set is the resolution lattice over the padded bounding box, the
-    padded box corners, every reported agent location, and any seeded
-    random restarts the budget asks for.
+    padded box corners, and every reported agent location.
     """
     pad = budget.pad_for(profile)
     lo, hi = bounding_box(profile.agents)
     lo = tuple(c - pad for c in lo)
     hi = tuple(c + pad for c in hi)
     r = budget.grid_resolution
-    # past the float range there is no lattice to count, and restarts drawn
-    # across an infinite width land on inf; every candidate must be finite
+    # past the float range there is no lattice to count, nor a finite trip
+    # across the box
     if not all(
         math.isfinite(v)
         for k in range(profile.dim)
@@ -281,9 +278,6 @@ def candidate_points(profile: AgentProfile, budget: SearchBudget) -> list[Point]
     points: set[Point] = set(itertools.product(*axes))
     points.update(itertools.product(*zip(lo, hi)))
     points.update(profile.agents)
-    rng = random.Random(budget.seed)
-    for _ in range(budget.random_restarts):
-        points.add(tuple(rng.uniform(lo[k], hi[k]) for k in range(profile.dim)))
     return sorted(points)
 
 
@@ -294,8 +288,8 @@ def _multiset_gap(ranked: Sequence[Point], b: Sequence[Point]) -> float:
     return max(math.dist(p, q) for p, q in zip(ranked, sorted(b)))
 
 
-def _sampled_permutations(n: int, seed: int = 0) -> list[tuple[int, ...]]:
-    rng = random.Random(seed)
+def _sampled_permutations(n: int) -> list[tuple[int, ...]]:
+    rng = random.Random(0)
     base = list(range(1, n + 1))
     drawn: set[tuple[int, ...]] = set()
     for _ in range(_ANONYMITY_SAMPLES):
@@ -308,14 +302,13 @@ def check_anonymity(
     descriptor: MechanismDescriptor,
     profile: AgentProfile,
     spec: FacilitySpec,
-    tolerance: float = GAIN_TOLERANCE,
 ) -> Certificate | None:
     """First permutation (in lexicographic order) that moves the facility
-    multiset, or None.  A kind whose placement ignores the agents' order
-    (every kind but serial dictatorship) returns None once the honest run
-    passes: a proof, whatever the agent count.  Otherwise the search is
-    exhaustive up to ANONYMITY_EXHAUSTIVE_MAX_AGENTS agents, a fixed
-    deterministic sample of permutations beyond that.
+    multiset by more than GAIN_TOLERANCE, or None.  A kind whose placement
+    ignores the agents' order (every kind but serial dictatorship) returns
+    None once the honest run passes: a proof, whatever the agent count.
+    Otherwise the search is exhaustive up to ANONYMITY_EXHAUSTIVE_MAX_AGENTS
+    agents, a fixed deterministic sample of permutations beyond that.
     """
     base = sorted(run_mechanism(descriptor, profile, spec).locations)
     if _KINDS[descriptor.kind].order_free:
@@ -334,7 +327,7 @@ def check_anonymity(
             tuple(agents[i - 1] for i in permutation), metric
         )
         gap = _multiset_gap(base, _place(descriptor, reordered, spec.m))
-        if gap > tolerance:
+        if gap > GAIN_TOLERANCE:
             return Certificate(
                 kind=CertificateKind.ANONYMITY_VIOLATION,
                 profile=profile,
@@ -356,19 +349,17 @@ def _nearest_costs(
     )
 
 
-def _domination_margin(
-    old: Sequence[float], new: Iterable[float], tolerance: float
-) -> float:
+def _domination_margin(old: Sequence[float], new: Iterable[float]) -> float:
     """Improvement of the most-improved agent, or 0.0 unless every agent is
-    at least as well off and someone is strictly better off.  new is read
-    lazily, and the scan stops at the first agent made worse."""
+    at least as well off and someone gains more than GAIN_TOLERANCE.  new is
+    read lazily, and the scan stops at the first agent made worse."""
     margin = 0.0
     for a, b in zip(old, new):
         if b > a + REPLAY_SLACK:
             return 0.0
         if a - b > margin:
             margin = a - b
-    return margin if margin > tolerance else 0.0
+    return margin if margin > GAIN_TOLERANCE else 0.0
 
 
 def _group_centers(group: Sequence[Point], metric: Metric) -> list[Point]:
@@ -532,7 +523,6 @@ def _best_domination(
     solution: Solution,
     old_costs: Sequence[float],
     candidates: Iterable[tuple[Point, ...]],
-    tolerance: float,
 ) -> Certificate | None:
     """Certificate for the candidate with the largest single-agent margin,
     ties broken toward the lexicographically smallest location tuple."""
@@ -540,7 +530,7 @@ def _best_domination(
     best_locations: tuple[Point, ...] | None = None
     for locations in sorted(candidates):
         new_costs = _nearest_costs(profile, locations)
-        margin = _domination_margin(old_costs, new_costs, tolerance)
+        margin = _domination_margin(old_costs, new_costs)
         if margin > best_margin:
             best_margin = margin
             best_locations = locations
@@ -560,10 +550,10 @@ def check_pareto(
     profile: AgentProfile,
     solution: Solution,
     budget: SearchBudget | None = None,
-    tolerance: float = GAIN_TOLERANCE,
 ) -> Certificate | None:
-    """Search for a solution every agent weakly prefers and someone strictly
-    prefers, against the costs the given solution's own assignment implies.
+    """Search for a solution no agent likes less by more than REPLAY_SLACK
+    and some agent likes better by more than GAIN_TOLERANCE, against the
+    costs the given solution's own assignment implies.
 
     Dominating candidates use uncapacitated semantics: agents go to their
     nearest facility.  Among dominating candidates the one with the largest
@@ -587,7 +577,7 @@ def check_pareto(
     centres (or p itself, where nobody gains).  These O(n^2) points, and
     the projection of p onto the hull, are the candidates.  On either
     metric None then proves that no placement dominates by more than
-    tolerance + REPLAY_SLACK, as long as no coordinate of the agents or
+    GAIN_TOLERANCE + REPLAY_SLACK, as long as no coordinate of the agents or
     the placement exceeds 64 in magnitude: up to there the rounding in a
     candidate and in its trips stays below REPLAY_SLACK.  For a lens point
     it is a few dozen times 2^-53 of that magnitude (at most 16 times on
@@ -618,9 +608,7 @@ def check_pareto(
             p = solution.locations[0]
             points = _lens_points(profile.agents, old_costs, p)
             points.add(_hull_projection(p, hull))
-        return _best_domination(
-            profile, solution, old_costs, ((q,) for q in points), tolerance
-        )
+        return _best_domination(profile, solution, old_costs, ((q,) for q in points))
 
     pool = set(candidate_points(profile, budget))
     pool.update(_subset_centers(profile))
@@ -636,7 +624,7 @@ def check_pareto(
                 candidates.add(tuple(sorted(kept)))
         if profile.n <= _SUBSET_CANDIDATE_MAX_AGENTS:
             candidates.update(_partition_placements(profile, m))
-    return _best_domination(profile, solution, old_costs, candidates, tolerance)
+    return _best_domination(profile, solution, old_costs, candidates)
 
 
 def check_strategy_proofness(
@@ -644,10 +632,9 @@ def check_strategy_proofness(
     profile: AgentProfile,
     spec: FacilitySpec,
     budget: SearchBudget | None = None,
-    tolerance: float = GAIN_TOLERANCE,
 ) -> Certificate | None:
     """Search for an agent whose lone misreport moves some facility closer
-    to their true location.
+    to their true location by more than GAIN_TOLERANCE.
 
     Costs are measured from the true location to the nearest facility, in
     the profile's metric.  The certificate records the largest gain found,
@@ -655,7 +642,7 @@ def check_strategy_proofness(
     tried.
 
     Where the kind table gives a kind's misreports, they are exhaustive, and
-    None proves that no lone misreport gains more than the tolerance; the
+    None proves that no lone misreport gains more than GAIN_TOLERANCE; the
     budget is not used.  For per-axis percentile picks on the coordinate
     axes they are the product over the axes of the agents' distinct
     coordinates, at most n^dim - 1 per agent, tried in lexicographic order.
@@ -675,7 +662,7 @@ def check_strategy_proofness(
     if pools is None:
         budget = budget if budget is not None else SearchBudget()
         pools = [candidate_points(profile, budget)] * profile.n
-    best_gain = tolerance
+    best_gain = GAIN_TOLERANCE
     best: tuple[int, Point] | None = None
     for index, (agent, pool) in enumerate(zip(profile.agents, pools), start=1):
         agents = list(profile.agents)
@@ -737,7 +724,7 @@ def verify_certificate(cert: Certificate) -> bool:
             and _in_hull(original.locations[0], _convex_hull(profile.agents))
         ):
             return False
-        margin = _domination_margin(old_costs, new_costs, GAIN_TOLERANCE)
+        margin = _domination_margin(old_costs, new_costs)
     else:
         honest = run_mechanism(cert.descriptor, cert.profile, cert.spec)
         truth = cert.profile.agents[cert.agent_index - 1]
@@ -779,7 +766,9 @@ def certificate_to_dict(cert: Certificate) -> dict[str, Any]:
     return doc
 
 
-def certificate_from_dict(doc: dict[str, Any]) -> Certificate:
+def certificate_from_dict(doc: Any) -> Certificate:
+    if not isinstance(doc, dict):
+        raise ValueError("certificate document must be a JSON object")
     try:
         kind = CertificateKind(doc["kind"])
     except (KeyError, ValueError):
@@ -787,20 +776,27 @@ def certificate_from_dict(doc: dict[str, Any]) -> Certificate:
         raise ValueError(
             f"unknown certificate kind {doc.get('kind')!r}; expected one of: {known}"
         ) from None
+    for field in ("profile", "spec", "original", "dominating"):
+        if field in doc and not isinstance(doc[field], dict):
+            raise ValueError(f"certificate {field!r} must be an object, got {doc[field]!r}")
     try:
         profile = profile_from_dict(doc["profile"])
         improvement = doc["improvement"]
     except KeyError as missing:
         raise ValueError(f"certificate document is missing {missing.args[0]!r}") from None
+    # a string would read as its characters; the permutation's entries are
+    # left to Certificate
+    _require_list(doc, "permutation", lambda entry: True, "a list of agent indices", "certificate")
+    _require_list(doc, "misreport", _is_number, "a list of numbers", "certificate")
     return Certificate(
         kind=kind,
         profile=profile,
         improvement=improvement,
         descriptor=descriptor_from_dict(doc["descriptor"]) if "descriptor" in doc else None,
         spec=spec_from_dict(doc["spec"]) if "spec" in doc else None,
-        permutation=tuple(doc["permutation"]) if "permutation" in doc else None,
+        permutation=doc.get("permutation"),
         original=solution_from_dict(doc["original"]) if "original" in doc else None,
         dominating=solution_from_dict(doc["dominating"]) if "dominating" in doc else None,
         agent_index=doc.get("agent_index"),
-        misreport=tuple(doc["misreport"]) if "misreport" in doc else None,
+        misreport=doc.get("misreport"),
     )

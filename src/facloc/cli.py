@@ -134,11 +134,6 @@ def _require_mechanism(instance: Instance, args: argparse.Namespace) -> Mechanis
         raise ValueError(
             "no mechanism: set one in the instance file or pass --mechanism"
         )
-    implied = descriptor.implied_facilities
-    if implied is not None and implied != instance.spec.m:
-        raise ValueError(
-            f"mechanism places {implied} facilities but the instance asks for {instance.spec.m}"
-        )
     return descriptor
 
 

@@ -90,18 +90,16 @@ def bounding_box(points: Iterable[Iterable[float]]) -> tuple[Point, Point]:
     return mins, maxs
 
 
-def coordinate_median(points: Iterable[Iterable[float]], policy: str = "lower") -> Point:
-    """Per-axis median.  Even counts take the lower (or upper) middle value,
-    so the result is always one of the input coordinates on each axis."""
-    pts = _validated(points)
-    if policy not in ("lower", "upper"):
-        raise ValueError(f"unknown even-count policy {policy!r}")
-    return _coordinate_median(pts, upper=policy == "upper")
+def coordinate_median(points: Iterable[Iterable[float]]) -> Point:
+    """Per-axis median.  Even counts take the lower middle value, so the
+    result is always one of the input coordinates on each axis."""
+    return _coordinate_median(_validated(points))
 
 
 def _coordinate_median(pts: Sequence[Point], upper: bool = False) -> Point:
     """coordinate_median on a nonempty sequence of finite points of one
-    dimension, which are not validated again."""
+    dimension, which are not validated again; upper takes the upper middle
+    value of an even count instead."""
     idx = len(pts) // 2 if upper else (len(pts) - 1) // 2
     return tuple(sorted(p[k] for p in pts)[idx] for k in range(len(pts[0])))
 
@@ -114,6 +112,10 @@ _HALVINGS = 8
 # most the excess times the instance diameter, plus twice the distance to
 # each input point counted as sitting on the answer
 _RESIDUAL_ACCEPT = 1e-6
+# a step shorter than this, with a certified excess, ends the search
+_STEP_TOLERANCE = 1e-9
+# rounds before the search gives up with ConvergenceError
+_MAX_ROUNDS = 10_000
 
 
 class _Model(NamedTuple):
@@ -219,11 +221,7 @@ def _solve_spd(matrix: list[list[float]], rhs: list[float]) -> list[float] | Non
     return [row[-1] for row in a]
 
 
-def geometric_median(
-    points: Iterable[Iterable[float]],
-    tolerance: float = 1e-9,
-    max_iterations: int = 10_000,
-) -> Point:
+def geometric_median(points: Iterable[Iterable[float]]) -> Point:
     """Point minimizing the total Euclidean distance to the inputs.
 
     Input points are tested for optimality up front (net pull of the other
@@ -231,20 +229,15 @@ def geometric_median(
     whenever the optimum sits on an input point.  Otherwise each round
     takes a damped Newton step on the net-pull field or, if that cannot
     shrink the excess, a Weiszfeld step or an escape from the kink of the
-    nearest input point.  Once a step is shorter than `tolerance` or
-    lowers the total by no more than rounding, the iterate is returned if
-    its excess certifies it (see `_RESIDUAL_ACCEPT`).  Running out of
-    `max_iterations` rounds raises ConvergenceError.
+    nearest input point.  Once a step is shorter than `_STEP_TOLERANCE`
+    or lowers the total by no more than rounding, the iterate is returned
+    if its excess certifies it (see `_RESIDUAL_ACCEPT`).  Running out of
+    `_MAX_ROUNDS` rounds raises ConvergenceError.
     """
-    pts = _validated(points)
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    return _geometric_median(pts, tolerance, max_iterations)
+    return _geometric_median(_validated(points))
 
 
-def _geometric_median(
-    pts: Sequence[Point], tolerance: float = 1e-9, max_iterations: int = 10_000
-) -> Point:
+def _geometric_median(pts: Sequence[Point]) -> Point:
     """geometric_median on a nonempty sequence of finite points of one
     dimension, which are not validated again."""
     if len(pts) == 1:
@@ -267,7 +260,7 @@ def _geometric_median(
     lowest = min(totals, key=totals.get)
     if totals[lowest] < model.value:
         x, model = lowest, objective.model_at(lowest)
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ROUNDS):
         if model.excess <= 0.0:
             return x
         delta = None if model.multiplicity else _solve_spd(model.hessian, model.pull)
@@ -275,9 +268,9 @@ def _geometric_median(
         moved = moved or objective.fallback(x, model)
         step, flat = math.dist(x, moved[0]), moved[1].value >= model.value * (1.0 - _FLAT)
         x, model = moved
-        if (step < tolerance or flat) and model.excess <= _RESIDUAL_ACCEPT:
+        if (step < _STEP_TOLERANCE or flat) and model.excess <= _RESIDUAL_ACCEPT:
             return x
-    raise ConvergenceError(f"geometric median did not converge in {max_iterations} rounds", x)
+    raise ConvergenceError(f"geometric median did not converge in {_MAX_ROUNDS} rounds", x)
 
 
 # --- smallest enclosing circle (randomized incremental) ---------------------

@@ -322,26 +322,6 @@ def _percentile_picks(
     )
 
 
-def percentile_1d(xs: Sequence[float], params: Sequence[float]) -> tuple[float, ...]:
-    """Facility coordinates x_(1+floor(p*(n-1))) of a sorted 1-d profile,
-    one per parameter (1-based rank on the sorted reports)."""
-    if any(xs[i] > xs[i + 1] for i in range(len(xs) - 1)):
-        raise ValueError("coordinates must be sorted ascending")
-    line = MechanismDescriptor.percentile_line(params)
-    profile = AgentProfile(tuple((x,) for x in xs))
-    return tuple(x for (x,) in _place(line, profile, len(params)))
-
-
-def percentile_multi_d(
-    profile: AgentProfile,
-    params: Sequence[Sequence[float]],
-    axes: Sequence[Sequence[float]] | None = None,
-) -> tuple[Point, ...]:
-    """Per-axis percentile mechanism: project onto an orthonormal basis,
-    pick the per-axis percentile rank for each facility, recombine."""
-    return _place(MechanismDescriptor.percentile_plane(params, axes), profile, len(params))
-
-
 def serial_dictatorship(
     profile: AgentProfile, order: Sequence[int] | None, m: int
 ) -> tuple[Point, ...]:
@@ -696,6 +676,11 @@ def solution_to_dict(solution: Solution) -> dict[str, Any]:
 
 
 def solution_from_dict(doc: dict[str, Any]) -> Solution:
+    if doc.get("locations") is None or doc.get("assignment") is None:
+        raise ValueError("a solution needs 'locations' and 'assignment'")
+    # the assignment's entries are left to Solution
+    _require_list(doc, "locations", _is_numbers, "a list of coordinate lists", "solution")
+    _require_list(doc, "assignment", lambda entry: True, "a list of facility indices", "solution")
     return Solution(
         tuple(tuple(p) for p in doc["locations"]), tuple(doc["assignment"])
     )

@@ -743,15 +743,10 @@ def _capacitated_odd() -> Scenario:
     )
 
 
-def _manhattan_budget() -> SearchBudget:
-    return SearchBudget(grid_resolution=0.5, bounding_box_pad=1.0)
-
-
 def _manhattan_2agent_max() -> Scenario:
     profile = AgentProfile(((0.0, 1.0), (2.0, 0.0)), Metric.MANHATTAN)
     spec = FacilitySpec(1)
     mechanism = MechanismDescriptor.coordinate_extreme("max")
-    budget = _manhattan_budget()
     return Scenario(
         name="manhattan_2agent_max",
         profile=profile,
@@ -783,14 +778,14 @@ def _manhattan_2agent_max() -> Scenario:
                 None,
                 0.0,
                 "any step helping one agent hurts the other",
-                lambda s: _domination_search(s.profile, _solution(s), budget),
+                lambda s: _domination_search(s.profile, _solution(s), _LOCAL_BUDGET),
             ),
             Expectation(
                 "manipulation",
                 None,
                 0.0,
                 "raising a report drags the corner away from the liar",
-                lambda s: _manipulation_search(s.mechanism, s.profile, s.spec, budget),
+                lambda s: _manipulation_search(s.mechanism, s.profile, s.spec, _LOCAL_BUDGET),
             ),
         ),
     )
@@ -800,7 +795,6 @@ def _manhattan_3agent_median() -> Scenario:
     profile = AgentProfile(((0.0, 2.0), (1.0, 0.0), (2.0, 1.0)), Metric.MANHATTAN)
     spec = FacilitySpec(1)
     mechanism = MechanismDescriptor.median()
-    budget = _manhattan_budget()
     return Scenario(
         name="manhattan_3agent_median",
         profile=profile,
@@ -824,14 +818,14 @@ def _manhattan_3agent_median() -> Scenario:
                 None,
                 0.0,
                 "moving along either axis backs away from somebody",
-                lambda s: _domination_search(s.profile, _solution(s), budget),
+                lambda s: _domination_search(s.profile, _solution(s), _LOCAL_BUDGET),
             ),
             Expectation(
                 "manipulation",
                 None,
                 0.0,
                 "medians ignore how far a liar stretches a report",
-                lambda s: _manipulation_search(s.mechanism, s.profile, s.spec, budget),
+                lambda s: _manipulation_search(s.mechanism, s.profile, s.spec, _LOCAL_BUDGET),
             ),
             Expectation(
                 "anonymity_violation",
@@ -847,13 +841,12 @@ def _manhattan_3agent_median() -> Scenario:
 def _manhattan_3agent_max_dominated() -> Scenario:
     profile = AgentProfile(((0.0, 2.0), (1.0, 0.0), (2.0, 1.0)), Metric.MANHATTAN)
     spec = FacilitySpec(1)
-    budget = _manhattan_budget()
 
     def min_corner_cert(s):
         sol = run_mechanism(
             MechanismDescriptor.coordinate_extreme("min"), s.profile, s.spec
         )
-        return _domination_search(s.profile, sol, budget)
+        return _domination_search(s.profile, sol, _LOCAL_BUDGET)
 
     return Scenario(
         name="manhattan_3agent_max_dominated",
@@ -879,7 +872,7 @@ def _manhattan_3agent_max_dominated() -> Scenario:
                 POSITION_TOLERANCE,
                 "the interior point beats the max corner",
                 lambda s: _domination_search(
-                    s.profile, _solution(s), budget
+                    s.profile, _solution(s), _LOCAL_BUDGET
                 ).dominating.locations,
             ),
             Expectation(
@@ -888,7 +881,7 @@ def _manhattan_3agent_max_dominated() -> Scenario:
                 WELFARE_TOLERANCE,
                 "the middle agent's trip shrinks from three to one",
                 lambda s: _domination_search(
-                    s.profile, _solution(s), budget
+                    s.profile, _solution(s), _LOCAL_BUDGET
                 ).improvement,
             ),
             Expectation(
@@ -917,7 +910,6 @@ def _manhattan_4agent_min_dominated() -> Scenario:
     # bottom rank on x, second-of-four rank on y; 0.4 selects rank 2 without
     # the floating-point hazard a literal one-third invites
     mechanism = MechanismDescriptor.percentile_plane(((0.0, 0.4),))
-    budget = _manhattan_budget()
     return Scenario(
         name="manhattan_4agent_min_dominated",
         profile=profile,
@@ -948,7 +940,7 @@ def _manhattan_4agent_min_dominated() -> Scenario:
                 None,
                 0.0,
                 "rank picks ignore how far a liar stretches a report",
-                lambda s: _manipulation_search(s.mechanism, s.profile, s.spec, budget),
+                lambda s: _manipulation_search(s.mechanism, s.profile, s.spec, _LOCAL_BUDGET),
             ),
             Expectation(
                 "dominating_facility",
@@ -956,7 +948,7 @@ def _manhattan_4agent_min_dominated() -> Scenario:
                 POSITION_TOLERANCE,
                 "the interior point beats the origin",
                 lambda s: _domination_search(
-                    s.profile, _solution(s), budget
+                    s.profile, _solution(s), _LOCAL_BUDGET
                 ).dominating.locations,
             ),
             Expectation(
@@ -965,7 +957,7 @@ def _manhattan_4agent_min_dominated() -> Scenario:
                 WELFARE_TOLERANCE,
                 "the middle agent's trip shrinks from three to one",
                 lambda s: _domination_search(
-                    s.profile, _solution(s), budget
+                    s.profile, _solution(s), _LOCAL_BUDGET
                 ).improvement,
             ),
         ),

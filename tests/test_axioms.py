@@ -2,11 +2,12 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from facloc import axioms
@@ -24,7 +25,7 @@ from facloc.axioms import (
     check_strategy_proofness,
     verify_certificate,
 )
-from facloc.geometry import Metric, distance
+from facloc.geometry import Metric, bounding_box, distance
 from facloc.mechanisms import (
     AgentProfile,
     FacilitySpec,
@@ -133,10 +134,6 @@ class TestSearchBudget:
         with pytest.raises(ValueError):
             SearchBudget(grid_resolution=0.0)
 
-    def test_restarts_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            SearchBudget(random_restarts=-1)
-
     def test_pad_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             SearchBudget(bounding_box_pad=-0.1)
@@ -168,10 +165,6 @@ class TestCandidatePoints:
         pts = candidate_points(PAIR, COARSE)
         assert pts == sorted(set(pts))
 
-    def test_restarts_are_deterministic(self):
-        budget = SearchBudget(grid_resolution=2.0, random_restarts=5, seed=7)
-        assert candidate_points(PAIR, budget) == candidate_points(PAIR, budget)
-
     def test_oversized_lattice_rejected(self):
         with pytest.raises(OracleCapError, match="lattice"):
             candidate_points(PAIR, SearchBudget(grid_resolution=1e-4))
@@ -194,12 +187,6 @@ class TestCandidatePoints:
             (((0.0, 0.0), (1e308, 1e308)), SearchBudget()),
             # a finite bound whose lattice index is not
             (((0.0, 0.0), (1e308, 0.0)), SearchBudget(bounding_box_pad=0.0)),
-            # finite bounds, a small lattice, but restarts drawn across an
-            # infinite width
-            (
-                ((-1e308, 0.0), (1e308, 0.0)),
-                SearchBudget(grid_resolution=1e307, bounding_box_pad=0.0, random_restarts=1),
-            ),
         ],
     )
     def test_overflowing_box_is_a_cap_not_a_crash(self, agents, budget):
@@ -487,6 +474,46 @@ class TestIntegralCertificateFields:
         assert verify_certificate(revived)
 
 
+class TestMalformedCertificateDocuments:
+    """A malformed document is a ValueError, not a traceback, and a bool or
+    a string does not pass for a number."""
+
+    @pytest.mark.parametrize(
+        "field, bad, match",
+        [
+            ("improvement", True, "improvement"),
+            ("improvement", "3", "improvement"),
+            ("misreport", "12", "misreport"),
+            ("permutation", 5, "permutation"),
+            ("profile", 5, "'profile' must be"),
+            ("spec", [1], "'spec' must be"),
+            ("original", {"locations": [[2.0, 2.0]]}, "assignment"),
+            ("original", None, "'original' must be"),
+        ],
+        ids=[
+            "improvement-true",
+            "improvement-string",
+            "misreport-string",
+            "permutation-number",
+            "profile-number",
+            "spec-list",
+            "original-without-assignment",
+            "original-null",
+        ],
+    )
+    def test_malformed_field_rejected(self, field, bad, match):
+        # the first verified document that carries the field
+        doc = next(d for d in map(certificate_doc, CertificateKind) if field in d)
+        doc[field] = bad
+        with pytest.raises(ValueError, match=match):
+            certificate_from_dict(doc)
+
+    def test_list_document_rejected(self):
+        doc = certificate_doc(CertificateKind.MANIPULATION)
+        with pytest.raises(ValueError, match="JSON object"):
+            certificate_from_dict([doc])
+
+
 FUZZ_DESCRIPTORS = (
     MechanismDescriptor.median(),
     MechanismDescriptor.geometric(),
@@ -575,7 +602,7 @@ PARITY_CASES = [
     (MechanismDescriptor.first_agent(), _SKEWED, 1),
     (MechanismDescriptor.first_agent(), _COLLINEAR_PAIR, 1),
 ]
-PARITY_BUDGET = SearchBudget(grid_resolution=0.5, bounding_box_pad=1.0, random_restarts=4, seed=3)
+PARITY_BUDGET = SearchBudget(grid_resolution=0.5, bounding_box_pad=1.0)
 # kinds whose exact misreports name their own witness, which need not be
 # the lattice's: the lattice is then a floor on the gain, not the answer
 OWN_WITNESS_KINDS = (MechanismKind.ONE_CENTRE, MechanismKind.LEXICOGRAPHIC_FIRST_AGENT)
@@ -603,14 +630,25 @@ def best_gain_in_closed_form(desc, profile):
     return best
 
 
+def off_lattice_pools(profile):
+    """Per agent, the lattice at PARITY_BUDGET and four reports off it,
+    drawn with random.Random(3) uniformly over the padded bounding box."""
+    pad = PARITY_BUDGET.bounding_box_pad
+    lo, hi = bounding_box(profile.agents)
+    rng = random.Random(3)
+    drawn = [tuple(rng.uniform(a - pad, b + pad) for a, b in zip(lo, hi)) for _ in range(4)]
+    return [sorted({*candidate_points(profile, PARITY_BUDGET), *drawn})] * profile.n
+
+
 def assert_beats_the_lattice(desc, profile, cert):
     """The refuter's certificate is the public path's best over the kind
     table's misreports, replays, gains at least what the lattice at
-    PARITY_BUDGET finds, and comes within rounding of the closed-form best
-    gain; a one_centre gain is the manipulator's whole honest cost."""
+    PARITY_BUDGET and four reports off it find, and comes within rounding of
+    the closed-form best gain; a one_centre gain is the manipulator's whole
+    honest cost."""
     pools = _KINDS[desc.kind].misreports(desc, profile)
     want = reference_strategy_proofness(desc, profile, ONE, None, pools)
-    lattice = reference_strategy_proofness(desc, profile, ONE, PARITY_BUDGET)
+    lattice = reference_strategy_proofness(desc, profile, ONE, None, off_lattice_pools(profile))
     scale = max(1.0, *(abs(c) for a in profile.agents for c in a))
     gain = GAIN_TOLERANCE if cert is None else cert.improvement
     assert gain >= best_gain_in_closed_form(desc, profile) - 1e-15 * scale
@@ -643,7 +681,11 @@ class TestRefutersMatchThePublicPath:
         if desc.kind in OWN_WITNESS_KINDS:
             assert_beats_the_lattice(desc, profile, cert)
             return
-        want = reference_strategy_proofness(desc, profile, spec, PARITY_BUDGET)
+        # exhaustive misreports must also beat reports off the lattice; the
+        # lattice search is compared with itself
+        exact = _KINDS[desc.kind].misreports and desc.axes is None
+        pools = off_lattice_pools(profile) if exact else None
+        want = reference_strategy_proofness(desc, profile, spec, PARITY_BUDGET, pools)
         if want is None:
             assert cert is None
         else:
@@ -690,7 +732,8 @@ class TestTrustedProfiles:
 
 
 # --- per-axis percentile picks are refuted on the breakpoint product, which
-# is exhaustive; the lattice search at PARITY_BUDGET is the reference
+# is exhaustive; the lattice at PARITY_BUDGET and four reports off it are
+# the reference
 
 def per_axis_descriptor(kind, dim, m):
     if kind is MechanismKind.PERCENTILE_1D:
@@ -729,7 +772,9 @@ class TestExactStrategyProofness:
         profile = AgentProfile(tuple(agents), metric)
         desc, spec = per_axis_descriptor(kind, dim, m), FacilitySpec(m)
         cert = check_strategy_proofness(desc, profile, spec, PARITY_BUDGET)
-        want = reference_strategy_proofness(desc, profile, spec, PARITY_BUDGET)
+        want = reference_strategy_proofness(
+            desc, profile, spec, None, off_lattice_pools(profile)
+        )
         if want is None:
             assert cert is None
         else:
@@ -817,7 +862,8 @@ class TestExactStrategyProofness:
 
 
 # --- one_centre and the first agent are refuted on the kind table's own
-# misreports; the lattice at PARITY_BUDGET is a floor on their gain
+# misreports; the lattice at PARITY_BUDGET and four reports off it are a
+# floor on their gain
 
 class TestOwnWitnessStrategyProofness:
     @settings(deadline=None, max_examples=60)
@@ -1122,7 +1168,7 @@ class TestExactPareto:
         old = [math.dist(a, p) for a in agents]
         lens = axioms._lens_points(agents, old, p)
         assert all(
-            axioms._domination_margin(old, [math.dist(a, q) for a in agents], 0.0) == 0.0
+            axioms._domination_margin(old, [math.dist(a, q) for a in agents]) == 0.0
             for q in lens
         )
         cert = check_pareto(profile, sol)
@@ -1152,6 +1198,8 @@ class TestExactPareto:
 
     @settings(deadline=None, max_examples=100)
     @given(case=outside_placements())
+    # the agent's whole trip, 4.4e-12, is a gain below GAIN_TOLERANCE
+    @example(case=(AgentProfile(((0.0, 0.0),)), (0.0, 4.4075604089142214e-12)))
     def test_no_point_of_the_lens_beats_the_refuter(self, case):
         profile, p = case
         agents = profile.agents
@@ -1161,10 +1209,12 @@ class TestExactPareto:
         exact = lens_gains(agents, p, axioms._lens_points(agents, old, p))
         assert all(e >= r - 1e-12 for e, r in zip(exact, reference))
         cert = check_pareto(profile, Solution((p,), (1,) * profile.n))
-        margin = 0.0 if cert is None else cert.improvement
-        if cert is not None:
+        if cert is None:
+            # None proves no domination by more than the documented bound
+            assert max(reference) <= GAIN_TOLERANCE + REPLAY_SLACK
+        else:
             assert verify_certificate(cert)
-        assert max(reference) <= margin + 1e-12
+            assert max(reference) <= cert.improvement + REPLAY_SLACK
 
     @settings(deadline=None, max_examples=60)
     @given(

@@ -99,6 +99,15 @@ class TestRun:
         assert main(["run", "--instance", write(tmp_path, doc)]) == 1
         assert "no mechanism" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_flag_mechanism_facility_mismatch_fails_validation(self, tmp_path, capsys, command):
+        doc = {"version": 1, "agents": [[0, 0], [1, 1]], "facilities": 2}
+        path = write(tmp_path, doc)
+        assert main([command, "--instance", path, "--mechanism", "multi_dim_median"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: multi_dim_median places 1 facilities, spec asks for 2\n"
+
     def test_malformed_metric_fails_validation(self, tmp_path, capsys):
         doc = dict(RECTANGLE, metric="taxicab")
         assert main(["run", "--instance", write(tmp_path, doc)]) == 1

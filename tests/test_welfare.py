@@ -168,7 +168,7 @@ def brute_optimum_value(prof, m, objective):
                 if prof.metric is Metric.MANHATTAN:
                     center = coordinate_median(group)
                 else:
-                    center = geometric_median(sorted(group), tolerance=1e-10)
+                    center = geometric_median(sorted(group))
                 costs.append(sum(distance(p, center, prof.metric) for p in group))
             else:
                 lo, hi = min(p[0] for p in group), max(p[0] for p in group)
