@@ -34,6 +34,10 @@ from .geometry import (
 
 # the breakpoint product is sized before it is built, and refused past this
 _MAX_MISREPORTS = 500_000
+# Placements and solutions hold one location per facility, so the count is
+# capped before any of them is built.  Past the agent count facilities only
+# repeat a location.
+MAX_FACILITIES = 1000
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,8 @@ class FacilitySpec:
     def __post_init__(self):
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
             raise ValueError(f"facility count must be a positive integer, got {self.m!r}")
+        if self.m > MAX_FACILITIES:
+            raise ValueError(f"facility count must be at most {MAX_FACILITIES}")
         if self.capacities is not None:
             caps = tuple(_integral(c, "capacity") for c in self.capacities)
             if len(caps) != self.m:

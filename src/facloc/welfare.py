@@ -20,22 +20,28 @@ The profile is validated once, when it is built.  Each candidate is a
 tuple of block bitmasks.  A block's points are read off its mask in the
 agents' lexicographic order, sorted once per call, and solved by the
 geometry cores, which do not check their input again; each block's answer
-is cached by its mask.  Candidates run in restricted-growth order and the
-first of equal (value, facility tuple) wins, so that order decides ties.
+is cached by its mask.  Of candidates with equal (value, facility tuple)
+the first in restricted-growth order wins, so that order decides ties.
 
-The partitions are walked depth first, placing agents in index order, and
-the walk cuts a subtree once its partial groups already cost more than the
-best partition found, up to a rounding slack (1e-12 relative plus 64 ulp
-of the largest coordinate, derived in optimal_welfare): a group's optimal
-cost never drops when an agent joins it, so the partial
-groups' values, summed or maxed as the objective folds them, bound every
-partition below.  A cut subtree holds no partition that could equal the
-winner, so the winner and its tie-break stay those of the full
-enumeration.  Only groups whose kernel is exact up to rounding are pruned:
-Manhattan ones and the 1-d midpoint.  The geometric median is certified
-only to a residual, and the enclosing circle loses accuracy on thin
-triangles, so a partial Euclidean group in the plane can cost more than a
-completion by more than any rounding slack; those are searched in full.
+Both searches are a branch and bound on a lower bound per group.  A
+Manhattan group's bound is its computed optimum, as those kernels are exact
+up to rounding.  A Euclidean group's bound comes from pairwise distances
+alone: half its longest pair under the max objective, and under the total a
+greedy matching of its pairs, since d(i, c) + d(j, c) >= d(i, j) for every
+centre c.  That bound never exceeds the group's true optimum, however
+inexact the geometric median or the enclosing circle is, and every value
+the oracle computes is a real cost at some point, so never below it.  The
+partitions are walked depth first, placing agents in index order, and the
+walk cuts a subtree once its partial groups' bounds, summed or maxed as the
+objective folds them, exceed the best partition found, up to a rounding
+slack (1e-12 relative plus 64 ulp of the largest coordinate, derived in
+optimal_welfare): a group's optimal cost never drops when an agent joins
+it.  The line splits are ranked by the fold of their two groups' bounds and
+walked lowest first, up to the first that exceeds the best found.  A cut
+partition cannot equal the winner, and ties are compared on (value,
+facility tuple, restricted-growth rank) whatever the walk order, so the
+winner and its tie-break stay those of the full enumeration.  A group is
+solved only when the search reaches it.
 """
 
 from __future__ import annotations
@@ -217,14 +223,24 @@ def _line_splits(points: Sequence[Point]) -> list[tuple[int, ...]]:
         a, b = points[i], points[j]
         if a == b:
             continue
+        (ax, ay), (bx, by) = a, b
         left, on = 0, [i, j]
-        for k in range(n):
-            if k != i and k != j:
-                side = _orientation(a, b, points[k])
-                if side > 0:
-                    left |= 1 << k
-                elif side == 0:
-                    on.append(k)
+        for k, c in enumerate(points):
+            if k == i or k == j:
+                continue
+            # _orientation's float filter, inlined: its exact stage runs
+            # only on a determinant too near zero to trust, or NaN after an
+            # overflow
+            cx, cy = c
+            lhs = (ax - cx) * (by - cy)
+            rhs = (ay - cy) * (bx - cx)
+            det = lhs - rhs
+            if not abs(det) > _ORIENT_ERRBOUND * (abs(lhs) + abs(rhs)) + _ORIENT_UNDERFLOW:
+                det = _orientation(a, b, c)
+            if det > 0:
+                left |= 1 << k
+            elif det == 0:
+                on.append(k)
         # lexicographic order is the order along the line
         on.sort(key=points.__getitem__)
         for t in range(len(on) + 1):
@@ -237,6 +253,38 @@ def _line_splits(points: Sequence[Point]) -> list[tuple[int, ...]]:
     # label 0 for agent 0's side sorting first
     ordered = sorted(sides, key=lambda mask: [~mask >> i & 1 for i in range(n)])
     return [(mask,) if mask == full else (mask, full ^ mask) for mask in ordered]
+
+
+def _pairs_longest_first(points: Sequence[Point]) -> list[tuple[float, int]]:
+    """Every pair of points as (Euclidean distance, pair bitmask), longest
+    first."""
+    return sorted(
+        (
+            (math.dist(points[i], points[j]), 1 << i | 1 << j)
+            for i, j in itertools.combinations(range(len(points)), 2)
+        ),
+        reverse=True,
+    )
+
+
+def _group_bound(pairs: Sequence[tuple[float, int]], mask: int, total: bool) -> float:
+    """A lower bound on the Euclidean optimum of the group of agents in
+    mask, from _pairs_longest_first of the agents: half the group's
+    longest pair under the max objective, and under the total the weight
+    of a greedy matching of its pairs, since d(i, c) + d(j, c) >= d(i, j)
+    for every centre c.  Up to the rounding of the distances and their
+    sum, it is at most the cost of the group at any point."""
+    bound, free = 0.0, mask
+    if free & (free - 1):
+        for d, pair in pairs:
+            if free & pair == pair:
+                if not total:
+                    return d / 2.0
+                bound += d
+                free ^= pair
+                if not free & (free - 1):
+                    break
+    return bound
 
 
 def optimal_welfare(
@@ -257,37 +305,47 @@ def optimal_welfare(
     facilities on a 2-d Euclidean profile among the line splits only.
     Unused facilities duplicate the last used location.
 
-    The partition search is a branch and bound over the restricted-growth
-    tree (_partitions), pruned where every group kernel is exact up to
-    rounding: on Manhattan profiles, and under the max objective on 1-d
-    profiles.  Adding an agent to a group never lowers its optimal cost,
-    so the values of a node's partial groups, summed under the total and
-    maxed under the max objective, bound from below the value of every
-    partition under the node.  In floats, with eps = 2^-53 and M the
-    largest coordinate magnitude:
+    Both searches are a branch and bound on a lower bound per group: its
+    computed value on Manhattan profiles, and _group_bound, from pairwise
+    distances, on Euclidean ones.  The partition search walks the
+    restricted-growth tree (_partitions) and cuts a node whose partial
+    groups' bounds, summed under the total and maxed under the max
+    objective, exceed the cutoff: adding an agent to a group never lowers
+    its optimal cost, so that fold bounds from below the value of every
+    partition under the node.  The line-split search ranks the splits by
+    the fold of their two groups' bounds and stops at the first past the
+    cutoff.  In floats, with eps = 2^-53 and M the largest coordinate
+    magnitude:
     - a Manhattan total's centre is exact (coordinate medians are input
       coordinates), and its value and the block sum take at most
       dim + 2n roundings, each relative;
-    - a max centre (the rotated box's or the 1-d midpoint) is rounded by a
-      few ulp(M), so a max group's value lies between its optimum minus
-      4 ulp(M) and its optimum plus 10 ulp(M), and the max fold is exact.
+    - a Manhattan max centre (the rotated box's or the 1-d midpoint) is
+      rounded by a few ulp(M), so a max group's value lies between its
+      optimum minus 4 ulp(M) and its optimum plus 10 ulp(M), and the max
+      fold is exact;
+    - a Euclidean group's bound is at most its true optimum OPT, up to the
+      rounding of at most n/2 distances and their sum, so
+      bound <= OPT (1 + 4n eps); its value is a real cost at the centre
+      the kernel returned, however far that centre is from the optimal
+      one, rounded in its n distances and their sum, so
+      OPT <= value (1 + 4n eps).  Below the normal range each rounding
+      errs by at most ulp(M) / 2 instead.
     So a node's bound exceeds the value V of any partition under it by at
     most rel * V + 64 ulp(M), where rel = max(1e-12, 8 (dim + 2n) eps)
-    leaves room to spare.  A node is cut when its bound exceeds
-    best * (1 + rel) + 64 ulp(M), best being the lowest value of a
+    leaves room to spare.  A node, or a line split, is cut when its bound
+    exceeds best * (1 + rel) + 64 ulp(M), best being the lowest value of a
     partition already found; every partition under it is then strictly
-    worse than that one, so it can neither win nor tie, and the search
-    returns what the full enumeration does.  The two-block splits of each
-    axis' sorted order into a prefix and a suffix give the first best.
-    Profiles with a coordinate beyond 2^512 in magnitude, where sums of
-    distances could overflow, are searched in full.
+    worse than that one, so it can neither win nor tie.  Ties are compared
+    on (value, facility tuple, restricted-growth rank), so the walk's order
+    does not decide them, and the search returns what the full enumeration
+    does.  The two-block splits of each axis' sorted order into a prefix
+    and a suffix give the partition search its first best.  Profiles with
+    a coordinate beyond 2^512 in magnitude, where sums of distances could
+    overflow, are searched in full, in restricted-growth order.
 
-    Euclidean groups in 2-d and more are searched in full too.  The
-    geometric median is certified only to geometry._RESIDUAL_ACCEPT, and
-    the enclosing circle's centre is ill-conditioned on needle-thin
-    triangles, where its value can exceed a superset's by 1e-11 relative
-    and more: a partial group's value can then exceed every completion's
-    by more than any rounding slack.
+    A group is solved only when the search reaches it, so a
+    ConvergenceError from the geometric median surfaces only from a group
+    whose bound did not rule it out.
     """
     objective = WelfareObjective(objective)
     if spec.capacitated:
@@ -321,34 +379,59 @@ def optimal_welfare(
         group = group_cache[mask] = (fold(costs), center)
         return group
 
-    def lower(masks: tuple[int, ...]) -> float:
+    def solved(masks: tuple[int, ...]) -> float:
         return fold([(group_cache.get(mask) or solve(mask))[0] for mask in masks])
+
+    if euclidean:
+        pairs = _pairs_longest_first(agents)
+        bounds: dict[int, float] = {}
+
+        def lower(masks: tuple[int, ...]) -> float:
+            for mask in masks:
+                if mask not in bounds:
+                    bounds[mask] = _group_bound(pairs, mask, total)
+            return fold([bounds[mask] for mask in masks])
+
+    else:
+        lower = solved
 
     def cut(masks: tuple[int, ...]) -> bool:
         return lower(masks) > cutoff
+
+    def by_bound() -> Iterator[tuple[int, tuple[int, ...]]]:
+        """The line splits with their restricted-growth ranks, lowest
+        bound first, up to the first bound past the cutoff."""
+        splits = _line_splits(agents)
+        for bound, rank in sorted((lower(masks), rank) for rank, masks in enumerate(splits)):
+            if bound > cutoff:
+                return
+            yield rank, splits[rank]
 
     # the slack derived in the docstring
     scale = max(abs(c) for p in agents for c in p)
     rel = max(1e-12, (profile.dim + 2 * n) * 2.0**-50)
     absolute = 64 * math.ulp(scale)
     cutoff = math.inf
-    prune = (not euclidean or (not total and profile.dim == 1)) and scale <= 2.0**512
-    if prune:
-        # the splits of each axis' sorted order into a prefix and a suffix
-        # are two-block partitions: their best value seeds the cutoff
-        full = (1 << n) - 1
-        for k in range(profile.dim):
-            prefix = 0
-            for i in sorted(range(n), key=lambda i: agents[i][k])[:-1]:
-                prefix |= 1 << i
-                value = lower((prefix, full ^ prefix))
-                cutoff = min(cutoff, value + value * rel + absolute)
+    prune = scale <= 2.0**512
     if line_splits:
-        candidates: Iterable[tuple[int, ...]] = _line_splits(agents)
+        candidates: Iterable[tuple[int, tuple[int, ...]]] = (
+            by_bound() if prune else enumerate(_line_splits(agents))
+        )
     else:
-        candidates = _partitions(n, min(spec.m, n), cut if prune else None)
-    best: tuple[float, tuple[Point, ...], tuple[int, ...]] | None = None
-    for masks in candidates:
+        if prune:
+            # the splits of each axis' sorted order into a prefix and a
+            # suffix are two-block partitions: their best value seeds the
+            # cutoff
+            full = (1 << n) - 1
+            for k in range(profile.dim):
+                prefix = 0
+                for i in sorted(range(n), key=lambda i: agents[i][k])[:-1]:
+                    prefix |= 1 << i
+                    value = solved((prefix, full ^ prefix))
+                    cutoff = min(cutoff, value + value * rel + absolute)
+        candidates = enumerate(_partitions(n, min(spec.m, n), cut if prune else None))
+    best: tuple[float, tuple[Point, ...], int, tuple[int, ...]] | None = None
+    for rank, masks in candidates:
         centers: list[Point] = []
         block_costs: list[float] = []
         for mask in masks:
@@ -357,11 +440,11 @@ def optimal_welfare(
             centers.append(group[1])
         value = fold(block_costs)
         padded = tuple(centers) + (centers[-1],) * (spec.m - len(masks))
-        if best is None or (value, padded) < best[:2]:
-            best = (value, padded, masks)
+        if best is None or (value, padded, rank) < best[:3]:
+            best = (value, padded, rank, masks)
             cutoff = min(cutoff, value + value * rel + absolute)
     assert best is not None
-    _, locations, masks = best
+    _, locations, _, masks = best
     assignment = [0] * n
     for b, mask in enumerate(masks, 1):
         for i in range(n):

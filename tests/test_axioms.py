@@ -489,6 +489,8 @@ class TestMalformedCertificateDocuments:
             ("spec", [1], "'spec' must be"),
             ("original", {"locations": [[2.0, 2.0]]}, "assignment"),
             ("original", None, "'original' must be"),
+            # refused before serial dictatorship pads a placement to it
+            ("spec", {"facilities": 10**30}, "facility count must be at most 1000"),
         ],
         ids=[
             "improvement-true",
@@ -499,6 +501,7 @@ class TestMalformedCertificateDocuments:
             "spec-list",
             "original-without-assignment",
             "original-null",
+            "spec-facilities-past-cap",
         ],
     )
     def test_malformed_field_rejected(self, field, bad, match):

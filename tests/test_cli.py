@@ -175,9 +175,13 @@ class TestRun:
              "point has a coordinate beyond the float range"),
             ("run", {"mechanism": {"kind": "percentile_multi_d", "params": [[10**400, 0.5]]}},
              "mechanism parameter beyond the float range"),
+            # refused before the oracle pads its facility tuple to it
+            ("oracle", {"agents": [[0, 0], [1, 1], [2, 0]], "facilities": 10**30,
+                        "mechanism": None},
+             "facility count must be at most 1000"),
         ],
         ids=["agent_number", "agent_string", "capacities_number",
-             "coordinate_beyond_float", "parameter_beyond_float"],
+             "coordinate_beyond_float", "parameter_beyond_float", "facilities_past_cap"],
     )
     def test_malformed_instance_field_fails_validation(
         self, tmp_path, capsys, command, fields, message

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facloc.geometry import (
+    ConvergenceError,
     Metric,
     coordinate_median,
     distance,
@@ -34,7 +35,13 @@ from facloc.welfare import (
     optimal_capacitated_assignment,
     optimal_welfare,
 )
-from facloc.welfare import _line_splits, _orientation, _partitions
+from facloc.welfare import (
+    _group_bound,
+    _line_splits,
+    _orientation,
+    _pairs_longest_first,
+    _partitions,
+)
 from helpers import grid_min_max_distance
 
 RECTANGLE = ((0.0, 0.0), (0.0, 2.0), (12.0, 2.0), (12.0, 0.0))
@@ -352,6 +359,41 @@ def test_line_splits_match_full_enumeration(pts, objective):
         assert evaluate(prof, sol, objective) == value
 
 
+def line_split_optimum(prof, objective):
+    """The two-facility search over _line_splits without a bound: every
+    split in its order, each group solved on its sorted points, ties broken
+    toward the smaller facility tuple and then toward the earlier split."""
+    best = None
+    for masks in _line_splits(prof.agents):
+        centers, costs = [], []
+        for mask in masks:
+            group = tuple(sorted(p for i, p in enumerate(prof.agents) if mask >> i & 1))
+            cost, center = reference_group_optimum(group, prof.metric, objective)
+            centers.append(center)
+            costs.append(cost)
+        value = sum(costs) if objective is WelfareObjective.TOTAL else max(costs)
+        padded = tuple(centers) + (centers[-1],) * (2 - len(centers))
+        if best is None or (value, padded) < best[:2]:
+            best = (value, padded, masks)
+    assignment = tuple(1 + sum(b for b, mask in enumerate(best[2]) if mask >> i & 1)
+                       for i in range(prof.n))
+    solution = Solution(best[1], assignment)
+    return evaluate(prof, solution, objective), solution
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    pts=st.one_of(_uniform, _grid, _collinear, _duplicates),
+    scale=st.sampled_from((1.0, 1e-6, 1e6)),
+    objective=st.sampled_from(list(WelfareObjective)),
+)
+def test_bounded_line_split_search_matches_the_full_scan_bit_for_bit(pts, scale, objective):
+    prof = AgentProfile(tuple((x * scale, y * scale) for x, y in pts))
+    assert repr(optimal_welfare(prof, FacilitySpec(2), objective)) == repr(
+        line_split_optimum(prof, objective)
+    )
+
+
 @st.composite
 def _enumerated_cases(draw):
     """A profile, facility count and objective the full enumeration serves:
@@ -484,7 +526,12 @@ def _two_clusters(n):
 
 
 @pytest.mark.parametrize("objective", list(WelfareObjective))
-def test_pruning_solves_fewer_groups_than_the_full_search(monkeypatch, objective):
+@pytest.mark.parametrize(
+    "metric, m",
+    [(Metric.MANHATTAN, 2), (Metric.EUCLIDEAN, 2), (Metric.EUCLIDEAN, 3)],
+    ids=["manhattan", "line-splits", "euclidean-three"],
+)
+def test_pruning_solves_fewer_groups_than_the_full_search(monkeypatch, metric, m, objective):
     solved = []
     kernel = welfare._one_facility_centre
 
@@ -493,11 +540,106 @@ def test_pruning_solves_fewer_groups_than_the_full_search(monkeypatch, objective
         return kernel(pts, metric, objective)
 
     monkeypatch.setattr(welfare, "_one_facility_centre", counting)
-    prof = AgentProfile(_two_clusters(PARTITION_ORACLE_MAX_AGENTS), Metric.MANHATTAN)
-    _, sol = optimal_welfare(prof, FacilitySpec(2), objective)
-    assert sol.assignment == (1, 2) * 5
-    # the full search solves every nonempty group once
-    assert len(solved) < 2**PARTITION_ORACLE_MAX_AGENTS - 1
+    prof = AgentProfile(_two_clusters(PARTITION_ORACLE_MAX_AGENTS), metric)
+    _, sol = optimal_welfare(prof, FacilitySpec(m), objective)
+    if m == 2:
+        assert sol.assignment == (1, 2) * 5
+    # the full search solves every nonempty group once, and the unbounded
+    # line-split scan every group of a split
+    if metric is Metric.EUCLIDEAN and m == 2:
+        full = len({mask for masks in _line_splits(prof.agents) for mask in masks})
+    else:
+        full = 2**PARTITION_ORACLE_MAX_AGENTS - 1
+    assert len(solved) < full
+
+
+@st.composite
+def _needles(draw):
+    """A needle-thin triangle, long side 0.1-100 and height 1e-9 to 1e-2 of
+    it, with up to three agents on its long side."""
+    x, y = draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))
+    length = draw(st.floats(0.1, 100.0))
+    angle = draw(st.floats(0.0, 2 * math.pi))
+    height = length * draw(st.sampled_from((1e-9, 1e-6, 1e-4, 1e-2)))
+    ux, uy = math.cos(angle), math.sin(angle)
+    apex = draw(st.floats(0.3, 0.7)) * length
+    along = [length * t for t in draw(st.lists(st.floats(0.0, 1.0), max_size=3))]
+    return [(x, y), (x + length * ux, y + length * uy),
+            (x + apex * ux - height * uy, y + apex * uy + height * ux)] + [
+        (x + t * ux, y + t * uy) for t in along
+    ]
+
+
+# the near-collinear profile on which geometry.geometric_median gives up
+NEAR_COLLINEAR = (
+    (-4.2506123300808296e-10, 3.504115627133421e-10),
+    (6.371290347208169e-07, 7.707583144244762e-07),
+    (-38.16586842232048, -46.296506213429545),
+    (0.0, 0.0),
+    (32.75903706249175, 39.73783449986036),
+    (0.6360978070386747, 0.7716084368904924),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    pts=st.one_of(
+        _uniform, _grid, _collinear, _duplicates, _needles(),
+        st.just(NEAR_COLLINEAR),
+    ),
+    scale=st.sampled_from((1.0, 1e-6, 1e6)),
+    data=st.data(),
+)
+def test_group_bound_never_exceeds_the_computed_group_value(pts, scale, data):
+    pts = [(x * scale, y * scale) for x, y in pts]
+    n = len(pts)
+    mask = data.draw(st.integers(1, (1 << n) - 1))
+    group = sorted(p for i, p in enumerate(pts) if mask >> i & 1)
+    pairs = _pairs_longest_first(pts)
+    for objective in WelfareObjective:
+        total = objective is WelfareObjective.TOTAL
+        try:
+            center = welfare._one_facility_centre(group, Metric.EUCLIDEAN, objective)
+        except ConvergenceError as exc:
+            # a point's cost is no lower than the optimum either
+            center = exc.best
+        costs = [math.dist(p, center) for p in group]
+        value = sum(costs) if total else max(costs)
+        # bound <= OPT (1 + 4 n eps) and OPT <= value (1 + 4 n eps), as
+        # optimal_welfare derives
+        assert _group_bound(pairs, mask, total) <= value * (1 + 8 * n * 2.0**-53)
+
+
+def test_a_solver_failure_counts_only_in_groups_the_search_reaches(monkeypatch):
+    prof = AgentProfile(_two_clusters(10))
+    total = WelfareObjective.TOTAL
+    expected = optimal_welfare(prof, FacilitySpec(2), total)
+    kernel = welfare._geometric_median
+
+    def mixed(pts):
+        return len({x > 50.0 for x, _ in pts}) == 2
+
+    def failing_on(which):
+        def median(pts):
+            if which(pts):
+                raise ConvergenceError("geometric median did not converge", best=pts[0])
+            return kernel(pts)
+
+        return median
+
+    # the unbounded scan solves the one-group split, which mixes the two
+    # clusters; the bound of a mixed group is at least its longest pair,
+    # over 80, and the optimum is below that, so the search skips them all
+    assert (2**10 - 1,) in _line_splits(prof.agents)
+    assert expected[0] < 80.0
+    monkeypatch.setattr(welfare, "_geometric_median", failing_on(mixed))
+    assert repr(optimal_welfare(prof, FacilitySpec(2), total)) == repr(expected)
+    # a group of the winning split does fail the search
+    monkeypatch.setattr(
+        welfare, "_geometric_median", failing_on(lambda pts: len(pts) == 5 and not mixed(pts))
+    )
+    with pytest.raises(ConvergenceError):
+        optimal_welfare(prof, FacilitySpec(2), total)
 
 
 def test_many_facilities_hold_no_partition_list():
@@ -539,6 +681,12 @@ class TestLineSplits:
             tuple(int(t >= cut) ^ int(ts[0] >= cut) for t in ts) for cut in range(1, 6)
         }
         assert splits == [_as_masks(labels) for labels in sorted(expected)]
+
+    def test_overflowing_determinants_take_the_exact_stage(self):
+        # each product overflows, so the float determinant is inf - inf; the
+        # three agents lie on one line
+        splits = _line_splits([(1e308, -1e308), (-1e308, 1e308), (0.0, 0.0)])
+        assert splits == [(0b111,), (0b101, 0b010), (0b001, 0b110)]
 
     def test_coincident_points_give_one_split(self):
         assert _line_splits([(1.0, 1.0)] * 4) == [(0b1111,)]
