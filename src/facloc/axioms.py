@@ -17,10 +17,12 @@ per agent clamp it just below the others' smallest report; and
 check_pareto for one facility in the plane, where a Euclidean placement in
 the agents' convex hull is undominated, Euclidean dominations of a
 placement outside it are searched on O(n^2) points of the lens of the
-agents' balls, and Manhattan dominations on the O(n^2) vertices of a line
-arrangement (both exhaustive while no coordinate exceeds 64 in magnitude;
-see check_pareto).  Everywhere else the candidates are a budgeted lattice,
-and None only means "no violation found at the searched resolution".
+agents' balls, and Manhattan dominations on the vertices of a line
+arrangement, on the lines that meet the rectangle D where the agents'
+balls overlap in (x + y, x - y) coordinates (both exhaustive while no
+coordinate exceeds 64 in magnitude; see check_pareto).  Everywhere else
+the candidates are a budgeted lattice, and None only means "no violation
+found at the searched resolution".
 
 Inputs are validated once per call.  The strategy-proofness and anonymity
 checkers run the public run_mechanism on the honest profile, which checks
@@ -414,14 +416,59 @@ def _diamond_vertices(
 ) -> set[Point]:
     """Vertices of the arrangement of the agents' axis lines x = a_x and
     y = a_y and of the edge lines x + y = const and x - y = const of the
-    Manhattan balls of radius costs[i] around them; finite ones only."""
+    Manhattan balls of radius costs[i] around them, on the lines that meet
+    the dominating set D up to rounding; finite ones only.
+
+    In u = x + y and v = x - y the ball of agent a is the square
+    |u - u_a| <= c_a, |v - v_a| <= c_a.  So D is the rectangle
+    [U_lo, U_hi] x [V_lo, V_hi], with U_lo = max(u_a - c_a),
+    U_hi = min(u_a + c_a) and V alike.  Its x extent is
+    [(U_lo + V_lo) / 2, (U_hi + V_hi) / 2] and its y extent
+    [(U_lo - V_hi) / 2, (U_hi - V_lo) / 2].  A point whose u falls below
+    U_lo by t is farther than c_a + t from the agent a that sets U_lo; the
+    other three sides are alike, and a point whose x or y misses D's extent
+    by t misses D's u or v range by t.  So an axis line is kept only within
+    delta of D's x or y extent, and an edge line only within delta of
+    [U_lo, U_hi] or [V_lo, V_hi].  Kept vertices are built as the full
+    arrangement builds them, so they are a subset of its vertices, and a
+    dropped vertex leaves some agent's rounded trip above c_a +
+    REPLAY_SLACK, so it fails _domination_margin.
+
+    delta: let M bound every |coordinate| and cost, s = M + REPLAY_SLACK
+    and eps = 2^-53.  Vertex coordinates stay under 4M, and each rounded
+    sum or difference here errs by at most 6 s eps, absolute errors near
+    the subnormal range included.  For a dropped vertex, the rounded bounds
+    of D and of its extents, widened by delta, are off by at most
+    12 s eps; a vertex on an edge line has its u or v within 6 s eps of
+    the line; its rounded trip falls short of the exact one by at most
+    20 s eps; and c_a + REPLAY_SLACK rounds up by at most s eps.  That is
+    39 s eps, and delta = REPLAY_SLACK + 2^-46 s lies 128 s eps past
+    REPLAY_SLACK, less a few s eps of its own rounding.  The bound needs
+    sums that cannot overflow: where M exceeds 2^512 every line is kept.
+    """
     xs = {a[0] for a in agents}
     ys = {a[1] for a in agents}
     sums: set[float] = set()  # x + y
     diffs: set[float] = set()  # x - y
+    u_lo = v_lo = -math.inf
+    u_hi = v_hi = math.inf
     for (ax, ay), c in zip(agents, costs):
-        sums.update((ax + ay - c, ax + ay + c))
-        diffs.update((ax - ay - c, ax - ay + c))
+        u, v = ax + ay, ax - ay
+        sums.update((u - c, u + c))
+        diffs.update((v - c, v + c))
+        u_lo, u_hi = max(u_lo, u - c), min(u_hi, u + c)
+        v_lo, v_hi = max(v_lo, v - c), min(v_hi, v + c)
+    scale = max(max(map(abs, xs)), max(map(abs, ys)), max(costs))
+    if scale <= 2.0**512:
+        delta = REPLAY_SLACK + 2.0**-46 * (scale + REPLAY_SLACK)
+        x_lo, x_hi = (u_lo + v_lo) / 2.0 - delta, (u_hi + v_hi) / 2.0 + delta
+        y_lo, y_hi = (u_lo - v_hi) / 2.0 - delta, (u_hi - v_lo) / 2.0 + delta
+        u_lo, u_hi = u_lo - delta, u_hi + delta
+        v_lo, v_hi = v_lo - delta, v_hi + delta
+        xs = {x for x in xs if x_lo <= x <= x_hi}
+        ys = {y for y in ys if y_lo <= y <= y_hi}
+        sums = {u for u in sums if u_lo <= u <= u_hi}
+        diffs = {v for v in diffs if v_lo <= v <= v_hi}
     # sized before anything is built, as the lattice is
     size = (
         len(xs) * len(ys)
@@ -566,7 +613,11 @@ def check_pareto(
     agent's gain is concave and piecewise linear, so the best gain over
     that set, and the lexicographically smallest point reaching it, lie on
     a vertex of the arrangement of the agents' axis lines and of the edge
-    lines of the balls: O(n^2) candidates.  Under Euclidean distance a
+    lines of the balls.  In (x + y, x - y) coordinates each ball is a
+    square and the set is a rectangle D, so only the lines that meet D
+    (up to rounding) are kept: at most O(n^2) candidates, and the same
+    answer as the full arrangement (see _diamond_vertices).  Under
+    Euclidean distance a
     placement p in the agents' convex hull is Pareto optimal, since moving
     it lengthens the trip of some agent: None there is a proof.  Outside
     the hull the set is a lens D of disks whose circles all pass through

@@ -976,6 +976,14 @@ FUZZ_BUDGET = SearchBudget(grid_resolution=0.1, bounding_box_pad=0.5)
 HUGE = (0.0, 1.0, -1.0, 8.9e307, -8.9e307, 1e308, -1e308, 1.7976931348623157e308)
 # (0.6, 0) dominates the corner (2, 1.4), off every 0.25 lattice point
 CORNER_MISS = AgentProfile(((0.4, 0.0), (0.0, 1.4), (2.0, 0.0)), Metric.MANHATTAN)
+# a Manhattan profile and a placement whose own vertex the line filter
+# would drop without its 2^512 guard, where the bounds of D overflow...
+FLOAT_RANGE_MISS = (AgentProfile(((1.7e308, -1.0),), Metric.MANHATTAN), (1e308, 0.0))
+# ...and with a delta of REPLAY_SLACK alone, without the rounding term
+ROUNDING_MISS = (
+    AgentProfile(((-1.0, -6.703903964971299e153),), Metric.MANHATTAN),
+    (3.0, -6.703903964971299e153),
+)
 
 
 def lattice_margin(profile, solution, budget):
@@ -1071,6 +1079,78 @@ def outside_placements(draw):
     return AgentProfile(agents), draw(st.tuples(far, far))
 
 
+def full_arrangement(agents, costs):
+    """Every finite vertex of the arrangement of the agents' axis lines and
+    of the edge lines of their Manhattan balls, with the formulas of
+    axioms._diamond_vertices and none of its lines left out."""
+    xs = {a[0] for a in agents}
+    ys = {a[1] for a in agents}
+    sums, diffs = set(), set()
+    for (ax, ay), c in zip(agents, costs):
+        sums.update((ax + ay - c, ax + ay + c))
+        diffs.update((ax - ay - c, ax - ay + c))
+    vertices = set(itertools.product(xs, ys))
+    for x in xs:
+        vertices.update((x, u - x) for u in sums)
+        vertices.update((x, x - v) for v in diffs)
+    for y in ys:
+        vertices.update((u - y, y) for u in sums)
+        vertices.update((v + y, y) for v in diffs)
+    vertices.update(((u + v) / 2.0, (u - v) / 2.0) for u in sums for v in diffs)
+    return {p for p in vertices if math.isfinite(p[0]) and math.isfinite(p[1])}
+
+
+def full_arrangement_pareto(profile, solution):
+    """check_pareto's Manhattan one-facility search over the full
+    arrangement."""
+    p = solution.locations[0]
+    costs = [distance(a, p, Metric.MANHATTAN) for a in profile.agents]
+    if not all(map(math.isfinite, costs)):
+        raise OracleCapError("an agent's trip overflows the float range")
+    points = full_arrangement(profile.agents, costs)
+    return axioms._best_domination(profile, solution, costs, ((q,) for q in points))
+
+
+def pareto_outcome(refuter, profile, solution):
+    try:
+        return repr(refuter(profile, solution))
+    except OracleCapError:
+        return "OracleCapError"
+
+
+@st.composite
+def manhattan_placements(draw):
+    """Manhattan planar profiles, uniform, on a grid or with repeated
+    agents, scaled by 1e-6, 64 or 1e6, or drawn from HUGE; and a placement
+    inside their bounding box or outside it."""
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["uniform", "grid", "repeated", "huge"]))
+    if shape == "huge":
+        coords = st.sampled_from(HUGE)
+        agents = draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n))
+        return AgentProfile(tuple(agents), Metric.MANHATTAN), draw(st.tuples(coords, coords))
+    if shape == "grid":
+        coords, unit = st.integers(-3, 3).map(float), st.integers(0, 4).map(lambda k: k / 4)
+    else:
+        coords = unit = st.floats(0.0, 1.0)
+    if shape == "repeated":
+        distinct = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=3))
+        agents = draw(st.lists(st.sampled_from(distinct), min_size=n, max_size=n))
+    else:
+        agents = draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n))
+    lo, hi = bounding_box(agents)
+    # inside: a point of the box; outside: past one side of it by up to
+    # its width plus one, anywhere along the other axis
+    p = [lo[k] + draw(unit) * (hi[k] - lo[k]) for k in (0, 1)]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 1))
+        reach = draw(unit) * (hi[k] - lo[k] + 1.0) + 0.25
+        p[k] = hi[k] + reach if draw(st.booleans()) else lo[k] - reach
+    scale = draw(st.sampled_from([1e-6, 1.0, 64.0, 1e6]))
+    agents = tuple((x * scale, y * scale) for x, y in agents)
+    return AgentProfile(agents, Metric.MANHATTAN), (p[0] * scale, p[1] * scale)
+
+
 class TestExactPareto:
     def test_corner_pick_domination_off_the_lattice_is_found(self):
         desc = MechanismDescriptor.coordinate_extreme("max")
@@ -1104,10 +1184,12 @@ class TestExactPareto:
         assert check_pareto(CORNER_MISS, sol) is None
 
     def test_vertex_cap_checked_before_allocating(self):
-        # 300 agents on distinct rows and columns: over 700 000 vertices
-        agents = tuple((float(i), (7 * i) % 300 + 0.5) for i in range(300))
+        # 800 agents on distinct rows and columns, and a placement up and to
+        # the right of them all: D reaches past every agent's axis lines,
+        # so 640 000 vertices remain after the filter
+        agents = tuple((float(i), (7 * i) % 800 + 0.5) for i in range(800))
         profile = AgentProfile(agents, Metric.MANHATTAN)
-        sol = Solution(((100.3, 97.7),), (1,) * 300)
+        sol = Solution(((2000.0, 2000.0),), (1,) * 800)
         tracemalloc.start()
         try:
             with pytest.raises(OracleCapError, match="candidate vertices"):
@@ -1116,6 +1198,43 @@ class TestExactPareto:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_filtered_arrangement_fits_under_the_cap(self):
+        # the full arrangement of these 300 agents holds over 700 000
+        # vertices; the lines that meet D hold few
+        agents = tuple((float(i), (7 * i) % 300 + 0.5) for i in range(300))
+        profile = AgentProfile(agents, Metric.MANHATTAN)
+        sol = Solution(((100.3, 97.7),), (1,) * 300)
+        cert = check_pareto(profile, sol)
+        assert cert is None or verify_certificate(cert)
+
+    @settings(deadline=None, max_examples=150)
+    @given(case=manhattan_placements())
+    @example(case=FLOAT_RANGE_MISS)
+    @example(case=ROUNDING_MISS)
+    def test_matches_the_full_arrangement(self, case):
+        profile, p = case
+        sol = Solution((p,), (1,) * profile.n)
+        assert pareto_outcome(check_pareto, profile, sol) == pareto_outcome(
+            full_arrangement_pareto, profile, sol
+        )
+
+    @settings(deadline=None, max_examples=150)
+    @given(case=manhattan_placements())
+    @example(case=FLOAT_RANGE_MISS)
+    @example(case=ROUNDING_MISS)
+    def test_dropped_vertices_leave_an_agent_worse(self, case):
+        profile, p = case
+        agents = profile.agents
+        costs = [distance(a, p, Metric.MANHATTAN) for a in agents]
+        if not all(map(math.isfinite, costs)):
+            return
+        kept = axioms._diamond_vertices(agents, costs)
+        full = full_arrangement(agents, costs)
+        assert kept <= full
+        for q in full - kept:
+            new = [distance(a, q, Metric.MANHATTAN) for a in agents]
+            assert any(b > c + REPLAY_SLACK for c, b in zip(costs, new)), q
 
     def test_in_hull_placement_is_a_proof(self):
         # the padded box of this profile overflows, but no lattice is needed
