@@ -557,7 +557,12 @@ def _hull_projection(p: Point, hull: list[Point]) -> Point:
     nearest = [(math.dist(p, v), v) for v in hull]
     for a, b in _hull_edges(hull):
         dx, dy = b[0] - a[0], b[1] - a[1]
-        t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / (dx * dx + dy * dy)
+        length2 = dx * dx + dy * dy
+        # a squared length below the normal range may have underflowed to
+        # 0, and the ends of so short an edge stand in for its points
+        if length2 < 2.0**-1022:
+            continue
+        t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / length2
         # t is NaN where the products overflow; the ends stand in then
         if 0.0 < t < 1.0:
             q = (a[0] + t * dx, a[1] + t * dy)

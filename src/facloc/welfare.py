@@ -23,25 +23,30 @@ geometry cores, which do not check their input again; each block's answer
 is cached by its mask.  Of candidates with equal (value, facility tuple)
 the first in restricted-growth order wins, so that order decides ties.
 
-Both searches are a branch and bound on a lower bound per group.  A
-Manhattan group's bound is its computed optimum, as those kernels are exact
-up to rounding.  A Euclidean group's bound comes from pairwise distances
-alone: half its longest pair under the max objective, and under the total a
-greedy matching of its pairs, since d(i, c) + d(j, c) >= d(i, j) for every
-centre c.  That bound never exceeds the group's true optimum, however
-inexact the geometric median or the enclosing circle is, and every value
-the oracle computes is a real cost at some point, so never below it.  The
-partitions are walked depth first, placing agents in index order, and the
-walk cuts a subtree once its partial groups' bounds, summed or maxed as the
-objective folds them, exceed the best partition found, up to a rounding
-slack (1e-12 relative plus 64 ulp of the largest coordinate, derived in
-optimal_welfare): a group's optimal cost never drops when an agent joins
-it.  The line splits are ranked by the fold of their two groups' bounds and
-walked lowest first, up to the first that exceeds the best found.  A cut
-partition cannot equal the winner, and ties are compared on (value,
-facility tuple, restricted-growth rank) whatever the walk order, so the
-winner and its tie-break stay those of the full enumeration.  A group is
-solved only when the search reaches it.
+Both searches are a branch and bound on a lower bound per group, which
+calls no kernel.  Manhattan distance is the larger coordinate difference in
+(x + y, x - y), so a Manhattan group's optimum has a closed form: under the
+max objective half its larger range there, and under the total the sum
+over the axes of its deviations from its median on that axis, read off
+each axis' rank order.  Either lies within a few roundings of the value the
+kernels compute, on both sides.  A Euclidean group's bound comes from
+pairwise distances alone: half its longest pair under the max objective,
+and under the total a greedy matching of its pairs, since
+d(i, c) + d(j, c) >= d(i, j) for every centre c.  That bound never exceeds
+the group's true optimum, however inexact the geometric median or the
+enclosing circle is, and every value the oracle computes is a real cost at
+some point, so never below it.  The partitions are walked depth first,
+placing agents in index order, and the walk cuts a subtree once its
+partial groups' bounds, summed or maxed as the objective folds them,
+exceed the best partition found, up to a rounding slack (1e-12 relative
+plus 64 ulp of the largest coordinate, derived in optimal_welfare): a
+group's optimal cost never drops when an agent joins it.  The line splits
+are ranked by the fold of their two groups' bounds and walked lowest
+first, up to the first that exceeds the best found.  A cut partition
+cannot equal the winner, and ties are compared on (value, facility tuple,
+restricted-growth rank) whatever the walk order, so the winner and its
+tie-break stay those of the full enumeration.  The kernels solve only the
+groups of partitions that reach the cutoff.
 """
 
 from __future__ import annotations
@@ -218,40 +223,50 @@ def _line_splits(points: Sequence[Point]) -> list[tuple[int, ...]]:
     """
     n = len(points)
     full = (1 << n) - 1
+    pairs = list(itertools.combinations(range(n), 2))
+    # per pair (i, j): the points left of the line from i to j, and those
+    # on it in index order
+    left = dict.fromkeys(pairs, 0)
+    on: dict[tuple[int, int], list[int]] = {pair: [] for pair in pairs}
+    # the exact orientation is alternating in its arguments, so one sign
+    # per triple i < j < k places k against (i, j), j against (i, k) and i
+    # against (j, k); triples come in lexicographic order, so each pair's
+    # on-line points are appended in index order
+    for i, j, k in itertools.combinations(range(n), 3):
+        (ax, ay), (bx, by), (cx, cy) = points[i], points[j], points[k]
+        # _orientation's float filter, inlined: its exact stage runs only
+        # on a determinant too near zero to trust, or NaN after an overflow
+        lhs = (ax - cx) * (by - cy)
+        rhs = (ay - cy) * (bx - cx)
+        det = lhs - rhs
+        if not abs(det) > _ORIENT_ERRBOUND * (abs(lhs) + abs(rhs)) + _ORIENT_UNDERFLOW:
+            det = _orientation(points[i], points[j], points[k])
+        if det > 0:
+            left[i, j] |= 1 << k
+            left[j, k] |= 1 << i
+        elif det < 0:
+            left[i, k] |= 1 << j
+        else:
+            on[i, k].append(j)
+            on[i, j].append(k)
+            on[j, k].append(i)
     sides = {full}  # the side holding agent 0
-    for i, j in itertools.combinations(range(n), 2):
-        a, b = points[i], points[j]
-        if a == b:
+    for i, j in pairs:
+        if points[i] == points[j]:
             continue
-        (ax, ay), (bx, by) = a, b
-        left, on = 0, [i, j]
-        for k, c in enumerate(points):
-            if k == i or k == j:
-                continue
-            # _orientation's float filter, inlined: its exact stage runs
-            # only on a determinant too near zero to trust, or NaN after an
-            # overflow
-            cx, cy = c
-            lhs = (ax - cx) * (by - cy)
-            rhs = (ay - cy) * (bx - cx)
-            det = lhs - rhs
-            if not abs(det) > _ORIENT_ERRBOUND * (abs(lhs) + abs(rhs)) + _ORIENT_UNDERFLOW:
-                det = _orientation(a, b, c)
-            if det > 0:
-                left |= 1 << k
-            elif det == 0:
-                on.append(k)
         # lexicographic order is the order along the line
-        on.sort(key=points.__getitem__)
-        for t in range(len(on) + 1):
-            for part in (on[:t], on[t:]):
-                mask = left
-                for k in part:
-                    mask |= 1 << k
+        line = sorted([i, j, *on[i, j]], key=points.__getitem__)
+        whole = sum(1 << k for k in line)
+        prefix = 0
+        # the empty prefix gives the same two sides as the whole line
+        for k in line:
+            for mask in (left[i, j] | prefix, left[i, j] | whole ^ prefix):
                 sides.add(mask if mask & 1 else full ^ mask)
+            prefix |= 1 << k
     # restricted-growth order: the agents' labels in index order, with
-    # label 0 for agent 0's side sorting first
-    ordered = sorted(sides, key=lambda mask: [~mask >> i & 1 for i in range(n)])
+    # label 0 for agent 0's side sorting first, read as a binary number
+    # with agent 0's label most significant
+    ordered = sorted(sides, key=lambda mask: int(f"{full ^ mask:0{n}b}"[::-1], 2))
     return [(mask,) if mask == full else (mask, full ^ mask) for mask in ordered]
 
 
@@ -287,6 +302,86 @@ def _group_bound(pairs: Sequence[tuple[float, int]], mask: int, total: bool) -> 
     return bound
 
 
+def _median_deviations(points: Sequence[Point]) -> Callable[[int], float]:
+    """The Manhattan total of the group of agents in a mask, by axis: the
+    sum over the axes of the group's deviations from its lower median
+    there.  Each axis is ranked once, so a group's coordinates are read
+    off its mask already sorted.  The deviations are the float terms the
+    group's cost at _coordinate_median sums, in another order."""
+    ranked = [
+        sorted((p[k], 1 << i) for i, p in enumerate(points)) for k in range(len(points[0]))
+    ]
+
+    def bound(mask: int) -> float:
+        total = 0.0
+        for column in ranked:
+            xs = [x for x, bit in column if mask & bit]
+            mid = xs[(len(xs) - 1) >> 1]
+            total += sum([abs(x - mid) for x in xs])
+        return total
+
+    return bound
+
+
+def _rotated(points: Sequence[Point]) -> list[tuple[float, float]]:
+    """1-d or 2-d points as (u, v) = (x + y, x - y), or (x, x) in 1-d:
+    their Manhattan distance is the larger of |du| and |dv|."""
+    if len(points[0]) == 1:
+        return [(x, x) for x, in points]
+    return [(x + y, x - y) for x, y in points]
+
+
+def _rotated_ranges(points: Sequence[Point]) -> Callable[[int], float]:
+    """The Manhattan max of the group of agents in a mask, 1-d or 2-d:
+    half the larger of its u and v ranges (_rotated).  A group's box in
+    (u, v) extends the box of the group without its highest agent, which
+    the depth-first walk reached before it, so each box costs O(1)."""
+    rotated = _rotated(points)
+    boxes: dict[int, tuple[float, float, float, float]] = {}
+
+    def box(mask: int) -> tuple[float, float, float, float]:
+        found = boxes.get(mask)
+        if found is None:
+            top = mask.bit_length() - 1
+            u, v = rotated[top]
+            rest = mask ^ 1 << top
+            if rest:
+                lo_u, hi_u, lo_v, hi_v = box(rest)
+                found = (min(lo_u, u), max(hi_u, u), min(lo_v, v), max(hi_v, v))
+            else:
+                found = (u, u, v, v)
+            boxes[mask] = found
+        return found
+
+    def bound(mask: int) -> float:
+        lo_u, hi_u, lo_v, hi_v = box(mask)
+        return max(hi_u - lo_u, hi_v - lo_v) / 2.0
+
+    return bound
+
+
+def _two_squares(points: Sequence[Point]) -> int:
+    """The agents that the rectilinear 2-centre serves from its first
+    square, as a bitmask.  Two squares at opposite corners of the (u, v)
+    bounding box (_rotated) cover the agents at the optimal radius, for
+    one of the two diagonals (Drezner 1987); each agent goes to its nearer
+    corner, and the diagonal whose farthest agent is nearer wins."""
+    rotated = _rotated(points)
+    us, vs = zip(*rotated)
+    lo_u, hi_u = min(us), max(us)
+    best = (math.inf, 0)
+    for first, second in ((min(vs), max(vs)), (max(vs), min(vs))):
+        radius, mask = 0.0, 0
+        for i, (u, v) in enumerate(rotated):
+            near = max(u - lo_u, abs(v - first))
+            far = max(hi_u - u, abs(v - second))
+            radius = max(radius, min(near, far))
+            if near <= far:
+                mask |= 1 << i
+        best = min(best, (radius, mask))
+    return best[1]
+
+
 def optimal_welfare(
     profile: AgentProfile,
     spec: FacilitySpec,
@@ -305,9 +400,12 @@ def optimal_welfare(
     facilities on a 2-d Euclidean profile among the line splits only.
     Unused facilities duplicate the last used location.
 
-    Both searches are a branch and bound on a lower bound per group: its
-    computed value on Manhattan profiles, and _group_bound, from pairwise
-    distances, on Euclidean ones.  The partition search walks the
+    Both searches are a branch and bound on a lower bound per group, which
+    calls no kernel: under the Manhattan total the sum over the axes of
+    the group's deviations from its lower median there
+    (_median_deviations), under the Manhattan max half the larger of its
+    ranges in (x + y, x - y) (_rotated_ranges), and on Euclidean profiles
+    _group_bound, from pairwise distances.  The partition search walks the
     restricted-growth tree (_partitions) and cuts a node whose partial
     groups' bounds, summed under the total and maxed under the max
     objective, exceed the cutoff: adding an agent to a group never lowers
@@ -317,12 +415,22 @@ def optimal_welfare(
     cutoff.  In floats, with eps = 2^-53 and M the largest coordinate
     magnitude:
     - a Manhattan total's centre is exact (coordinate medians are input
-      coordinates), and its value and the block sum take at most
-      dim + 2n roundings, each relative;
+      coordinates), so its value and its bound sum the same rounded
+      deviations |x_k - med_k|, by agent and by axis respectively.  Each
+      deviation sits at most dim + n additions deep in either sum, the
+      block fold adds at most n more, and a subtraction or sum that
+      leaves the normal range is exact, so both are within
+      (dim + 2n + 1) eps relative of the exact sum of the deviations; a
+      median minimises the sum of deviations, so a partial group's exact
+      sum is at most its whole group's.  Bound and value thus differ by
+      at most 2 (dim + 2n + 1) eps relative, both ways;
     - a Manhattan max centre (the rotated box's or the 1-d midpoint) is
       rounded by a few ulp(M), so a max group's value lies between its
-      optimum minus 4 ulp(M) and its optimum plus 10 ulp(M), and the max
-      fold is exact;
+      optimum minus 4 ulp(M) and its optimum plus 10 ulp(M).  Its bound
+      rounds each u and v by at most ulp(M) and a range by at most
+      2 ulp(M), so it lies within 2 ulp(M) of the optimum, plus half a
+      subnormal from the halving, and bound and value differ by at most
+      13 ulp(M), both ways; the max fold is exact;
     - a Euclidean group's bound is at most its true optimum OPT, up to the
       rounding of at most n/2 distances and their sum, so
       bound <= OPT (1 + 4n eps); its value is a real cost at the centre
@@ -338,14 +446,23 @@ def optimal_welfare(
     worse than that one, so it can neither win nor tie.  Ties are compared
     on (value, facility tuple, restricted-growth rank), so the walk's order
     does not decide them, and the search returns what the full enumeration
-    does.  The two-block splits of each axis' sorted order into a prefix
-    and a suffix give the partition search its first best.  Profiles with
-    a coordinate beyond 2^512 in magnitude, where sums of distances could
-    overflow, are searched in full, in restricted-growth order.
+    does.  Profiles with a coordinate beyond 2^512 in magnitude, where sums
+    of distances could overflow, are searched in full, in restricted-growth
+    order.
 
-    A group is solved only when the search reaches it, so a
-    ConvergenceError from the geometric median surfaces only from a group
-    whose bound did not rule it out.
+    Two-block partitions give the partition search its first cutoff.
+    Under the Manhattan max with two facilities it is the partition that
+    the rectilinear 2-centre induces (_two_squares), which is optimal up
+    to rounding, solved by the kernels.  Otherwise it is the best split of
+    an axis' sorted order into a prefix and a suffix: solved by the
+    kernels on Euclidean profiles, and scored on its bound B on Manhattan
+    ones, whose value is then at most B (1 + rel) + 64 ulp(M) by the
+    two-way bounds above, so the slack is added twice.
+
+    The kernels solve the groups of those seeds and of the partitions
+    that reach the cutoff, and no others, so a ConvergenceError from the
+    geometric median surfaces only from a group whose bound did not rule
+    it out.
     """
     objective = WelfareObjective(objective)
     if spec.capacitated:
@@ -362,6 +479,8 @@ def optimal_welfare(
         raise OracleCapError(f"exact oracle capped at {cap} agents, got {n}")
     total = objective is WelfareObjective.TOTAL
     euclidean = metric is Metric.EUCLIDEAN
+    if not total and profile.dim > 2:
+        raise ValueError("max-distance optimum supports 1-d and 2-d points only")
     fold = sum if total else max
     # a group's points in this order are its sorted points, ties included
     order = sorted(range(n), key=agents.__getitem__)
@@ -382,18 +501,22 @@ def optimal_welfare(
     def solved(masks: tuple[int, ...]) -> float:
         return fold([(group_cache.get(mask) or solve(mask))[0] for mask in masks])
 
+    bound: Callable[[int], float]
     if euclidean:
         pairs = _pairs_longest_first(agents)
-        bounds: dict[int, float] = {}
 
-        def lower(masks: tuple[int, ...]) -> float:
-            for mask in masks:
-                if mask not in bounds:
-                    bounds[mask] = _group_bound(pairs, mask, total)
-            return fold([bounds[mask] for mask in masks])
+        def bound(mask: int) -> float:
+            return _group_bound(pairs, mask, total)
 
     else:
-        lower = solved
+        bound = _median_deviations(agents) if total else _rotated_ranges(agents)
+    bounds: dict[int, float] = {}
+
+    def lower(masks: tuple[int, ...]) -> float:
+        for mask in masks:
+            if mask not in bounds:
+                bounds[mask] = bound(mask)
+        return fold([bounds[mask] for mask in masks])
 
     def cut(masks: tuple[int, ...]) -> bool:
         return lower(masks) > cutoff
@@ -402,8 +525,8 @@ def optimal_welfare(
         """The line splits with their restricted-growth ranks, lowest
         bound first, up to the first bound past the cutoff."""
         splits = _line_splits(agents)
-        for bound, rank in sorted((lower(masks), rank) for rank, masks in enumerate(splits)):
-            if bound > cutoff:
+        for low, rank in sorted((lower(masks), rank) for rank, masks in enumerate(splits)):
+            if low > cutoff:
                 return
             yield rank, splits[rank]
 
@@ -411,6 +534,10 @@ def optimal_welfare(
     scale = max(abs(c) for p in agents for c in p)
     rel = max(1e-12, (profile.dim + 2 * n) * 2.0**-50)
     absolute = 64 * math.ulp(scale)
+
+    def above(value: float) -> float:
+        return value + value * rel + absolute
+
     cutoff = math.inf
     prune = scale <= 2.0**512
     if line_splits:
@@ -419,16 +546,25 @@ def optimal_welfare(
         )
     else:
         if prune:
-            # the splits of each axis' sorted order into a prefix and a
-            # suffix are two-block partitions: their best value seeds the
-            # cutoff
             full = (1 << n) - 1
-            for k in range(profile.dim):
-                prefix = 0
-                for i in sorted(range(n), key=lambda i: agents[i][k])[:-1]:
-                    prefix |= 1 << i
-                    value = solved((prefix, full ^ prefix))
-                    cutoff = min(cutoff, value + value * rel + absolute)
+            if not euclidean and not total and spec.m == 2:
+                # the rectilinear 2-centre's partition is optimal, up to
+                # rounding
+                first = _two_squares(agents)
+                cutoff = above(solved((first, full ^ first) if 0 < first < full else (full,)))
+            else:
+                # the splits of each axis' sorted order into a prefix and a
+                # suffix are two-block partitions
+                for k in range(profile.dim):
+                    prefix = 0
+                    for i in sorted(range(n), key=lambda i: agents[i][k])[:-1]:
+                        prefix |= 1 << i
+                        masks = (prefix, full ^ prefix)
+                        # a Manhattan bound also exceeds its partition's
+                        # computed value by at most the slack, so above()
+                        # of it is at least that value
+                        value = solved(masks) if euclidean else above(lower(masks))
+                        cutoff = min(cutoff, above(value))
         candidates = enumerate(_partitions(n, min(spec.m, n), cut if prune else None))
     best: tuple[float, tuple[Point, ...], int, tuple[int, ...]] | None = None
     for rank, masks in candidates:
@@ -442,7 +578,7 @@ def optimal_welfare(
         padded = tuple(centers) + (centers[-1],) * (spec.m - len(masks))
         if best is None or (value, padded, rank) < best[:3]:
             best = (value, padded, rank, masks)
-            cutoff = min(cutoff, value + value * rel + absolute)
+            cutoff = min(cutoff, above(value))
     assert best is not None
     _, locations, _, masks = best
     assignment = [0] * n

@@ -1034,14 +1034,14 @@ def planar_profiles(draw):
     return AgentProfile(tuple(pts), draw(st.sampled_from(list(Metric))))
 
 
-def lens_gains(agents, p, points):
+def lens_gains(agents, p, points, slack=REPLAY_SLACK):
     """Each agent's largest gain over the points that dominate the one
-    facility at p, up to REPLAY_SLACK; 0.0 where none does."""
+    facility at p, up to slack; 0.0 where none does."""
     old = [math.dist(a, p) for a in agents]
     best = [0.0] * len(agents)
     for q in points:
         new = [math.dist(a, q) for a in agents]
-        if all(b <= a + REPLAY_SLACK for a, b in zip(old, new)):
+        if all(b <= a + slack for a, b in zip(old, new)):
             best = [max(g, a - b) for g, a, b in zip(best, old, new)]
     return best
 
@@ -1322,10 +1322,33 @@ class TestExactPareto:
     @given(case=outside_placements())
     # the agent's whole trip, 4.4e-12, is a gain below GAIN_TOLERANCE
     @example(case=(AgentProfile(((0.0, 0.0),)), (0.0, 4.4075604089142214e-12)))
+    # the hull edge's squared length underflows to 0
+    @example(case=(AgentProfile(((1.0, 0.0), (1.0, 4.4752102736824607e-305))), (0.0, 0.0)))
+    # p lies on a hull edge, and a sideways step of d from it costs the edge
+    # agents only about d^2 / (2 L): within REPLAY_SLACK for d near 1e-6,
+    # which agent 4 gains
+    @example(
+        case=(
+            AgentProfile(((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.192092896e-07, 0.0))),
+            (0.0, 0.5),
+        )
+    )
+    # the same, with p about 4e-8 outside the hull
+    @example(
+        case=(AgentProfile(((0.0, 0.75), (1.0, 0.0), (1.192092896e-07, 0.0))), (0.0, 0.5))
+    )
+    # the same, with p on a hull edge, 1.06e-10 from its end
+    @example(
+        case=(AgentProfile(((0.0, 0.0), (0.0, 1.0), (1.0, 0.0))), (0.0, 1.062107711943748e-10))
+    )
     def test_no_point_of_the_lens_beats_the_refuter(self, case):
         profile, p = case
         agents = profile.agents
-        reference = lens_gains(agents, p, lens_brute_force(agents, p))
+        # the reference takes no slack: a step of d off a hull edge of
+        # length L costs its agents only about d^2 / (2 L), so points within
+        # REPLAY_SLACK of D reach about sqrt(2 REPLAY_SLACK L) beyond it, and
+        # another agent can gain that much there
+        reference = lens_gains(agents, p, lens_brute_force(agents, p), slack=0.0)
         # the point of D nearest each agent is among the lens points
         old = [math.dist(a, p) for a in agents]
         exact = lens_gains(agents, p, axioms._lens_points(agents, old, p))

@@ -302,6 +302,21 @@ class TestCheck:
         assert cert.dominating.locations == ((0.0, 0.0),)
         assert verify_certificate(cert)
 
+    def test_hull_edge_whose_squared_length_underflows_is_skipped(self, tmp_path, capsys):
+        # the edge between the first two agents is 4.5e-305 long, so its
+        # squared length underflows to 0; its ends stand in for it
+        doc = {
+            "version": 1,
+            "agents": [[1, 0], [1, 4.4752102736824607e-305], [0, 5]],
+            "metric": "euclidean",
+        }
+        path = write(tmp_path, doc)
+        assert main(["check", "--instance", path, "--mechanism", "coordinate_min"]) == 0
+        out = lines_of(capsys)
+        assert "pareto violation 0.900980486407" in out
+        cert_line = next(l for l in out if l.startswith("pareto_certificate"))
+        assert verify_certificate(certificate_from_dict(json.loads(cert_line.split(" ", 1)[1])))
+
     def test_corner_pick_domination_off_the_lattice_is_found(self, tmp_path, capsys):
         # every point dominating (2, 1.4) lies on the segment x - y = 0.6,
         # which no point of the 0.25 lattice is on

@@ -528,8 +528,8 @@ def _two_clusters(n):
 @pytest.mark.parametrize("objective", list(WelfareObjective))
 @pytest.mark.parametrize(
     "metric, m",
-    [(Metric.MANHATTAN, 2), (Metric.EUCLIDEAN, 2), (Metric.EUCLIDEAN, 3)],
-    ids=["manhattan", "line-splits", "euclidean-three"],
+    [(Metric.MANHATTAN, 2), (Metric.MANHATTAN, 3), (Metric.EUCLIDEAN, 2), (Metric.EUCLIDEAN, 3)],
+    ids=["manhattan", "manhattan-three", "line-splits", "euclidean-three"],
 )
 def test_pruning_solves_fewer_groups_than_the_full_search(monkeypatch, metric, m, objective):
     solved = []
@@ -551,6 +551,12 @@ def test_pruning_solves_fewer_groups_than_the_full_search(monkeypatch, metric, m
     else:
         full = 2**PARTITION_ORACLE_MAX_AGENTS - 1
     assert len(solved) < full
+    if metric is Metric.MANHATTAN:
+        # Manhattan bounds call no kernel: with two facilities only the
+        # winner's groups are solved, and with three the groups of the few
+        # partitions that tie with a split cluster (bounding by the kernels'
+        # own values solves 92 to 115 groups here)
+        assert len(solved) <= {2: 2, 3: 25}[m]
 
 
 @st.composite
@@ -608,6 +614,57 @@ def test_group_bound_never_exceeds_the_computed_group_value(pts, scale, data):
         # bound <= OPT (1 + 4 n eps) and OPT <= value (1 + 4 n eps), as
         # optimal_welfare derives
         assert _group_bound(pairs, mask, total) <= value * (1 + 8 * n * 2.0**-53)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    pts=st.one_of(_uniform, _grid, _collinear, _duplicates),
+    scale=st.sampled_from((1.0, 1e-6, 1e6)),
+    offset=st.sampled_from((0.0, 1e6)),
+    dim=st.sampled_from((1, 2)),
+    data=st.data(),
+)
+def test_manhattan_bound_is_within_the_slack_of_the_computed_group_value(
+    pts, scale, offset, dim, data
+):
+    pts = [(x * scale + offset, y * scale + offset)[:dim] for x, y in pts]
+    n = len(pts)
+    mask = data.draw(st.integers(1, (1 << n) - 1))
+    group = sorted(p for i, p in enumerate(pts) if mask >> i & 1)
+    ulp = math.ulp(max(abs(c) for p in pts for c in p))
+    for objective, bounds in (
+        (WelfareObjective.TOTAL, welfare._median_deviations(pts)),
+        (WelfareObjective.MAX, welfare._rotated_ranges(pts)),
+    ):
+        center = welfare._one_facility_centre(group, Metric.MANHATTAN, objective)
+        costs = [distance(p, center, Metric.MANHATTAN) for p in group]
+        bound = bounds(mask)
+        # the two-way slacks that optimal_welfare derives
+        if objective is WelfareObjective.TOTAL:
+            value = sum(costs)
+            assert abs(bound - value) <= 2 * (dim + 2 * n + 1) * 2.0**-53 * value
+        else:
+            assert abs(bound - max(costs)) <= 13 * ulp
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    pts=st.one_of(_uniform, _grid, _collinear, _duplicates),
+    scale=st.sampled_from((1.0, 1e-6, 1e6)),
+)
+def test_two_squares_split_the_agents_optimally(pts, scale):
+    prof = AgentProfile(tuple((x * scale, y * scale) for x, y in pts), Metric.MANHATTAN)
+    first = welfare._two_squares(prof.agents)
+    groups = [
+        sorted(p for i, p in enumerate(prof.agents) if (first >> i & 1) == side)
+        for side in (0, 1)
+    ]
+    split = max(
+        reference_group_optimum(g, Metric.MANHATTAN, WelfareObjective.MAX)[0] for g in groups if g
+    )
+    value, _ = full_enumeration_optimum(prof, 2, WelfareObjective.MAX)
+    # each group's value is its optimum up to 10 ulp, below it by at most 4
+    assert split <= value + 14 * math.ulp(max(abs(c) for p in prof.agents for c in p))
 
 
 def test_a_solver_failure_counts_only_in_groups_the_search_reaches(monkeypatch):
