@@ -141,6 +141,13 @@ class RatioReport:
         return math.isinf(self.ratio)
 
 
+def _require_max_dim(dim: int) -> None:
+    """The max objective's one-facility optimum is solved in 1-d and 2-d
+    only."""
+    if dim > 2:
+        raise ValueError("max-distance optimum supports 1-d and 2-d points only")
+
+
 def _one_facility_centre(
     pts: Sequence[Point], metric: Metric, objective: WelfareObjective
 ) -> Point:
@@ -152,10 +159,9 @@ def _one_facility_centre(
             return _coordinate_median(pts)
         return _geometric_median(pts)
     dim = len(pts[0])
+    _require_max_dim(dim)
     if dim == 1:
         return ((pts[0][0] + pts[-1][0]) / 2.0,)
-    if dim != 2:
-        raise ValueError("max-distance optimum supports 1-d and 2-d points only")
     if metric is Metric.MANHATTAN:
         return _manhattan_centre(pts)
     return _enclosing_circle(pts, 0).center
@@ -323,63 +329,22 @@ def _median_deviations(points: Sequence[Point]) -> Callable[[int], float]:
     return bound
 
 
-def _rotated(points: Sequence[Point]) -> list[tuple[float, float]]:
-    """1-d or 2-d points as (u, v) = (x + y, x - y), or (x, x) in 1-d:
-    their Manhattan distance is the larger of |du| and |dv|."""
-    if len(points[0]) == 1:
-        return [(x, x) for x, in points]
-    return [(x + y, x - y) for x, y in points]
-
-
 def _rotated_ranges(points: Sequence[Point]) -> Callable[[int], float]:
     """The Manhattan max of the group of agents in a mask, 1-d or 2-d:
-    half the larger of its u and v ranges (_rotated).  A group's box in
-    (u, v) extends the box of the group without its highest agent, which
-    the depth-first walk reached before it, so each box costs O(1)."""
-    rotated = _rotated(points)
-    boxes: dict[int, tuple[float, float, float, float]] = {}
-
-    def box(mask: int) -> tuple[float, float, float, float]:
-        found = boxes.get(mask)
-        if found is None:
-            top = mask.bit_length() - 1
-            u, v = rotated[top]
-            rest = mask ^ 1 << top
-            if rest:
-                lo_u, hi_u, lo_v, hi_v = box(rest)
-                found = (min(lo_u, u), max(hi_u, u), min(lo_v, v), max(hi_v, v))
-            else:
-                found = (u, u, v, v)
-            boxes[mask] = found
-        return found
+    half the larger of its u and v ranges, where (u, v) = (x + y, x - y),
+    or (x, x) in 1-d.  The Manhattan distance of two points is the larger
+    of their |du| and |dv|."""
+    if len(points[0]) == 1:
+        rotated = [(1 << i, x, x) for i, (x,) in enumerate(points)]
+    else:
+        rotated = [(1 << i, x + y, x - y) for i, (x, y) in enumerate(points)]
 
     def bound(mask: int) -> float:
-        lo_u, hi_u, lo_v, hi_v = box(mask)
-        return max(hi_u - lo_u, hi_v - lo_v) / 2.0
+        us = [u for bit, u, _ in rotated if mask & bit]
+        vs = [v for bit, _, v in rotated if mask & bit]
+        return max(max(us) - min(us), max(vs) - min(vs)) / 2.0
 
     return bound
-
-
-def _two_squares(points: Sequence[Point]) -> int:
-    """The agents that the rectilinear 2-centre serves from its first
-    square, as a bitmask.  Two squares at opposite corners of the (u, v)
-    bounding box (_rotated) cover the agents at the optimal radius, for
-    one of the two diagonals (Drezner 1987); each agent goes to its nearer
-    corner, and the diagonal whose farthest agent is nearer wins."""
-    rotated = _rotated(points)
-    us, vs = zip(*rotated)
-    lo_u, hi_u = min(us), max(us)
-    best = (math.inf, 0)
-    for first, second in ((min(vs), max(vs)), (max(vs), min(vs))):
-        radius, mask = 0.0, 0
-        for i, (u, v) in enumerate(rotated):
-            near = max(u - lo_u, abs(v - first))
-            far = max(hi_u - u, abs(v - second))
-            radius = max(radius, min(near, far))
-            if near <= far:
-                mask |= 1 << i
-        best = min(best, (radius, mask))
-    return best[1]
 
 
 def optimal_welfare(
@@ -450,14 +415,11 @@ def optimal_welfare(
     of distances could overflow, are searched in full, in restricted-growth
     order.
 
-    Two-block partitions give the partition search its first cutoff.
-    Under the Manhattan max with two facilities it is the partition that
-    the rectilinear 2-centre induces (_two_squares), which is optimal up
-    to rounding, solved by the kernels.  Otherwise it is the best split of
-    an axis' sorted order into a prefix and a suffix: solved by the
-    kernels on Euclidean profiles, and scored on its bound B on Manhattan
-    ones, whose value is then at most B (1 + rel) + 64 ulp(M) by the
-    two-way bounds above, so the slack is added twice.
+    The partition search's first cutoff is the best split of an axis'
+    sorted order into a prefix and a suffix: solved by the kernels on
+    Euclidean profiles, and scored on its bound B on Manhattan ones, whose
+    value is then at most B (1 + rel) + 64 ulp(M) by the two-way bounds
+    above, so the slack is added twice.
 
     The kernels solve the groups of those seeds and of the partitions
     that reach the cutoff, and no others, so a ConvergenceError from the
@@ -479,8 +441,8 @@ def optimal_welfare(
         raise OracleCapError(f"exact oracle capped at {cap} agents, got {n}")
     total = objective is WelfareObjective.TOTAL
     euclidean = metric is Metric.EUCLIDEAN
-    if not total and profile.dim > 2:
-        raise ValueError("max-distance optimum supports 1-d and 2-d points only")
+    if not total:
+        _require_max_dim(profile.dim)
     fold = sum if total else max
     # a group's points in this order are its sorted points, ties included
     order = sorted(range(n), key=agents.__getitem__)
@@ -546,25 +508,19 @@ def optimal_welfare(
         )
     else:
         if prune:
+            # the splits of each axis' sorted order into a prefix and a
+            # suffix are two-block partitions
             full = (1 << n) - 1
-            if not euclidean and not total and spec.m == 2:
-                # the rectilinear 2-centre's partition is optimal, up to
-                # rounding
-                first = _two_squares(agents)
-                cutoff = above(solved((first, full ^ first) if 0 < first < full else (full,)))
-            else:
-                # the splits of each axis' sorted order into a prefix and a
-                # suffix are two-block partitions
-                for k in range(profile.dim):
-                    prefix = 0
-                    for i in sorted(range(n), key=lambda i: agents[i][k])[:-1]:
-                        prefix |= 1 << i
-                        masks = (prefix, full ^ prefix)
-                        # a Manhattan bound also exceeds its partition's
-                        # computed value by at most the slack, so above()
-                        # of it is at least that value
-                        value = solved(masks) if euclidean else above(lower(masks))
-                        cutoff = min(cutoff, above(value))
+            for k in range(profile.dim):
+                prefix = 0
+                for i in sorted(range(n), key=lambda i: agents[i][k])[:-1]:
+                    prefix |= 1 << i
+                    masks = (prefix, full ^ prefix)
+                    # a Manhattan bound also exceeds its partition's
+                    # computed value by at most the slack, so above() of
+                    # it is at least that value
+                    value = solved(masks) if euclidean else above(lower(masks))
+                    cutoff = min(cutoff, above(value))
         candidates = enumerate(_partitions(n, min(spec.m, n), cut if prune else None))
     best: tuple[float, tuple[Point, ...], int, tuple[int, ...]] | None = None
     for rank, masks in candidates:

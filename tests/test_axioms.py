@@ -1344,7 +1344,8 @@ class TestExactPareto:
     def test_no_point_of_the_lens_beats_the_refuter(self, case):
         profile, p = case
         agents = profile.agents
-        # the reference takes no slack: a step of d off a hull edge of
+        # the reference takes no slack, so its gains can only be smaller
+        # and the bounds below check less: a step of d off a hull edge of
         # length L costs its agents only about d^2 / (2 L), so points within
         # REPLAY_SLACK of D reach about sqrt(2 REPLAY_SLACK L) beyond it, and
         # another agent can gain that much there

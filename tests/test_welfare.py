@@ -647,26 +647,6 @@ def test_manhattan_bound_is_within_the_slack_of_the_computed_group_value(
             assert abs(bound - max(costs)) <= 13 * ulp
 
 
-@settings(deadline=None, max_examples=100)
-@given(
-    pts=st.one_of(_uniform, _grid, _collinear, _duplicates),
-    scale=st.sampled_from((1.0, 1e-6, 1e6)),
-)
-def test_two_squares_split_the_agents_optimally(pts, scale):
-    prof = AgentProfile(tuple((x * scale, y * scale) for x, y in pts), Metric.MANHATTAN)
-    first = welfare._two_squares(prof.agents)
-    groups = [
-        sorted(p for i, p in enumerate(prof.agents) if (first >> i & 1) == side)
-        for side in (0, 1)
-    ]
-    split = max(
-        reference_group_optimum(g, Metric.MANHATTAN, WelfareObjective.MAX)[0] for g in groups if g
-    )
-    value, _ = full_enumeration_optimum(prof, 2, WelfareObjective.MAX)
-    # each group's value is its optimum up to 10 ulp, below it by at most 4
-    assert split <= value + 14 * math.ulp(max(abs(c) for p in prof.agents for c in p))
-
-
 def test_a_solver_failure_counts_only_in_groups_the_search_reaches(monkeypatch):
     prof = AgentProfile(_two_clusters(10))
     total = WelfareObjective.TOTAL
