@@ -184,12 +184,21 @@ class _Objective:
 
     def fallback(self, x: Point, model: _Model) -> tuple[Point, _Model]:
         """Lower of a Weiszfeld step (Vardi-Zhang damped on an input point)
-        and an escape step; of two equally low, the better certified."""
-        scale = (1.0 - model.multiplicity / math.hypot(*model.pull)) / model.inv_sum
-        target = tuple(c + scale * g for c, g in zip(x, model.pull))
-        steps = [s for s in ((target, self.model_at(target)), self.escape_step(x)) if s]
-        lowest = min(s[1].value for s in steps) * (1.0 + _FLAT)
-        return min((s for s in steps if s[1].value <= lowest), key=lambda s: s[1].excess)
+        and an escape step; of two equally low, the better certified.
+
+        Past the float range both fail: where every distance overflows the
+        inverse distances sum to 0, and a step's total can be NaN, which
+        no total is at most.  That is an OracleCapError."""
+        try:
+            scale = (1.0 - model.multiplicity / math.hypot(*model.pull)) / model.inv_sum
+            target = tuple(c + scale * g for c, g in zip(x, model.pull))
+            steps = [s for s in ((target, self.model_at(target)), self.escape_step(x)) if s]
+            lowest = min(s[1].value for s in steps) * (1.0 + _FLAT)
+            return min((s for s in steps if s[1].value <= lowest), key=lambda s: s[1].excess)
+        except (ZeroDivisionError, ValueError):
+            raise OracleCapError(
+                "geometric median: the distance sum is past the float range"
+            ) from None
 
     def escape_step(self, x: Point) -> tuple[Point, _Model] | None:
         """Step off the kink of the input point p nearest x along its net

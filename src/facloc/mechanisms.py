@@ -11,13 +11,13 @@ count and placement, whether the placement ignores the agents' order, and
 where it has one, the exhaustive set of lone misreports the
 strategy-proofness refuter tries.  The per-axis percentile family
 (percentile_1d, percentile_multi_d, and the coordinate-wise median, max and
-min at 0.5, 1 and 0 on every axis) runs through one kernel.
+min at 0.5, 1 and 0 on every axis) runs through one kernel, and on the
+coordinate axes its set is empty: no report beats the honest one.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Literal, Sequence
@@ -32,8 +32,6 @@ from .geometry import (
     distance,
 )
 
-# the breakpoint product is sized before it is built, and refused past this
-_MAX_MISREPORTS = 500_000
 # Placements and solutions hold one location per facility, so the count is
 # capped before any of them is built.  Past the agent count facilities only
 # repeat a location.
@@ -377,30 +375,14 @@ def _plane_rows(descriptor: MechanismDescriptor, dim: int) -> tuple:
     return rows
 
 
-def _breakpoints(
+def _strategy_proof(
     descriptor: MechanismDescriptor, profile: AgentProfile
 ) -> list[list[Point]] | None:
-    """Lexicographically sorted reports that are exhaustive against a
-    per-axis percentile pick on the coordinate axes, one list shared by
-    every agent; None under rotated axes, which mix the coordinates.
-
-    On axis k a lone report moves each facility coordinate only through its
-    rank among the other agents' k-coordinates: between two consecutive
-    ones a facility coordinate either stays put or equals the report.  So
-    the best report in each cell is the truth clamped into it, which is the
-    truth or one of the other agents' coordinates.  The reports are the
-    product over the axes of the agents' distinct coordinates: at most n^dim
-    points, one of them each agent's truth.
-    """
-    if descriptor.axes is not None:
-        return None
-    axes = [sorted({a[k] for a in profile.agents}) for k in range(profile.dim)]
-    size = math.prod(map(len, axes))
-    if size > _MAX_MISREPORTS:
-        raise OracleCapError(
-            f"breakpoint product holds {size} reports (cap {_MAX_MISREPORTS})"
-        )
-    return [list(itertools.product(*axes))] * profile.n
+    """No report per agent against a per-axis percentile pick on the
+    coordinate axes, where the honest report already gains the most (the
+    proof is check_strategy_proofness's); None under rotated axes, which
+    mix the coordinates."""
+    return None if descriptor.axes is not None else [[]] * profile.n
 
 
 def _reflections(
@@ -475,8 +457,9 @@ class _Kind:
     order_free says the placement depends on the reports only as a
     multiset, up to the sign of a zero coordinate.  misreports gives, per
     agent, lone reports among which one gains as much as any report can, up
-    to rounding, or None where the descriptor has no such set; a kind
-    without it, or a None, leaves the refuter to its search lattice.
+    to rounding, or None where the descriptor has no such set; an empty
+    set says that no report gains at all, and a kind without misreports, or
+    a None, leaves the refuter to its search lattice.
     """
 
     params: Literal["none", "row", "rows", "order"]
@@ -491,21 +474,21 @@ class _Kind:
 
 _KINDS: dict[MechanismKind, _Kind] = {
     MechanismKind.PERCENTILE_1D: _Kind(
-        "row", "per_param", rows=_line_rows, misreports=_breakpoints
+        "row", "per_param", rows=_line_rows, misreports=_strategy_proof
     ),
     MechanismKind.PERCENTILE_MULTI_D: _Kind(
-        "rows", "per_param", rows=_plane_rows, misreports=_breakpoints
+        "rows", "per_param", rows=_plane_rows, misreports=_strategy_proof
     ),
     # the median, max and min are the family at 0.5, 1 and 0 on every axis;
     # floor(0.5 * (n - 1)) is the lower median's (n - 1) // 2
     MechanismKind.MULTI_DIM_MEDIAN: _Kind(
-        "none", "one", rows=lambda d, dim: ((0.5,) * dim,), misreports=_breakpoints
+        "none", "one", rows=lambda d, dim: ((0.5,) * dim,), misreports=_strategy_proof
     ),
     MechanismKind.COORDINATE_MAX: _Kind(
-        "none", "one", rows=lambda d, dim: ((1.0,) * dim,), misreports=_breakpoints
+        "none", "one", rows=lambda d, dim: ((1.0,) * dim,), misreports=_strategy_proof
     ),
     MechanismKind.COORDINATE_MIN: _Kind(
-        "none", "one", rows=lambda d, dim: ((0.0,) * dim,), misreports=_breakpoints
+        "none", "one", rows=lambda d, dim: ((0.0,) * dim,), misreports=_strategy_proof
     ),
     # sorted so the iteration path, hence the rounding, is order-free
     MechanismKind.GEOMETRIC_MEDIAN: _Kind(
@@ -565,7 +548,16 @@ def run_mechanism(
             f"{descriptor.kind.value} places {implied} facilities, spec asks for {spec.m}"
         )
     locations = _place(descriptor, profile, spec.m)
+    _require_finite(locations)
     return Solution(locations, assign_nearest(locations, profile))
+
+
+def _require_finite(locations: Sequence[Point]) -> None:
+    """A centre of finite points can still round past the float range, as
+    a midpoint, a rotated centre or a circumcentre whose sums overflow:
+    that is an OracleCapError, not a fault of the input."""
+    if not all(math.isfinite(c) for p in locations for c in p):
+        raise OracleCapError("facility centre is past the float range")
 
 
 def _place(

@@ -75,6 +75,7 @@ from .mechanisms import (
     MechanismDescriptor,
     Solution,
     _integral,
+    _require_finite,
     run_mechanism,
 )
 
@@ -411,9 +412,9 @@ def optimal_welfare(
     worse than that one, so it can neither win nor tie.  Ties are compared
     on (value, facility tuple, restricted-growth rank), so the walk's order
     does not decide them, and the search returns what the full enumeration
-    does.  Profiles with a coordinate beyond 2^512 in magnitude, where sums
-    of distances could overflow, are searched in full, in restricted-growth
-    order.
+    does.  Where a coordinate exceeds 2^512 in magnitude, sums of distances
+    could overflow, and the absolute slack is infinite: nothing is cut, and
+    every partition or line split is solved.
 
     The partition search's first cutoff is the best split of an axis'
     sorted order into a prefix and a suffix: solved by the kernels on
@@ -433,6 +434,7 @@ def optimal_welfare(
     agents, metric = profile.agents, profile.metric
     if spec.m == 1:
         center = _one_facility_centre(sorted(agents), metric, objective)
+        _require_finite((center,))
         solution = Solution((center,), (1,) * n)
         return evaluate(profile, solution, objective), solution
     line_splits = metric is Metric.EUCLIDEAN and profile.dim == 2 and spec.m == 2
@@ -495,33 +497,31 @@ def optimal_welfare(
     # the slack derived in the docstring
     scale = max(abs(c) for p in agents for c in p)
     rel = max(1e-12, (profile.dim + 2 * n) * 2.0**-50)
-    absolute = 64 * math.ulp(scale)
+    # past 2^512 sums of distances could overflow, so nothing is cut
+    absolute = 64 * math.ulp(scale) if scale <= 2.0**512 else math.inf
 
     def above(value: float) -> float:
         return value + value * rel + absolute
 
     cutoff = math.inf
-    prune = scale <= 2.0**512
+    candidates: Iterable[tuple[int, tuple[int, ...]]]
     if line_splits:
-        candidates: Iterable[tuple[int, tuple[int, ...]]] = (
-            by_bound() if prune else enumerate(_line_splits(agents))
-        )
+        candidates = by_bound()
     else:
-        if prune:
-            # the splits of each axis' sorted order into a prefix and a
-            # suffix are two-block partitions
-            full = (1 << n) - 1
-            for k in range(profile.dim):
-                prefix = 0
-                for i in sorted(range(n), key=lambda i: agents[i][k])[:-1]:
-                    prefix |= 1 << i
-                    masks = (prefix, full ^ prefix)
-                    # a Manhattan bound also exceeds its partition's
-                    # computed value by at most the slack, so above() of
-                    # it is at least that value
-                    value = solved(masks) if euclidean else above(lower(masks))
-                    cutoff = min(cutoff, above(value))
-        candidates = enumerate(_partitions(n, min(spec.m, n), cut if prune else None))
+        # the splits of each axis' sorted order into a prefix and a suffix
+        # are two-block partitions
+        full = (1 << n) - 1
+        for k in range(profile.dim):
+            prefix = 0
+            for i in sorted(range(n), key=lambda i: agents[i][k])[:-1]:
+                prefix |= 1 << i
+                masks = (prefix, full ^ prefix)
+                # a Manhattan bound also exceeds its partition's computed
+                # value by at most the slack, so above() of it is at least
+                # that value
+                value = solved(masks) if euclidean else above(lower(masks))
+                cutoff = min(cutoff, above(value))
+        candidates = enumerate(_partitions(n, min(spec.m, n), cut))
     best: tuple[float, tuple[Point, ...], int, tuple[int, ...]] | None = None
     for rank, masks in candidates:
         centers: list[Point] = []
@@ -542,6 +542,7 @@ def optimal_welfare(
         for i in range(n):
             if mask >> i & 1:
                 assignment[i] = b
+    _require_finite(locations)
     solution = Solution(locations, tuple(assignment))
     return evaluate(profile, solution, objective), solution
 

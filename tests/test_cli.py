@@ -26,6 +26,8 @@ ONECENTRE = {
     "mechanism": {"kind": "one_centre"},
 }
 
+SPREAD_PAST_THE_FLOAT_RANGE = [[-1.7e308, 0], [1.4e308, 0], [-1.7e308, 0]]
+
 
 def write(tmp_path, doc, name="instance.json"):
     path = tmp_path / name
@@ -382,6 +384,43 @@ class TestOracle:
         }
         assert main(["oracle", "--instance", write(tmp_path, doc)]) == 3
         assert "capped at 30 agents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "agents, metric, argv, message",
+        [
+            # every distance from the agents' centroid overflows
+            (SPREAD_PAST_THE_FLOAT_RANGE, "euclidean", ["oracle"], "geometric median"),
+            (
+                SPREAD_PAST_THE_FLOAT_RANGE,
+                "euclidean",
+                ["run", "--mechanism", "geometric_median"],
+                "geometric median",
+            ),
+            (
+                SPREAD_PAST_THE_FLOAT_RANGE,
+                "euclidean",
+                ["check", "--mechanism", "geometric_median"],
+                "geometric median",
+            ),
+            # the rotated centre's x + y overflows
+            (
+                [[1.7e308, 1.7e308], [0, 0], [1, 1]],
+                "manhattan",
+                ["oracle", "--objective", "max"],
+                "facility centre",
+            ),
+        ],
+        ids=["oracle-median", "run-median", "check-median", "oracle-rotated-centre"],
+    )
+    def test_past_the_float_range_maps_to_resource_exit(
+        self, tmp_path, capsys, agents, metric, argv, message
+    ):
+        doc = {"version": 1, "metric": metric, "agents": agents, "facilities": 1}
+        path = write(tmp_path, doc)
+        assert main([argv[0], "--instance", path, *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "past the float range" in err
+        assert len(err.splitlines()) == 1
 
     def test_capacitated_oracle_is_a_validation_error(self, tmp_path, capsys):
         doc = {

@@ -474,6 +474,44 @@ def test_pruned_search_matches_the_reference_bit_for_bit(case):
     )
 
 
+@st.composite
+def _past_two_to_the_512_cases(draw):
+    """A profile, facility count and objective with coordinates past 2^512,
+    half of them two facilities under the total on a 2-d Euclidean
+    profile, which take line splits.  The Euclidean max is drawn in 1-d
+    only: the enclosing circle's circumcentre overflows at these scales."""
+    if draw(st.booleans()):
+        metric, m, objective, dim = Metric.EUCLIDEAN, 2, WelfareObjective.TOTAL, 2
+    else:
+        metric = draw(st.sampled_from(list(Metric)))
+        m = draw(st.sampled_from((2, 3)))
+        objective = draw(st.sampled_from(list(WelfareObjective)))
+        dims = (1, 2) if objective is WelfareObjective.MAX else (1, 2, 3)
+        if metric is Metric.EUCLIDEAN:
+            dims = (1,) if objective is WelfareObjective.MAX else (1, 3)
+        dim = draw(st.sampled_from(dims))
+    scale = draw(st.sampled_from((2.0**513, -(2.0**600), 1e300)))
+    coordinate = st.one_of(st.integers(-4, 4).map(float), st.floats(-100.0, 100.0))
+    point = st.tuples(*[coordinate] * dim)
+    pool = draw(st.lists(point, min_size=1, max_size=4))
+    agents = draw(
+        st.lists(st.one_of(st.sampled_from(pool), point), min_size=1, max_size=8 if m == 2 else 6)
+    )
+    agents = tuple(tuple(c * scale for c in p) for p in agents)
+    return AgentProfile(agents, metric), m, objective
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=_past_two_to_the_512_cases())
+def test_past_two_to_the_512_nothing_is_cut(case):
+    # the slack is infinite there, so the searches solve every partition or
+    # line split, ranked or not, and the tie-break keeps the reference's
+    prof, m, objective = case
+    assert repr(optimal_welfare(prof, FacilitySpec(m), objective)) == repr(
+        full_enumeration_optimum(prof, m, objective)
+    )
+
+
 @pytest.mark.parametrize(
     "agents, metric",
     [
