@@ -488,7 +488,7 @@ def _past_two_to_the_512_cases(draw):
         objective = draw(st.sampled_from(list(WelfareObjective)))
         dims = (1, 2) if objective is WelfareObjective.MAX else (1, 2, 3)
         if metric is Metric.EUCLIDEAN:
-            dims = (1,) if objective is WelfareObjective.MAX else (1, 3)
+            dims = (1,) if objective is WelfareObjective.MAX else (1, 3) if m == 2 else dims
         dim = draw(st.sampled_from(dims))
     scale = draw(st.sampled_from((2.0**513, -(2.0**600), 1e300)))
     coordinate = st.one_of(st.integers(-4, 4).map(float), st.floats(-100.0, 100.0))
