@@ -65,6 +65,7 @@ from .mechanisms import (
     _integral,
     _is_number,
     _place,
+    _require_finite,
     _require_list,
     assign_nearest,
     descriptor_from_dict,
@@ -589,7 +590,10 @@ def _best_domination(
             best_locations = locations
     if best_locations is None:
         return None
-    dominating = Solution(best_locations, assign_nearest(best_locations, profile))
+    # candidates are points of the profile's dimension; a centre that
+    # rounds past the float range is refused rather than certified
+    _require_finite(best_locations)
+    dominating = Solution._trusted(best_locations, assign_nearest(best_locations, profile))
     return Certificate(
         kind=CertificateKind.PARETO_DOMINATION,
         profile=profile,

@@ -110,14 +110,17 @@ def _trial_rng(seed: int, index: int) -> random.Random:
 
 
 def sample_profile(config: BenchConfig, index: int) -> AgentProfile:
-    """The profile trial `index` evaluates; pure function of config."""
+    """The profile trial `index` evaluates; pure function of config.  The
+    config checked that its box is finite and its metric a Metric, and
+    uniform draws over that box are finite floats, so the profile is built
+    without validating them again."""
     rng = _trial_rng(config.seed, index)
     n = rng.choice(config.admissible_sizes())
     side = config.box
     agents = tuple(
         (rng.uniform(0.0, side), rng.uniform(0.0, side)) for _ in range(n)
     )
-    return AgentProfile(agents, config.metric)
+    return AgentProfile._trusted(agents, config.metric)
 
 
 def run_bench(config: BenchConfig, descriptor: MechanismDescriptor) -> BenchResult:

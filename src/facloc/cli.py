@@ -147,7 +147,7 @@ def _solve(instance: Instance, descriptor: MechanismDescriptor) -> Solution:
     assignment, _ = optimal_capacitated_assignment(
         instance.profile, placed.locations, spec.capacities
     )
-    return Solution(placed.locations, assignment)
+    return Solution._trusted(placed.locations, assignment)
 
 
 # subcommands -----------------------------------------------------------------

@@ -5,7 +5,10 @@ survive JSON round trips without a wrapper class.  Everything here is pure.
 The randomized enclosing-circle solver takes an explicit seed so callers
 stay reproducible.  Each public kernel validates its input and calls an
 underscored core that takes nonempty finite points of one dimension as
-given, for callers that validated them once already.
+given, for callers that validated them once already.  `distance` checks
+that its two points have one dimension; `_metric_distance` gives the same
+float operations without that check, for callers that checked the
+dimensions once, per location rather than per agent.
 """
 
 from __future__ import annotations
@@ -80,6 +83,17 @@ def distance(a: Sequence[float], b: Sequence[float], metric: Metric = Metric.EUC
     if metric is Metric.EUCLIDEAN:
         return math.dist(a, b)
     return sum(map(abs, map(operator.sub, a, b)))
+
+
+def _manhattan(a: Sequence[float], b: Sequence[float]) -> float:
+    return sum(map(abs, map(operator.sub, a, b)))
+
+
+def _metric_distance(metric: Metric) -> Callable[[Sequence[float], Sequence[float]], float]:
+    """distance under metric, the same float operations, for points whose
+    dimensions the caller has checked: under Manhattan, points of two
+    dimensions would be cut to the shorter."""
+    return math.dist if metric is Metric.EUCLIDEAN else _manhattan
 
 
 def bounding_box(points: Iterable[Iterable[float]]) -> tuple[Point, Point]:
@@ -297,21 +311,39 @@ def _diameter_circle(a: Point, b: Point) -> Circle:
     return Circle(center, radius)
 
 
+# _circumcircle's centre formula multiplies squared offsets by a third
+# offset, which leaves the float range once the offsets near 1e102.  Three
+# points spanning more than _CIRCUM_SPAN on an axis have their offsets
+# scaled by a power of two, the largest to the exponent _CIRCUM_EXP.
+_CIRCUM_SPAN = 2.0**101
+_CIRCUM_EXP = 100
+
+
 def _circumcircle(a: Point, b: Point, c: Point) -> Circle | None:
     # Work relative to the midpoint of the bounding box for stability.
-    ox = (min(a[0], b[0], c[0]) + max(a[0], b[0], c[0])) / 2.0
-    oy = (min(a[1], b[1], c[1]) + max(a[1], b[1], c[1])) / 2.0
+    x0, x1 = min(a[0], b[0], c[0]), max(a[0], b[0], c[0])
+    y0, y1 = min(a[1], b[1], c[1]), max(a[1], b[1], c[1])
+    ox, oy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
     ax, ay = a[0] - ox, a[1] - oy
     bx, by = b[0] - ox, b[1] - oy
     cx, cy = c[0] - ox, c[1] - oy
+    # scaling by a power of two is exact in the normal range, so a scaled
+    # centre offset, scaled back, has the bits the unscaled one would have
+    shift = 0
+    if x1 - x0 > _CIRCUM_SPAN or y1 - y0 > _CIRCUM_SPAN:
+        offsets = (ax, ay, bx, by, cx, cy)
+        shift = math.frexp(max(map(abs, offsets)))[1] - _CIRCUM_EXP
+        ax, ay, bx, by, cx, cy = (math.ldexp(v, -shift) for v in offsets)
     d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
     if d == 0.0:
         return None
-    x = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
-              + (cx * cx + cy * cy) * (ay - by)) / d
-    y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
-              + (cx * cx + cy * cy) * (bx - ax)) / d
-    center = (x, y)
+    x = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
+         + (cx * cx + cy * cy) * (ay - by)) / d
+    y = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
+         + (cx * cx + cy * cy) * (bx - ax)) / d
+    if shift:
+        x, y = math.ldexp(x, shift), math.ldexp(y, shift)
+    center = (ox + x, oy + y)
     radius = max(math.dist(center, a), math.dist(center, b), math.dist(center, c))
     return Circle(center, radius)
 

@@ -13,6 +13,15 @@ strategy-proofness refuter tries.  The per-axis percentile family
 (percentile_1d, percentile_multi_d, and the coordinate-wise median, max and
 min at 0.5, 1 and 0 on every axis) runs through one kernel, and on the
 coordinate axes its set is empty: no report beats the honest one.
+
+Input is validated once, at the boundary: the AgentProfile, Solution and
+FacilitySpec constructors and the *_from_dict readers check what they are
+given.  Internal copies of points already checked are built with
+AgentProfile._trusted and Solution._trusted, which check nothing again:
+run_mechanism builds its Solution from _place, whose locations are the
+agents' floats or float arithmetic on them, once _require_finite passed
+them, and assign_nearest sends every agent to a lone facility without
+measuring a distance.
 """
 
 from __future__ import annotations
@@ -151,6 +160,17 @@ class Solution:
             raise ValueError("assignment entries must be facility indices in 1..m")
         object.__setattr__(self, "locations", locations)
         object.__setattr__(self, "assignment", assignment)
+
+    @classmethod
+    def _trusted(
+        cls, locations: tuple[Point, ...], assignment: tuple[int, ...]
+    ) -> "Solution":
+        """Solution from finite float points and int facility indices in
+        1..len(locations), built without validating them again."""
+        solution = object.__new__(cls)
+        object.__setattr__(solution, "locations", locations)
+        object.__setattr__(solution, "assignment", assignment)
+        return solution
 
 
 class MechanismKind(enum.Enum):
@@ -519,6 +539,11 @@ def assign_nearest(locations: Sequence[Point], profile: AgentProfile) -> tuple[i
     agents go to the lowest facility index."""
     if not locations:
         raise ValueError("need at least one facility location")
+    if len(locations) == 1:
+        # every agent goes to the one facility: only its dimension is checked
+        if len(locations[0]) != profile.dim:
+            raise ValueError(f"dimension mismatch: {profile.dim} vs {len(locations[0])}")
+        return (1,) * profile.n
     assignment = []
     for agent in profile.agents:
         best_j = 1
@@ -549,7 +574,8 @@ def run_mechanism(
         )
     locations = _place(descriptor, profile, spec.m)
     _require_finite(locations)
-    return Solution(locations, assign_nearest(locations, profile))
+    # _place gives tuples of the agents' floats or of float arithmetic on them
+    return Solution._trusted(locations, assign_nearest(locations, profile))
 
 
 def _require_finite(locations: Sequence[Point]) -> None:

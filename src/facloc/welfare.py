@@ -16,12 +16,17 @@ line splits are enumerated instead, up to LINE_SPLIT_MAX_AGENTS agents.
 Manhattan bisectors are not lines, so Manhattan profiles, other dimensions
 and m >= 3 keep the full enumeration.
 
-The profile is validated once, when it is built.  Each candidate is a
-tuple of block bitmasks.  A block's points are read off its mask in the
-agents' lexicographic order, sorted once per call, and solved by the
-geometry cores, which do not check their input again; each block's answer
-is cached by its mask.  Of candidates with equal (value, facility tuple)
-the first in restricted-growth order wins, so that order decides ties.
+The profile is validated once, when it is built, and the oracles build
+their solutions with Solution._trusted from kernel centres that
+_require_finite passed.  evaluate checks each location's dimension once
+and then measures with geometry._metric_distance, the float operations of
+geometry.distance without its per-call check; the oracle's group costs
+use the same helper.  Each candidate is a tuple of block bitmasks.  A
+block's points are read off its mask in the agents' lexicographic order,
+sorted once per call, and solved by the geometry cores, which do not
+check their input again; each block's answer is cached by its mask.  Of
+candidates with equal (value, facility tuple) the first in
+restricted-growth order wins, so that order decides ties.
 
 Both searches are a branch and bound on a lower bound per group, which
 calls no kernel.  Manhattan distance is the larger coordinate difference in
@@ -54,7 +59,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -66,6 +70,7 @@ from .geometry import (
     _enclosing_circle,
     _geometric_median,
     _manhattan_centre,
+    _metric_distance,
     as_point,
     distance,
 )
@@ -101,10 +106,13 @@ def _agent_costs(profile: AgentProfile, solution: Solution) -> list[float]:
         raise ValueError(
             f"assignment covers {len(solution.assignment)} agents, profile has {profile.n}"
         )
-    return [
-        distance(agent, solution.locations[j - 1], profile.metric)
-        for agent, j in zip(profile.agents, solution.assignment)
-    ]
+    # the dimensions are checked once per location, not once per agent
+    locations, dim = solution.locations, profile.dim
+    for loc in locations:
+        if len(loc) != dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {len(loc)}")
+    dist = _metric_distance(profile.metric)
+    return [dist(agent, locations[j - 1]) for agent, j in zip(profile.agents, solution.assignment)]
 
 
 def evaluate(
@@ -435,7 +443,7 @@ def optimal_welfare(
     if spec.m == 1:
         center = _one_facility_centre(sorted(agents), metric, objective)
         _require_finite((center,))
-        solution = Solution((center,), (1,) * n)
+        solution = Solution._trusted((center,), (1,) * n)
         return evaluate(profile, solution, objective), solution
     line_splits = metric is Metric.EUCLIDEAN and profile.dim == 2 and spec.m == 2
     cap = LINE_SPLIT_MAX_AGENTS if line_splits else PARTITION_ORACLE_MAX_AGENTS
@@ -450,15 +458,12 @@ def optimal_welfare(
     order = sorted(range(n), key=agents.__getitem__)
     # keyed by the block's agent bitmask
     group_cache: dict[int, tuple[float, Point]] = {}
+    dist = _metric_distance(metric)
 
     def solve(mask: int) -> tuple[float, Point]:
         pts = [agents[i] for i in order if mask >> i & 1]
         center = _one_facility_centre(pts, metric, objective)
-        # the float operations of geometry.distance
-        costs = [
-            math.dist(p, center) if euclidean else sum(map(abs, map(operator.sub, p, center)))
-            for p in pts
-        ]
+        costs = [dist(p, center) for p in pts]
         group = group_cache[mask] = (fold(costs), center)
         return group
 
@@ -543,7 +548,7 @@ def optimal_welfare(
             if mask >> i & 1:
                 assignment[i] = b
     _require_finite(locations)
-    solution = Solution(locations, tuple(assignment))
+    solution = Solution._trusted(locations, tuple(assignment))
     return evaluate(profile, solution, objective), solution
 
 
@@ -602,7 +607,7 @@ def optimal_capacitated_assignment(
 
     walk(0, 0.0)
     assert best_assignment is not None
-    welfare = evaluate(profile, Solution(locations, best_assignment), objective)
+    welfare = evaluate(profile, Solution._trusted(locations, best_assignment), objective)
     return best_assignment, welfare
 
 

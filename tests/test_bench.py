@@ -13,7 +13,7 @@ from facloc.bench import (
 )
 from facloc import welfare
 from facloc.geometry import ConvergenceError, Metric, geometric_median
-from facloc.mechanisms import MechanismDescriptor
+from facloc.mechanisms import AgentProfile, MechanismDescriptor
 from facloc.welfare import WelfareObjective
 
 MEDIAN = MechanismDescriptor.median()
@@ -87,6 +87,27 @@ class TestSampling:
     def test_metric_is_attached(self):
         cfg = small_config(metric=Metric.MANHATTAN)
         assert sample_profile(cfg, 0).metric is Metric.MANHATTAN
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"metric": "manhattan", "parity": "even"},
+            {"box": 5e-324, "n_range": (1, 3)},
+            {"box": 1e-300, "seed": 7},
+            {"box": 1.7976931348623157e308, "metric": Metric.MANHATTAN},
+            {"box": 1, "n_range": (9, 9), "objective": "max"},
+        ],
+    )
+    def test_profile_is_the_one_the_constructor_would_build(self, overrides):
+        cfg = small_config(**overrides)
+        for index in range(40):
+            prof = sample_profile(cfg, index)
+            validated = AgentProfile(prof.agents, cfg.metric)
+            assert prof == validated and repr(prof) == repr(validated)
+            assert prof.metric is validated.metric
+            assert type(prof.agents) is tuple
+            assert all(type(a) is tuple and all(type(c) is float for c in a) for a in prof.agents)
 
 
 class TestHistogram:

@@ -26,6 +26,16 @@ ONECENTRE = {
     "mechanism": {"kind": "one_centre"},
 }
 
+# an acute triangle past 1e102, on which the circumcentre formula
+# overflows unless its offsets are scaled
+ACUTE_PAST_1E102 = {
+    "version": 1,
+    "metric": "euclidean",
+    "agents": [[0, 0], [1e120, 0], [5e119, 8e119]],
+    "facilities": 1,
+    "mechanism": {"kind": "one_centre"},
+}
+
 SPREAD_PAST_THE_FLOAT_RANGE = [[-1.7e308, 0], [1.4e308, 0], [-1.7e308, 0]]
 
 
@@ -60,6 +70,12 @@ class TestRun:
         assert "facility 1 (3.5, 4.25)" in out
         assert "total_distance 0" in out
         assert "max_distance 0" in out
+
+    def test_one_centre_past_1e102(self, tmp_path, capsys):
+        assert main(["run", "--instance", write(tmp_path, ACUTE_PAST_1E102)]) == 0
+        out = lines_of(capsys)
+        assert "facility 1 (5e+119, 2.4375e+119)" in out
+        assert "max_distance 5.5625e+119" in out
 
     def test_mechanism_flag_overrides_file(self, tmp_path, capsys):
         path = write(tmp_path, RECTANGLE)
@@ -365,6 +381,13 @@ class TestOracle:
         out = lines_of(capsys)
         welfare = next(l for l in out if l.startswith("optimal_welfare"))
         assert float(welfare.split()[1]) == pytest.approx(math.sqrt(37), abs=1e-9)
+
+    def test_max_oracle_past_1e102(self, tmp_path, capsys):
+        path = write(tmp_path, ACUTE_PAST_1E102)
+        assert main(["oracle", "--instance", path, "--objective", "max"]) == 0
+        out = lines_of(capsys)
+        assert "optimal_welfare 5.5625e+119" in out
+        assert "facility 1 (5e+119, 2.4375e+119)" in out
 
     def test_partition_cap_maps_to_resource_exit(self, tmp_path, capsys):
         doc = {

@@ -256,17 +256,52 @@ def test_geometric_median_beats_input_points_and_coordinate_median(pts):
         assert best_total <= total(candidate) + 1e-6
 
 
-def test_sec_examples():
-    c = smallest_enclosing_circle([(0, 0), (0, 0), (0, 1)])
-    assert c.center == pytest.approx((0.0, 0.5), abs=1e-12)
-    assert c.radius == pytest.approx(0.5, abs=1e-12)
+# the enclosing-circle tests also run past 1e102, where the circumcentre
+# formula's cubed offsets leave the float range unless they are scaled
+SEC_SCALES = (1.0, 1e100, 1e120, 1e150)
 
-    c = smallest_enclosing_circle([(0, 0), (0, 2), (12, 0), (12, 2)])
-    assert c.center == pytest.approx((6.0, 1.0), abs=1e-9)
-    assert c.radius == pytest.approx(math.sqrt(37), abs=1e-9)
 
-    c = smallest_enclosing_circle([(4, 7)])
-    assert c == Circle((4.0, 7.0), 0.0)
+def scaled(pts, scale):
+    return [(x * scale, y * scale) for x, y in pts]
+
+
+@pytest.mark.parametrize("scale", SEC_SCALES)
+def test_sec_examples(scale):
+    tol = dict(rel=1e-12, abs=1e-12 * scale)
+    c = smallest_enclosing_circle(scaled([(0, 0), (0, 0), (0, 1)], scale))
+    assert c.center == pytest.approx((0.0, 0.5 * scale), **tol)
+    assert c.radius == pytest.approx(0.5 * scale, **tol)
+
+    c = smallest_enclosing_circle(scaled([(0, 0), (0, 2), (12, 0), (12, 2)], scale))
+    assert c.center == pytest.approx((6.0 * scale, 1.0 * scale), rel=1e-9, abs=1e-9 * scale)
+    assert c.radius == pytest.approx(math.sqrt(37) * scale, rel=1e-9, abs=1e-9 * scale)
+
+    c = smallest_enclosing_circle(scaled([(4, 7)], scale))
+    assert c == Circle((4.0 * scale, 7.0 * scale), 0.0)
+
+
+def test_sec_of_an_acute_triangle_past_1e102():
+    # its circumcircle is the answer, and unscaled the centre formula
+    # overflows on it
+    c = smallest_enclosing_circle([(0, 0), (1e120, 0), (5e119, 8e119)])
+    assert c.center == pytest.approx((5e119, 2.4375e119), rel=1e-12)
+    assert c.radius == pytest.approx(5.5625e119, rel=1e-12)
+
+
+@pytest.mark.parametrize("exp", [0, 60, 101, 200, 340, 500, -300])
+def test_circumcentre_scales_by_a_power_of_two_exactly(exp):
+    # scaling is exact in the normal range, so the offsets scaled inside
+    # _circumcircle give the bits of the unscaled formula, scaled
+    rng = random.Random(exp)
+    for _ in range(200):
+        a, b, c = random_points(rng, 3, box=50.0)
+        want = geometry._circumcircle(a, b, c)
+        got = geometry._circumcircle(*(tuple(math.ldexp(v, exp) for v in p) for p in (a, b, c)))
+        if want is None:
+            assert got is None
+            continue
+        assert got.center == tuple(math.ldexp(v, exp) for v in want.center)
+        assert got.radius == pytest.approx(math.ldexp(want.radius, exp), rel=1e-15)
 
 
 def test_sec_requires_2d():
@@ -274,7 +309,8 @@ def test_sec_requires_2d():
         smallest_enclosing_circle([(1.0,), (2.0,)])
 
 
-def test_sec_matches_brute_force_on_random_instances():
+@pytest.mark.parametrize("scale", SEC_SCALES)
+def test_sec_matches_brute_force_on_random_instances(scale):
     rng = random.Random(1729)
     for trial in range(200):
         n = rng.randint(1, 8)
@@ -282,10 +318,12 @@ def test_sec_matches_brute_force_on_random_instances():
         if trial % 3 == 0:
             # coarse coordinates provoke duplicates and cocircular ties
             pts = [(round(x), round(y)) for x, y in pts]
-        got = smallest_enclosing_circle(pts, seed=trial)
+        got = smallest_enclosing_circle(scaled(pts, scale), seed=trial)
         want = brute_force_sec(pts)
-        assert got.radius == pytest.approx(want.radius, abs=1e-9)
-        assert all(math.dist(got.center, p) <= got.radius + 1e-9 for p in pts)
+        assert got.radius == pytest.approx(want.radius * scale, rel=1e-9, abs=1e-9 * scale)
+        assert all(
+            math.dist(got.center, p) <= got.radius + 1e-9 * scale for p in scaled(pts, scale)
+        )
 
 
 def test_sec_seed_determinism():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facloc import scenarios
 from facloc.geometry import Metric, coordinate_median, distance, smallest_enclosing_circle
 from facloc.mechanisms import (
     _place,
@@ -309,6 +310,30 @@ class TestAssignNearest:
             d = distance(agent, locations[j - 1])
             assert all(d <= distance(agent, q) + 1e-12 for q in locations)
 
+    @given(
+        pts=st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=6
+        ),
+        loc=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+        metric=st.sampled_from(Metric),
+    )
+    def test_one_location_is_the_distance_scan(self, pts, loc, metric):
+        prof = AgentProfile(tuple(pts), metric)
+        locations = (tuple(map(float, loc)),)
+        scan = []
+        for agent in prof.agents:
+            # the nearest facility, ties to the lowest index
+            dists = [distance(agent, q, metric) for q in locations]
+            scan.append(dists.index(min(dists)) + 1)
+        assert assign_nearest(locations, prof) == tuple(scan)
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_one_location_of_another_dimension_raises(self, metric):
+        prof = AgentProfile(((0.0, 0.0), (1.0, 1.0)), metric)
+        for loc in ((0.0,), (0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                assign_nearest((loc,), prof)
+
 
 class TestRunMechanism:
     def test_median_uses_lower_median_per_axis(self):
@@ -372,6 +397,51 @@ class TestRunMechanism:
             a = run_mechanism(desc, prof, FacilitySpec(1 if desc.implied_facilities else 2))
             b = run_mechanism(desc, prof, FacilitySpec(1 if desc.implied_facilities else 2))
             assert a == b
+
+
+def kind_runs(dim):
+    """(descriptor, facility count) for every kind that runs in dim."""
+    runs = [
+        (MechanismDescriptor.percentile_plane(((0.25,) * dim, (1.0,) * dim)), 2),
+        (MechanismDescriptor.median(), 1),
+        (MechanismDescriptor.geometric(), 1),
+        (MechanismDescriptor.dictatorship(), 2),
+        (MechanismDescriptor.coordinate_extreme("max"), 1),
+        (MechanismDescriptor.coordinate_extreme("min"), 1),
+        (MechanismDescriptor.first_agent(), 1),
+    ]
+    if dim == 1:
+        runs.append((MechanismDescriptor.percentile_line((0.0, 0.5, 1.0)), 3))
+    if dim == 2:
+        runs.append((MechanismDescriptor.one_centre(), 1))
+        rotated = ((0.6, 0.8), (-0.8, 0.6))
+        runs.append((MechanismDescriptor.percentile_plane(((0.25, 0.75),), rotated), 1))
+    return runs
+
+
+def scenario_profiles():
+    """Every registered scenario's profile under both metrics, and its 1-d
+    projection onto the first axis."""
+    for name, _ in scenarios.list_scenarios():
+        agents = scenarios.get_scenario(name).profile.agents
+        for metric in Metric:
+            yield AgentProfile(agents, metric)
+            yield AgentProfile(tuple(a[:1] for a in agents), metric)
+
+
+def test_run_mechanism_builds_the_solution_the_constructor_would():
+    kinds = set()
+    for prof in scenario_profiles():
+        for desc, m in kind_runs(prof.dim):
+            sol = run_mechanism(desc, prof, FacilitySpec(m))
+            validated = Solution(sol.locations, sol.assignment)
+            assert sol == validated and repr(sol) == repr(validated)
+            assert type(sol.locations) is tuple and type(sol.assignment) is tuple
+            assert all(type(p) is tuple for p in sol.locations)
+            assert all(type(c) is float for p in sol.locations for c in p)
+            assert all(type(j) is int for j in sol.assignment)
+            kinds.add(desc.kind)
+    assert kinds == set(MechanismKind)
 
 
 ANONYMOUS_DESCRIPTORS = [

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from facloc.mechanisms import (
     MechanismDescriptor,
     Solution,
 )
-from facloc import welfare
+from facloc import bench, geometry, welfare
 from facloc.welfare import (
     LINE_SPLIT_MAX_AGENTS,
     PARTITION_ORACLE_MAX_AGENTS,
@@ -70,11 +71,25 @@ class TestEvaluate:
         sol = Solution(((0.0, 0.0),), (1, 1))
         assert evaluate(prof, sol, WelfareObjective.TOTAL) == pytest.approx(3.0)
 
-    def test_length_mismatch_raises(self):
-        prof = AgentProfile(((0.0,), (1.0,)))
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_length_mismatch_raises(self, metric):
+        prof = AgentProfile(((0.0,), (1.0,)), metric)
         sol = Solution(((0.0,),), (1,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="assignment covers"):
             evaluate(prof, sol, WelfareObjective.TOTAL)
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("location", [(0.0,), (0.0, 0.0, 0.0)])
+    def test_location_of_another_dimension_raises(self, metric, location):
+        # under Manhattan a bare zip would cut the longer point short
+        prof = AgentProfile(((0.0, 0.0), (1.0, 2.0)), metric)
+        for sol in (
+            Solution((location,), (1, 1)),
+            Solution(((0.0, 0.0), location), (1, 2)),
+        ):
+            for objective in WelfareObjective:
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    evaluate(prof, sol, objective)
 
 
 class TestRatioReport:
@@ -933,6 +948,70 @@ class TestCapacitatedAssignment:
         prof = AgentProfile(tuple((float(i), 0.0) for i in range(11)))
         with pytest.raises(OracleCapError):
             optimal_capacitated_assignment(prof, ((0.0, 0.0),), (11,))
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of geometry's `name`, through every reference a
+    facloc module holds to it."""
+    calls = []
+    original = getattr(geometry, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "facloc" and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("objective", list(WelfareObjective))
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        MechanismDescriptor.median(),
+        MechanismDescriptor.percentile_plane(((0.25, 0.75),)),
+        MechanismDescriptor.one_centre(),
+        MechanismDescriptor.geometric(),
+    ],
+    ids=lambda d: d.kind.value,
+)
+def test_one_facility_ratio_validates_nothing_again(monkeypatch, metric, objective, descriptor):
+    # the config is checked when built, the sampled points are finite by
+    # construction, and from there on every point is trusted
+    config = bench.BenchConfig(trials=5, n_range=(3, 9), seed=3, metric=metric)
+    as_point_calls = _counting(monkeypatch, "as_point")
+    distance_calls = _counting(monkeypatch, "distance")
+    for index in range(5):
+        profile = bench.sample_profile(config, index)
+        approximation_ratio(descriptor, profile, FacilitySpec(1), objective)
+    assert as_point_calls == []
+    assert distance_calls == []
+    # the counters do see the validating constructor
+    AgentProfile(profile.agents, metric)
+    assert len(as_point_calls) == profile.n
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("objective", list(WelfareObjective))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_optimal_solution_is_the_one_the_constructor_would_build(metric, objective, m):
+    rng = random.Random(f"{metric.value}:{objective.value}:{m}")
+    for _ in range(10):
+        # signed zeros on the second axis
+        agents = tuple(
+            (rng.uniform(-5, 5), rng.choice([0.0, -0.0, rng.uniform(-5, 5)]))
+            for _ in range(rng.randint(1, 6))
+        )
+        prof = AgentProfile(agents, metric)
+        _, sol = optimal_welfare(prof, FacilitySpec(m), objective)
+        validated = Solution(sol.locations, sol.assignment)
+        assert sol == validated and repr(sol) == repr(validated)
+        assert type(sol.locations) is tuple and type(sol.assignment) is tuple
+        assert all(type(c) is float for p in sol.locations for c in p)
+        assert all(type(j) is int for j in sol.assignment)
 
 
 class TestApproximationRatio:
