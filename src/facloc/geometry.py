@@ -82,7 +82,7 @@ def distance(a: Sequence[float], b: Sequence[float], metric: Metric = Metric.EUC
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     if metric is Metric.EUCLIDEAN:
         return math.dist(a, b)
-    return sum(map(abs, map(operator.sub, a, b)))
+    return _manhattan(a, b)
 
 
 def _manhattan(a: Sequence[float], b: Sequence[float]) -> float:

@@ -516,6 +516,17 @@ class TestMalformedCertificateDocuments:
         with pytest.raises(ValueError, match="JSON object"):
             certificate_from_dict([doc])
 
+    def test_unused_location_of_wrong_dimension_fails_replay(self):
+        # the reader takes solutions with an extra, unused facility of one
+        # coordinate; the replay checks every location against the 2-d
+        # profile, used or not, and raises instead of returning a bool
+        doc = certificate_doc(CertificateKind.PARETO_DOMINATION)
+        for name in ("original", "dominating"):
+            doc[name]["locations"].append([1.0])
+        cert = certificate_from_dict(doc)
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 1"):
+            verify_certificate(cert)
+
 
 FUZZ_DESCRIPTORS = (
     MechanismDescriptor.median(),
