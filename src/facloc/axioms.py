@@ -52,6 +52,7 @@ from .geometry import (
     OracleCapError,
     Point,
     _coordinate_median,
+    _metric_distance,
     as_point,
     bounding_box,
     distance,
@@ -346,11 +347,11 @@ def check_anonymity(
 def _nearest_costs(
     profile: AgentProfile, locations: Sequence[Point]
 ) -> Iterator[float]:
-    metric = profile.metric
-    return (
-        min(distance(agent, loc, metric) for loc in locations)
-        for agent in profile.agents
-    )
+    """Each agent's distance to its nearest location.  The locations are
+    points of the profile's dimension, built from its points or checked
+    where they came in, so they are not checked again per agent."""
+    dist = _metric_distance(profile.metric)
+    return (min(dist(agent, loc) for loc in locations) for agent in profile.agents)
 
 
 def _domination_margin(old: Sequence[float], new: Iterable[float]) -> float:
@@ -738,6 +739,8 @@ def check_strategy_proofness(
         pools = [candidate_points(profile, budget)] * profile.n
     best_gain = GAIN_TOLERANCE
     best: tuple[int, Point] | None = None
+    # reports and the mechanism's locations have the profile's dimension
+    dist = _metric_distance(profile.metric)
     for index, (agent, pool) in enumerate(zip(profile.agents, pools), start=1):
         agents = list(profile.agents)
         for report in pool:
@@ -747,7 +750,7 @@ def check_strategy_proofness(
             shifted = _place(
                 descriptor, AgentProfile._trusted(tuple(agents), profile.metric), spec.m
             )
-            cost = min(distance(agent, loc, profile.metric) for loc in shifted)
+            cost = min(dist(agent, loc) for loc in shifted)
             gain = honest_costs[index - 1] - cost
             if gain > best_gain:
                 best_gain = gain

@@ -14,7 +14,7 @@ so some optimal partition is separated by a line, for the total and the max
 objective alike (the planar 2-median / 2-centre argument).  Those O(n^2)
 line splits are enumerated instead, up to LINE_SPLIT_MAX_AGENTS agents.
 Manhattan bisectors are not lines, so Manhattan profiles, other dimensions
-and m >= 3 keep the full enumeration.
+and m >= 3 search every partition, under the branch and bound below.
 
 The profile is validated once, when it is built, and the oracles build
 their solutions with Solution._trusted from kernel centres that
@@ -25,8 +25,9 @@ use the same helper.  Each candidate is a tuple of block bitmasks.  A
 block's points are read off its mask in the agents' lexicographic order,
 sorted once per call, and solved by the geometry cores, which do not
 check their input again; each block's answer is cached by its mask.  Of
-candidates with equal (value, facility tuple) the first in
-restricted-growth order wins, so that order decides ties.
+candidates with equal (value, facility tuple) the one whose
+restricted-growth labels in index order come first wins (_growth_labels),
+so that order decides ties.
 
 Both searches are a branch and bound on a lower bound per group, which
 calls no kernel.  Manhattan distance is the larger coordinate difference in
@@ -41,17 +42,19 @@ d(i, c) + d(j, c) >= d(i, j) for every centre c.  That bound never exceeds
 the group's true optimum, however inexact the geometric median or the
 enclosing circle is, and every value the oracle computes is a real cost at
 some point, so never below it.  The partitions are walked depth first,
-placing agents in index order, and the walk cuts a subtree once its
-partial groups' bounds, summed or maxed as the objective folds them,
-exceed the best partition found, up to a rounding slack (1e-12 relative
-plus 64 ulp of the largest coordinate, derived in optimal_welfare): a
-group's optimal cost never drops when an agent joins it.  The line splits
-are ranked by the fold of their two groups' bounds and walked lowest
-first, up to the first that exceeds the best found.  A cut partition
-cannot equal the winner, and ties are compared on (value, facility tuple,
-restricted-growth rank) whatever the walk order, so the winner and its
-tie-break stay those of the full enumeration.  The kernels solve only the
-groups of partitions that reach the cutoff.
+placing the agents farthest from their mean first (L1 distance, ties
+toward the lower index), so outliers' groups raise the bounds early.  The
+walk cuts a subtree once its partial groups' bounds, summed or maxed as
+the objective folds them, exceed the best partition found, up to a
+rounding slack (1e-12 relative plus 64 ulp of the largest coordinate,
+derived in optimal_welfare): a group's optimal cost never drops when an
+agent joins it.  The line splits are ranked by the fold of their two
+groups' bounds and walked lowest first, up to the first that exceeds the
+best found.  A cut partition cannot equal the winner, and ties are
+compared on (value, facility tuple, restricted-growth labels) whatever
+the walk order, so the winner and its tie-break stay those of the full
+enumeration.  The kernels solve only the groups of partitions that reach
+the cutoff.
 """
 
 from __future__ import annotations
@@ -177,36 +180,58 @@ def _one_facility_centre(
 
 
 def _partitions(
-    n: int, max_blocks: int, cut: Callable[[tuple[int, ...]], bool] | None = None
+    n: int,
+    max_blocks: int,
+    cut: Callable[[tuple[int, ...]], bool] | None = None,
+    walk: Sequence[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Set partitions of range(n) into at most max_blocks groups, each a
-    tuple of block bitmasks (bit i of a block is set when agent i is in it),
-    in restricted-growth order: agent i joins an earlier block before a
-    later one and opens a new block last, and agent 0 opens block 0.
+    tuple of block bitmasks (bit i of a block is set when agent i is in it)
+    ordered by their lowest agent.
 
-    A depth-first walk of the tree whose node at depth i places agents
-    0..i, so it holds one root-to-leaf path's siblings at a time, never the
-    Bell(n) partitions.  When `cut` is given it is asked about each node as
-    the walk reaches it, and a node it returns True for is skipped with its
-    whole subtree.
+    A depth-first walk of the tree whose node at depth d places the first
+    d + 1 agents of `walk` (index order by default): the next agent joins
+    an earlier block before a later one and opens a new block last.  Each
+    set partition is one leaf, whatever the order, and in index order the
+    leaves come in restricted-growth order (_growth_labels).  The walk
+    holds one root-to-leaf path's siblings at a time, never the Bell(n)
+    partitions.  When `cut` is given it is asked about each node as the
+    walk reaches it, its blocks in the order they were opened, and a node
+    it returns True for is skipped with its whole subtree.
     """
     if n < 1:
         raise ValueError("need at least one agent")
-    stack = [((1,), 1)]
+    bits = [1 << i for i in (range(n) if walk is None else walk)]
+    stack = [((bits[0],), 1)]
     while stack:
         masks, placed = stack.pop()
         if cut is not None and cut(masks):
             continue
         if placed == n:
-            yield masks
+            yield tuple(sorted(masks, key=lambda mask: mask & -mask))
             continue
-        bit = 1 << placed
+        bit = bits[placed]
         # pushed last-first, so joining block 0 is walked first and a new
         # block last
         if len(masks) < max_blocks:
             stack.append((masks + (bit,), placed + 1))
         for b in reversed(range(len(masks))):
             stack.append((masks[:b] + (masks[b] | bit,) + masks[b + 1 :], placed + 1))
+
+
+def _growth_labels(masks: Sequence[int], n: int) -> tuple[int, ...]:
+    """The restricted-growth labels of a partition of range(n), its blocks
+    ordered by their lowest agent: agent i's label is the position of its
+    block.  Label tuples compare in the order _partitions yields the
+    partitions in index order, so they rank ties the same way in every
+    search."""
+    labels = [0] * n
+    for b, mask in enumerate(masks[1:], 1):
+        while mask:
+            low = mask & -mask
+            labels[low.bit_length() - 1] = b
+            mask ^= low
+    return tuple(labels)
 
 
 def _orientation(a: Point, b: Point, c: Point) -> int:
@@ -278,11 +303,8 @@ def _line_splits(points: Sequence[Point]) -> list[tuple[int, ...]]:
             for mask in (left[i, j] | prefix, left[i, j] | whole ^ prefix):
                 sides.add(mask if mask & 1 else full ^ mask)
             prefix |= 1 << k
-    # restricted-growth order: the agents' labels in index order, with
-    # label 0 for agent 0's side sorting first, read as a binary number
-    # with agent 0's label most significant
-    ordered = sorted(sides, key=lambda mask: int(f"{full ^ mask:0{n}b}"[::-1], 2))
-    return [(mask,) if mask == full else (mask, full ^ mask) for mask in ordered]
+    splits = [(mask,) if mask == full else (mask, full ^ mask) for mask in sides]
+    return sorted(splits, key=lambda masks: _growth_labels(masks, n))
 
 
 def _pairs_longest_first(points: Sequence[Point]) -> list[tuple[float, int]]:
@@ -369,9 +391,10 @@ def optimal_welfare(
     other case with m >= 2 searches all agent partitions, up to
     PARTITION_ORACLE_MAX_AGENTS agents.  Either cap raises OracleCapError
     before any enumeration.  Ties break toward the lexicographically smallest
-    facility tuple, and among equal tuples toward the partition first in
-    restricted-growth order, among the partitions searched: for two
-    facilities on a 2-d Euclidean profile among the line splits only.
+    facility tuple, and among equal tuples toward the partition whose
+    restricted-growth labels in index order come first (_growth_labels),
+    among the partitions searched: for two facilities on a 2-d Euclidean
+    profile among the line splits only.
     Unused facilities duplicate the last used location.
 
     Both searches are a branch and bound on a lower bound per group, which
@@ -380,7 +403,9 @@ def optimal_welfare(
     (_median_deviations), under the Manhattan max half the larger of its
     ranges in (x + y, x - y) (_rotated_ranges), and on Euclidean profiles
     _group_bound, from pairwise distances.  The partition search walks the
-    restricted-growth tree (_partitions) and cuts a node whose partial
+    restricted-growth tree (_partitions) over the agents farthest from
+    their coordinate mean in L1 first, ties toward the lower index, since
+    outliers' groups have high bounds, and cuts a node whose partial
     groups' bounds, summed under the total and maxed under the max
     objective, exceed the cutoff: adding an agent to a group never lowers
     its optimal cost, so that fold bounds from below the value of every
@@ -418,11 +443,12 @@ def optimal_welfare(
     exceeds best * (1 + rel) + 64 ulp(M), best being the lowest value of a
     partition already found; every partition under it is then strictly
     worse than that one, so it can neither win nor tie.  Ties are compared
-    on (value, facility tuple, restricted-growth rank), so the walk's order
-    does not decide them, and the search returns what the full enumeration
-    does.  Where a coordinate exceeds 2^512 in magnitude, sums of distances
-    could overflow, and the absolute slack is infinite: nothing is cut, and
-    every partition or line split is solved.
+    on (value, facility tuple, restricted-growth labels in index order),
+    with each leaf's blocks ordered by their lowest agent, so the walk's
+    order does not decide them, and the search returns what the full
+    enumeration does.  Where a coordinate exceeds 2^512 in magnitude, sums
+    of distances could overflow, and the absolute slack is infinite:
+    nothing is cut, and every partition or line split is solved.
 
     The partition search's first cutoff is the best split of an axis'
     sorted order into a prefix and a suffix: solved by the kernels on
@@ -490,14 +516,14 @@ def optimal_welfare(
     def cut(masks: tuple[int, ...]) -> bool:
         return lower(masks) > cutoff
 
-    def by_bound() -> Iterator[tuple[int, tuple[int, ...]]]:
-        """The line splits with their restricted-growth ranks, lowest
-        bound first, up to the first bound past the cutoff."""
+    def by_bound() -> Iterator[tuple[int, ...]]:
+        """The line splits, lowest bound first, up to the first bound past
+        the cutoff."""
         splits = _line_splits(agents)
         for low, rank in sorted((lower(masks), rank) for rank, masks in enumerate(splits)):
             if low > cutoff:
                 return
-            yield rank, splits[rank]
+            yield splits[rank]
 
     # the slack derived in the docstring
     scale = max(abs(c) for p in agents for c in p)
@@ -509,7 +535,7 @@ def optimal_welfare(
         return value + value * rel + absolute
 
     cutoff = math.inf
-    candidates: Iterable[tuple[int, tuple[int, ...]]]
+    candidates: Iterable[tuple[int, ...]]
     if line_splits:
         candidates = by_bound()
     else:
@@ -526,9 +552,15 @@ def optimal_welfare(
                 # that value
                 value = solved(masks) if euclidean else above(lower(masks))
                 cutoff = min(cutoff, above(value))
-        candidates = enumerate(_partitions(n, min(spec.m, n), cut))
-    best: tuple[float, tuple[Point, ...], int, tuple[int, ...]] | None = None
-    for rank, masks in candidates:
+        # the agents farthest from the mean in L1 first, ties toward the
+        # lower index: their groups' bounds rise early in the walk
+        mean = [sum(column) / n for column in zip(*agents)]
+        walk = sorted(
+            range(n), key=lambda i: -sum(abs(c - mu) for c, mu in zip(agents[i], mean))
+        )
+        candidates = _partitions(n, min(spec.m, n), cut, walk)
+    best: tuple[float, tuple[Point, ...], tuple[int, ...]] | None = None
+    for masks in candidates:
         centers: list[Point] = []
         block_costs: list[float] = []
         for mask in masks:
@@ -537,18 +569,15 @@ def optimal_welfare(
             centers.append(group[1])
         value = fold(block_costs)
         padded = tuple(centers) + (centers[-1],) * (spec.m - len(masks))
-        if best is None or (value, padded, rank) < best[:3]:
-            best = (value, padded, rank, masks)
+        labels = _growth_labels(masks, n)
+        if best is None or (value, padded, labels) < best:
+            best = (value, padded, labels)
             cutoff = min(cutoff, above(value))
     assert best is not None
-    _, locations, _, masks = best
-    assignment = [0] * n
-    for b, mask in enumerate(masks, 1):
-        for i in range(n):
-            if mask >> i & 1:
-                assignment[i] = b
+    _, locations, labels = best
+    assignment = tuple(label + 1 for label in labels)
     _require_finite(locations)
-    solution = Solution._trusted(locations, tuple(assignment))
+    solution = Solution._trusted(locations, assignment)
     return evaluate(profile, solution, objective), solution
 
 

@@ -863,6 +863,25 @@ class TestExactStrategyProofness:
         assert len(calls) == 3 * (len(candidate_points(profile, PARITY_BUDGET)) - 1)
 
 
+@pytest.mark.parametrize("metric", list(Metric))
+def test_lattice_refuters_check_no_dimension_per_agent(metric, monkeypatch):
+    # the profile is checked when built, and the refuters' locations are
+    # points of its dimension: the misreport costs and the Pareto
+    # candidates' trips skip geometry.distance's per-pair check
+    desc = MechanismDescriptor.percentile_plane(((0.5, 0.5),), _ROTATED)
+    profile = AgentProfile(_SKEWED, metric)
+    # agents 2 and 3 travel to (3, 3), so this solution is dominated
+    two = Solution(((3.0, 3.0), (0.3, 1.7)), (2, 1, 1))
+
+    def refuse(*args):
+        raise AssertionError("distance checked dimensions again")
+
+    monkeypatch.setattr(axioms, "distance", refuse)
+    check_strategy_proofness(desc, profile, ONE, PARITY_BUDGET)
+    cert = check_pareto(profile, two, PARITY_BUDGET)
+    assert cert is not None and verify_certificate(cert)
+
+
 # --- one_centre and the first agent are refuted on the kind table's own
 # misreports; the lattice at PARITY_BUDGET and four reports off it are a
 # floor on their gain
