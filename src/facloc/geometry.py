@@ -8,7 +8,11 @@ underscored core that takes nonempty finite points of one dimension as
 given, for callers that validated them once already.  `distance` checks
 that its two points have one dimension; `_metric_distance` gives the same
 float operations without that check, for callers that checked the
-dimensions once, per location rather than per agent.
+dimensions once, per location rather than per agent.  The geometric
+median's objective model and Newton solve have a loop of their own for
+points in the plane, with the generic loop's float operations in the same
+order, so answers keep their bits; the generic loop serves 1-d and 3-d
+points and the tests.
 """
 
 from __future__ import annotations
@@ -140,11 +144,9 @@ class _Model(NamedTuple):
     pull: list[float]  # net unit pull: minus the gradient
     hessian: list[list[float]]
     inv_sum: float  # sum of inverse distances
-
-    @property
-    def excess(self) -> float:
-        """Norm of the smallest subgradient at x; zero exactly at an optimum."""
-        return math.hypot(*self.pull) - self.multiplicity
+    # norm of the smallest subgradient at x, |pull| - multiplicity: zero
+    # exactly at an optimum
+    excess: float
 
     def improved_by(self, other: _Model) -> bool:
         """other has a smaller excess and, up to rounding, no larger value."""
@@ -152,7 +154,13 @@ class _Model(NamedTuple):
 
 
 class _Objective:
-    """Total distance to the input points, and the solver's steps on it."""
+    """Total distance to the input points, and the solver's steps on it.
+
+    `model_at` sums over the points in any dimension.  Points in the plane
+    get `planar_model_at` in its place, a loop over scalars that does the
+    generic loop's float operations in the same order, so every model, and
+    with it every step and answer, has the same bits; the generic loop
+    serves 1-d and 3-d points and is the tests' reference."""
 
     def __init__(self, pts: list[Point]):
         self.pts = pts
@@ -160,6 +168,8 @@ class _Objective:
         # off a kink, at the excess allowed, is lost in the total's rounding
         scale = max(abs(c) for p in pts for c in p)
         self.near = max(COINCIDENCE_EPS, len(pts) * math.ulp(scale) / _RESIDUAL_ACCEPT)
+        if len(pts[0]) == 2:
+            self.model_at = self.planar_model_at
 
     def model_at(self, x: Point) -> _Model:
         dim = len(x)
@@ -182,7 +192,39 @@ class _Objective:
                     row[k] -= uw * u[k]
         for j in range(dim):
             hessian[j][j] += inv_sum
-        return _Model(value, multiplicity, pull, hessian, inv_sum)
+        excess = math.hypot(*pull) - multiplicity
+        return _Model(value, multiplicity, pull, hessian, inv_sum, excess)
+
+    def planar_model_at(self, x: Point) -> _Model:
+        """model_at for 2-d points, term for term.  h01 and h10 are summed
+        apart: (u0 w) u1 and (u1 w) u0 can differ in the last bit."""
+        x0, x1 = x
+        near = self.near
+        value, multiplicity, inv_sum = 0.0, 0, 0.0
+        g0 = g1 = h00 = h01 = h10 = h11 = 0.0
+        for p in self.pts:
+            d = math.dist(p, x)
+            value += d
+            if d <= near:
+                multiplicity += 1
+                continue
+            w = 1.0 / d
+            inv_sum += w
+            p0, p1 = p
+            u0 = (p0 - x0) * w
+            u1 = (p1 - x1) * w
+            g0 += u0
+            uw = u0 * w
+            h00 -= uw * u0
+            h01 -= uw * u1
+            g1 += u1
+            uw = u1 * w
+            h10 -= uw * u0
+            h11 -= uw * u1
+        h00 += inv_sum
+        h11 += inv_sum
+        excess = math.hypot(g0, g1) - multiplicity
+        return _Model(value, multiplicity, [g0, g1], [[h00, h01], [h10, h11]], inv_sum, excess)
 
     def search(
         self, start: Point, step: list[float], accept: Callable[[_Model], bool]
@@ -222,7 +264,8 @@ class _Objective:
         at_p = self.model_at(p)
         if at_p.excess <= 0.0:
             return p, at_p
-        ray = [c / math.hypot(*at_p.pull) for c in at_p.pull]
+        norm = math.hypot(*at_p.pull)
+        ray = [c / norm for c in at_p.pull]
         curvature = sum(r * h * s for row, r in zip(at_p.hessian, ray) for h, s in zip(row, ray))
         reach = max(math.dist(p, q) for q in self.pts)
         length = reach if curvature * reach <= at_p.excess else at_p.excess / curvature
@@ -231,7 +274,23 @@ class _Objective:
 
 def _solve_spd(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
     """Gauss-Jordan elimination without pivoting, which is stable for a
-    symmetric positive definite matrix; None once a pivot is not positive."""
+    symmetric positive definite matrix; None once a pivot is not positive.
+    A 2x2 system takes `_gauss_jordan`'s float operations written out."""
+    if len(rhs) != 2:
+        return _gauss_jordan(matrix, rhs)
+    (a00, a01), (a10, a11) = matrix
+    b0, b1 = rhs
+    if a00 <= 0.0:
+        return None
+    r01, r02 = a01 / a00, b0 / a00
+    if (pivot := a11 - a10 * r01) <= 0.0:
+        return None
+    r12 = (b1 - a10 * r02) / pivot
+    return [r02 - r01 * r12, r12]
+
+
+def _gauss_jordan(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """_solve_spd in any dimension."""
     a = [row + [b] for row, b in zip(matrix, rhs)]
     for col, pivot_row in enumerate(a):
         if (pivot := pivot_row[col]) <= 0.0:

@@ -12,6 +12,16 @@ import random
 
 from facloc.geometry import Circle, Metric, Point, distance
 
+# the near-collinear profile on which geometry.geometric_median gives up
+NEAR_COLLINEAR = (
+    (-4.2506123300808296e-10, 3.504115627133421e-10),
+    (6.371290347208169e-07, 7.707583144244762e-07),
+    (-38.16586842232048, -46.296506213429545),
+    (0.0, 0.0),
+    (32.75903706249175, 39.73783449986036),
+    (0.6360978070386747, 0.7716084368904924),
+)
+
 
 def brute_force_sec(points: list[Point]) -> Circle:
     """Minimum enclosing circle by enumerating every 1-, 2- and 3-point

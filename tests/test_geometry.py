@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from facloc import geometry
@@ -13,6 +13,7 @@ from facloc.geometry import (
     Circle,
     ConvergenceError,
     Metric,
+    OracleCapError,
     as_point,
     bounding_box,
     coordinate_median,
@@ -21,7 +22,7 @@ from facloc.geometry import (
     manhattan_one_center,
     smallest_enclosing_circle,
 )
-from helpers import brute_force_sec, grid_min_max_distance, random_points
+from helpers import NEAR_COLLINEAR, brute_force_sec, grid_min_max_distance, random_points
 
 coords = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 points_2d = st.tuples(coords, coords)
@@ -209,11 +210,12 @@ def test_geometric_median_certified_on_solver_traps(name):
 
 
 @st.composite
-def near_collinear_profiles(draw):
+def near_collinear_profiles(draw, dims=(1, 3)):
     """n points along a random line, moved off it perpendicularly by noise
-    of standard deviation 1e-9 to 1e-1, some of them duplicated."""
+    of standard deviation 1e-9 to 1e-1, some of them duplicated; the
+    dimension is drawn from the closed range dims."""
     n = draw(st.integers(2, 9))
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(*dims))
     unit = st.floats(-1.0, 1.0)
     base = draw(st.lists(st.floats(0.0, 100.0), min_size=dim, max_size=dim))
     direction = draw(
@@ -241,6 +243,95 @@ def near_collinear_profiles(draw):
 @given(near_collinear_profiles())
 def test_geometric_median_certified_on_near_collinear_inputs(pts):
     assert_certified_median(pts)
+
+
+@st.composite
+def planar_models(draw):
+    """An objective over 2-d points, some duplicated, at scale 1e-6, 1 or
+    1e6 and offset by 0 or 1e6, and an iterate: anywhere, on an input
+    point, or within the objective's `near` of one."""
+    scale = draw(st.sampled_from((1e-6, 1.0, 1e6)))
+    offset = draw(st.sampled_from((0.0, 1e6)))
+    pts = draw(st.lists(points_2d, min_size=1, max_size=9))
+    index = st.integers(0, len(pts) - 1)
+    for src, dst in draw(st.lists(st.tuples(index, index), max_size=2)):
+        pts[dst] = pts[src]
+    pts = [(x * scale + offset, y * scale + offset) for x, y in pts]
+    objective = _Objective(pts)
+    where = draw(st.sampled_from(("anywhere", "on", "near")))
+    if where == "anywhere":
+        x = tuple(c * scale + offset for c in draw(points_2d))
+    else:
+        p = pts[draw(index)]
+        # each offset below 0.7 near keeps p within near of x
+        t = st.floats(-0.7, 0.7) if where == "near" else st.just(0.0)
+        x = (p[0] + draw(t) * objective.near, p[1] + draw(t) * objective.near)
+    return objective, x
+
+
+# the generic loop sums h01 and h10 in different orders, (u0 w) u1 and
+# (u1 w) u0, and here they differ in the last bit
+@example((_Objective([(0.0, 0.0), (3.0, 0.0), (0.0, 1.0)]), (0.7, 0.3)))
+@settings(max_examples=300, deadline=None)
+@given(planar_models())
+def test_planar_model_is_the_generic_loop_bit_for_bit(case):
+    objective, x = case
+    assert objective.model_at == objective.planar_model_at
+    model = objective.model_at(x)
+    assert repr(model) == repr(_Objective.model_at(objective, x))
+    assert repr(geometry._solve_spd(model.hessian, model.pull)) == repr(
+        geometry._gauss_jordan(model.hessian, model.pull)
+    )
+
+
+@example([[0.0, 1.0], [1.0, 1.0]], [1.0, 1.0])  # first pivot zero
+@example([[-0.0, 1.0], [1.0, 1.0]], [1.0, 1.0])
+@example([[-2.0, 1.0], [1.0, 3.0]], [1.0, 1.0])  # first pivot negative
+@example([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])  # second pivot zero
+@example([[1.0, 2.0], [2.0, 1.0]], [1.0, 2.0])  # second pivot negative
+@example([[math.nan, 1.0], [1.0, 1.0]], [1.0, 2.0])  # NaN pivot passes
+@example([[1.0, math.inf], [1.0, 1.0]], [1.0, 2.0])
+@given(
+    st.lists(st.lists(st.floats(), min_size=2, max_size=2), min_size=2, max_size=2),
+    st.lists(st.floats(), min_size=2, max_size=2),
+)
+def test_planar_solve_is_gauss_jordan_bit_for_bit(matrix, rhs):
+    want = geometry._gauss_jordan(matrix, rhs)
+    assert repr(geometry._solve_spd(matrix, rhs)) == repr(want)
+
+
+def _median_outcome(pts):
+    """_geometric_median's answer, or its failure with the last iterate."""
+    try:
+        return repr(geometry._geometric_median(pts))
+    except (ConvergenceError, OracleCapError) as exc:
+        return type(exc).__name__, repr(getattr(exc, "best", None))
+
+
+def assert_planar_solver_is_the_generic_one(pts):
+    planar = _median_outcome(pts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Objective, "planar_model_at", _Objective.model_at)
+        patch.setattr(geometry, "_solve_spd", geometry._gauss_jordan)
+        assert _median_outcome(pts) == planar
+
+
+KNOWN_TRAPS = {
+    **{f"stall_{i}": pts for i, pts in enumerate(STALL_CASES)},
+    **SOLVER_TRAPS,
+    "near_collinear_failure": NEAR_COLLINEAR,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_TRAPS))
+def test_planar_solver_matches_the_generic_one_on_known_traps(name):
+    assert_planar_solver_is_the_generic_one(list(KNOWN_TRAPS[name]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_collinear_profiles(dims=(2, 2)))
+def test_planar_solver_matches_the_generic_one_near_collinear(pts):
+    assert_planar_solver_is_the_generic_one(pts)
 
 
 @settings(max_examples=60)

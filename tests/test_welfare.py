@@ -44,7 +44,7 @@ from facloc.welfare import (
     _pairs_longest_first,
     _partitions,
 )
-from helpers import grid_min_max_distance
+from helpers import NEAR_COLLINEAR, grid_min_max_distance
 
 RECTANGLE = ((0.0, 0.0), (0.0, 2.0), (12.0, 2.0), (12.0, 0.0))
 
@@ -693,17 +693,6 @@ def _needles(draw):
             (x + apex * ux - height * uy, y + apex * uy + height * ux)] + [
         (x + t * ux, y + t * uy) for t in along
     ]
-
-
-# the near-collinear profile on which geometry.geometric_median gives up
-NEAR_COLLINEAR = (
-    (-4.2506123300808296e-10, 3.504115627133421e-10),
-    (6.371290347208169e-07, 7.707583144244762e-07),
-    (-38.16586842232048, -46.296506213429545),
-    (0.0, 0.0),
-    (32.75903706249175, 39.73783449986036),
-    (0.6360978070386747, 0.7716084368904924),
-)
 
 
 @settings(deadline=None, max_examples=200)
