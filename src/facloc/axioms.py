@@ -22,8 +22,11 @@ agents' balls, and Manhattan dominations on the vertices of a line
 arrangement, on the lines that meet the rectangle D where the agents'
 balls overlap in (x + y, x - y) coordinates (both exhaustive while no
 coordinate exceeds 64 in magnitude; see check_pareto).  Everywhere else
-the candidates are a budgeted lattice, and None only means "no violation
-found at the searched resolution".
+the candidates are budgeted, and None only means "no violation found at
+the searched resolution".  For Pareto they are the lattice, the centres
+of every agent group up to 8 agents (each group solved once) or of the
+whole profile beyond, one-facility swaps, and per-partition centre
+products up to 8 agents.
 
 Inputs are validated once per call.  The strategy-proofness and anonymity
 checkers run the public run_mechanism on the honest profile, which checks
@@ -51,10 +54,10 @@ from .geometry import (
     Metric,
     OracleCapError,
     Point,
+    _bounding_box,
     _coordinate_median,
     _metric_distance,
     as_point,
-    bounding_box,
     distance,
 )
 from .mechanisms import (
@@ -234,7 +237,7 @@ class SearchBudget:
     def pad_for(self, profile: AgentProfile) -> float:
         if self.bounding_box_pad is not None:
             return self.bounding_box_pad
-        lo, hi = bounding_box(profile.agents)
+        lo, hi = _bounding_box(profile.agents)
         diagonal = math.dist(lo, hi)
         return 2.0 * diagonal if diagonal > 0 else 1.0
 
@@ -254,7 +257,7 @@ def candidate_points(profile: AgentProfile, budget: SearchBudget) -> list[Point]
     padded box corners, and every reported agent location.
     """
     pad = budget.pad_for(profile)
-    lo, hi = bounding_box(profile.agents)
+    lo, hi = _bounding_box(profile.agents)
     lo = tuple(c - pad for c in lo)
     hi = tuple(c + pad for c in hi)
     r = budget.grid_resolution
@@ -381,37 +384,19 @@ def _group_centers(group: Sequence[Point], metric: Metric) -> list[Point]:
     return centers
 
 
-def _subset_centers(profile: AgentProfile) -> set[Point]:
-    if profile.n <= _SUBSET_CANDIDATE_MAX_AGENTS:
-        groups: Iterator[tuple[Point, ...]] = (
-            combo
-            for size in range(1, profile.n + 1)
-            for combo in itertools.combinations(profile.agents, size)
-        )
-    else:
-        groups = iter([profile.agents])
-    centers: set[Point] = set()
-    for group in groups:
-        centers.update(_group_centers(group, profile.metric))
-    return centers
-
-
-def _partition_placements(
-    profile: AgentProfile, m: int
-) -> Iterator[tuple[Point, ...]]:
-    """Per-block center products over every way of splitting the agents
-    into at most m groups; blocks short of m are padded with repeats."""
-    agents = profile.agents
-    for masks in _partitions(profile.n, m):
-        options = [
-            sorted(set(_group_centers(
-                [a for i, a in enumerate(agents) if mask >> i & 1], profile.metric
-            )))
-            for mask in masks
-        ]
-        for combo in itertools.product(*options):
-            placed = tuple(sorted(combo))
-            yield placed + (placed[-1],) * (m - len(placed))
+def _subset_centers(profile: AgentProfile) -> dict[int, list[Point]]:
+    """Each group's sorted, distinct _group_centers by agent bitmask, each
+    group solved once, smallest first: every nonempty group up to
+    _SUBSET_CANDIDATE_MAX_AGENTS agents, only the whole profile beyond."""
+    n = profile.n
+    sizes = range(1, n + 1) if n <= _SUBSET_CANDIDATE_MAX_AGENTS else [n]
+    return {
+        sum(1 << i for i in group): sorted(set(
+            _group_centers([profile.agents[i] for i in group], profile.metric)
+        ))
+        for size in sizes
+        for group in itertools.combinations(range(n), size)
+    }
 
 
 def _diamond_vertices(
@@ -648,8 +633,11 @@ def check_pareto(
     leaves exactly as well off, and None only means that no candidate
     passed it; the projection, strictly inside every ball, then often
     still certifies.  Every other case (several facilities, other
-    dimensions) searches the lattice only, and None only means none was
-    found there.
+    dimensions) is budgeted, and None only means none was found among: the
+    lattice; the centres of every agent group up to 8 agents, each group
+    solved once (_subset_centers), or of the whole profile beyond that;
+    one-facility swaps onto any of those points; and, up to 8 agents,
+    per-partition centre products, one centre per group of each split.
     """
     budget = budget if budget is not None else SearchBudget()
     if len(solution.assignment) != profile.n:
@@ -673,19 +661,22 @@ def check_pareto(
         return _best_domination(profile, solution, old_costs, ((q,) for q in points))
 
     pool = set(candidate_points(profile, budget))
-    pool.update(_subset_centers(profile))
+    centers = _subset_centers(profile)
+    pool.update(itertools.chain.from_iterable(centers.values()))
     candidates: set[tuple[Point, ...]] = set()
-    if m == 1:
-        candidates.update((loc,) for loc in pool)
-    else:
-        # swap one facility at a time, keeping the others where they are
-        for j in range(m):
-            kept = list(solution.locations)
-            for loc in pool:
-                kept[j] = loc
-                candidates.add(tuple(sorted(kept)))
-        if profile.n <= _SUBSET_CANDIDATE_MAX_AGENTS:
-            candidates.update(_partition_placements(profile, m))
+    # swap one facility at a time, keeping the others where they are
+    for j in range(m):
+        kept = list(solution.locations)
+        for loc in pool:
+            kept[j] = loc
+            candidates.add(tuple(sorted(kept)))
+    # one centre per group of each split into at most m groups, padded with
+    # repeats
+    if profile.n <= _SUBSET_CANDIDATE_MAX_AGENTS:
+        for masks in _partitions(profile.n, m):
+            for combo in itertools.product(*(centers[mask] for mask in masks)):
+                placed = tuple(sorted(combo))
+                candidates.add(placed + (placed[-1],) * (m - len(placed)))
     return _best_domination(profile, solution, old_costs, candidates)
 
 

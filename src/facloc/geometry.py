@@ -102,7 +102,11 @@ def _metric_distance(metric: Metric) -> Callable[[Sequence[float], Sequence[floa
 
 def bounding_box(points: Iterable[Iterable[float]]) -> tuple[Point, Point]:
     """Coordinate-wise (mins, maxs) of a nonempty point set."""
-    pts = _validated(points)
+    return _bounding_box(_validated(points))
+
+
+def _bounding_box(pts: Sequence[Point]) -> tuple[Point, Point]:
+    """bounding_box on already validated points, not checked again."""
     mins = tuple(min(p[k] for p in pts) for k in range(len(pts[0])))
     maxs = tuple(max(p[k] for p in pts) for k in range(len(pts[0])))
     return mins, maxs

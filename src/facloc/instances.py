@@ -90,6 +90,8 @@ def load_instance(path: str | Path) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"instance file {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"instance file {path} nests too deeply to parse") from None
     return instance_from_dict(doc)
 
 

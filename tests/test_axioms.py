@@ -274,6 +274,40 @@ class TestPareto:
         with pytest.raises(ValueError, match="assign every agent"):
             check_pareto(PAIR, Solution(((0.0, 0.0),), (1,)), COARSE)
 
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.MANHATTAN])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_one_facility_off_the_plane_searches_the_lattice(self, dim, metric):
+        def point(x):
+            return (x,) + (0.0,) * (dim - 1)
+
+        prof = AgentProfile((point(0.0), point(2.0)), metric)
+        cert = check_pareto(prof, Solution((point(3.0),), (1, 1)), COARSE)
+        assert cert is not None
+        # the far agent gains most where the near one's ball meets its side
+        assert cert.dominating.locations == (point(1.0),)
+        assert cert.improvement == 2.0
+        assert verify_certificate(cert)
+        # between the agents every move lengthens someone's trip
+        assert check_pareto(prof, Solution((point(1.5),), (1, 1)), COARSE) is None
+
+    @pytest.mark.parametrize("n, calls", [(8, 2**8 - 1), (9, 1)])
+    def test_each_agent_group_is_solved_once(self, monkeypatch, n, calls):
+        # up to 8 agents every nonempty group once, for the swap pool and the
+        # partition products alike; beyond that only the whole profile
+        solved = []
+        group_centers = axioms._group_centers
+
+        def counting(group, metric):
+            solved.append(tuple(sorted(group)))
+            return group_centers(group, metric)
+
+        monkeypatch.setattr(axioms, "_group_centers", counting)
+        prof = AgentProfile(tuple((float(i % 3), float(i // 3)) for i in range(n)))
+        sol = run_mechanism(MechanismDescriptor.dictatorship(), prof, FacilitySpec(2))
+        check_pareto(prof, sol, COARSE)
+        assert len(solved) == calls
+        assert len(set(solved)) == calls
+
     @settings(deadline=None, max_examples=25)
     @given(
         pts=st.lists(

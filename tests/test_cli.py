@@ -135,6 +135,16 @@ class TestRun:
         assert main(["run", "--instance", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_deeply_nested_file_fails_validation(self, tmp_path, capsys):
+        # the JSON parser recurses once per level and runs out of stack
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert main(["run", "--instance", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "nests too deeply" in err
+        assert "Traceback" not in err
+
     def test_non_integral_capacity_fails_validation(self, tmp_path, capsys):
         doc = dict(RECTANGLE, facilities=2, capacities=[2.7, 1])
         doc["mechanism"] = {"kind": "percentile_multi_d", "params": [[0, 0], [1, 1]]}
