@@ -638,6 +638,9 @@ def check_pareto(
     solved once (_subset_centers), or of the whole profile beyond that;
     one-facility swaps onto any of those points; and, up to 8 agents,
     per-partition centre products, one centre per group of each split.
+    Unless one planar Euclidean placement lies in the hull, an agent trip
+    past the float range raises OracleCapError before any candidate is
+    built.
     """
     budget = budget if budget is not None else SearchBudget()
     if len(solution.assignment) != profile.n:
@@ -649,9 +652,9 @@ def check_pareto(
         hull = _convex_hull(profile.agents)
         if _in_hull(solution.locations[0], hull):
             return None
+    if not all(map(math.isfinite, old_costs)):
+        raise OracleCapError("an agent's trip overflows the float range")
     if planar_single:
-        if not all(map(math.isfinite, old_costs)):
-            raise OracleCapError("an agent's trip overflows the float range")
         if profile.metric is Metric.MANHATTAN:
             points = _diamond_vertices(profile.agents, old_costs)
         else:

@@ -113,13 +113,14 @@ def sample_profile(config: BenchConfig, index: int) -> AgentProfile:
     """The profile trial `index` evaluates; pure function of config.  The
     config checked that its box is finite and its metric a Metric, and
     uniform draws over that box are finite floats, so the profile is built
-    without validating them again."""
+    without validating them again.  A coordinate is side * rng.random(),
+    which is what rng.uniform(0.0, side) computes, 0.0 + (side - 0.0) * r,
+    bit for bit: side * r is never -0.0."""
     rng = _trial_rng(config.seed, index)
     n = rng.choice(config.admissible_sizes())
     side = config.box
-    agents = tuple(
-        (rng.uniform(0.0, side), rng.uniform(0.0, side)) for _ in range(n)
-    )
+    draw = rng.random
+    agents = tuple((side * draw(), side * draw()) for _ in range(n))
     return AgentProfile._trusted(agents, config.metric)
 
 

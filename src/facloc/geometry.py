@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import operator
 import random
@@ -312,13 +313,42 @@ def geometric_median(points: Iterable[Iterable[float]]) -> Point:
 
     Input points are tested for optimality up front (net pull of the other
     points no larger than the multiplicity), which makes the result exact
-    whenever the optimum sits on an input point.  Otherwise each round
-    takes a damped Newton step on the net-pull field or, if that cannot
-    shrink the excess, a Weiszfeld step or an escape from the kink of the
-    nearest input point.  Once a step is shorter than `_STEP_TOLERANCE`
-    or lowers the total by no more than rounding, the iterate is returned
-    if its excess certifies it (see `_RESIDUAL_ACCEPT`).  Running out of
-    `_MAX_ROUNDS` rounds raises ConvergenceError.
+    whenever the optimum sits on an input point.  Only the anchors
+    (distinct input points) whose total distance to the points more than
+    COINCIDENCE_EPS away is within a slack of the lowest such total are
+    tested, in input order, so the first to pass is the first of all
+    anchors that would.  For an anchor a, let S be the points more than
+    COINCIDENCE_EPS from it, N the m others (a among them), U the exact
+    net unit pull of S, f_S the total distance to S and f to all points.
+    f is convex, each |p - x| for p in S has gradient (x - p) / |x - p| at
+    a, and each point of N is at least |b - a| - COINCIDENCE_EPS from any
+    b, so f(b) >= f_S(a) - (|U| - m) |b - a| - m COINCIDENCE_EPS.  In
+    floats, with eps = 2^-53:
+    - a distance errs by at most 3 eps relative (its differences, and the
+      ulp math.dist allows), so a total T of at most n of them by
+      delta <= (n + 4) eps;
+    - a pull term errs by at most 6 eps relative, and a per-axis sum of at
+      most n unit terms by (n - 1) eps times n, so the norm of the pull,
+      with its hypot, is within (n + 6)^2 eps of |U|; subnormal terms add
+      far less.
+    So if a passes, |U| - m <= tol = 1e-12 + (n + 6)^2 eps, and with b the
+    lowest anchor and at most n near points each,
+        T(a) <= T(b) (1 + delta) / (1 - delta)
+                + (1 + delta) (1 + 3 eps) (tol |b - a| + 2n COINCIDENCE_EPS).
+    The cutoff takes every rounding term twice over, which also covers its
+    own rounding: T(b) (1 + 4 (n + 4) eps) + 2 (tol' |b - a| +
+    2n COINCIDENCE_EPS), with tol' = 1e-12 + 2 (n + 6)^2 eps.  This needs
+    every distance finite: one that overflows makes a pull term 0.  So if
+    any total is infinite, no anchor is skipped.
+
+    Otherwise each round, from the centroid or the lowest anchor if its
+    total is lower, takes a damped Newton step on the net-pull field or,
+    if that cannot shrink the excess, a Weiszfeld step or an escape from
+    the kink of the nearest input point.  Once a step is shorter than
+    `_STEP_TOLERANCE` or lowers the total by no more than rounding, the
+    iterate is returned if its excess certifies it (see
+    `_RESIDUAL_ACCEPT`).  Running out of `_MAX_ROUNDS` rounds raises
+    ConvergenceError.
     """
     return _geometric_median(_validated(points))
 
@@ -326,25 +356,36 @@ def geometric_median(points: Iterable[Iterable[float]]) -> Point:
 def _geometric_median(pts: Sequence[Point]) -> Point:
     """geometric_median on a nonempty sequence of finite points of one
     dimension, which are not validated again."""
-    if len(pts) == 1:
+    n = len(pts)
+    if n == 1:
         return pts[0]
     dim = len(pts[0])
 
-    totals: dict[Point, float] = {}
-    for anchor in dict.fromkeys(pts):
+    totals = {
+        anchor: sum(filter(COINCIDENCE_EPS.__lt__, map(math.dist, pts, itertools.repeat(anchor))))
+        for anchor in dict.fromkeys(pts)
+    }
+    lowest = min(totals, key=totals.get)
+    low = totals[lowest]
+    # an anchor whose total exceeds its cutoff fails the pull test; if any
+    # distance overflows, none is skipped (see geometric_median)
+    cuts = max(totals.values()) < math.inf
+    base = low + (n + 4) * 2.0**-51 * low + 4 * n * COINCIDENCE_EPS
+    per_length = 2e-12 + (n + 6) ** 2 * 2.0**-51
+    for anchor, total in totals.items():
+        if cuts and total > base + per_length * math.dist(anchor, lowest):
+            continue
         others = [(p, d) for p in pts if (d := math.dist(p, anchor)) > COINCIDENCE_EPS]
         pull = [sum((p[k] - anchor[k]) / d for p, d in others) for k in range(dim)]
-        if math.hypot(*pull) <= len(pts) - len(others) + 1e-12:
+        if math.hypot(*pull) <= n - len(others) + 1e-12:
             return anchor
-        totals[anchor] = sum(d for _, d in others)
 
     objective = _Objective(pts)
     x = tuple(sum(p[k] for p in pts) / len(pts) for k in range(dim))
     model = objective.model_at(x)
     # start from an input point below the centroid: as no round raises the
     # total beyond rounding, the answer beats every input point either way
-    lowest = min(totals, key=totals.get)
-    if totals[lowest] < model.value:
+    if low < model.value:
         x, model = lowest, objective.model_at(lowest)
     for _ in range(_MAX_ROUNDS):
         if model.excess <= 0.0:
@@ -362,16 +403,6 @@ def _geometric_median(pts: Sequence[Point]) -> Point:
 # --- smallest enclosing circle (randomized incremental) ---------------------
 
 _CONTAINS_EPS = 1 + 1e-14
-
-
-def _contains(c: Circle, p: Point) -> bool:
-    return math.dist(c.center, p) <= c.radius * _CONTAINS_EPS
-
-
-def _diameter_circle(a: Point, b: Point) -> Circle:
-    center = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-    radius = max(math.dist(center, a), math.dist(center, b))
-    return Circle(center, radius)
 
 
 # _circumcircle's centre formula multiplies squared offsets by a third
@@ -411,47 +442,6 @@ def _circumcircle(a: Point, b: Point, c: Point) -> Circle | None:
     return Circle(center, radius)
 
 
-def _cross(a: Point, b: Point, p: Point) -> float:
-    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-
-
-def _circle_two_fixed(pts: list[Point], a: Point, b: Point) -> Circle:
-    circ = _diameter_circle(a, b)
-    left: Circle | None = None
-    right: Circle | None = None
-    for p in pts:
-        if _contains(circ, p):
-            continue
-        side = _cross(a, b, p)
-        c = _circumcircle(a, b, p)
-        if c is None:
-            continue
-        lean = _cross(a, b, c.center)
-        if side > 0.0 and (left is None or lean > _cross(a, b, left.center)):
-            left = c
-        elif side < 0.0 and (right is None or lean < _cross(a, b, right.center)):
-            right = c
-    if left is None and right is None:
-        return circ
-    if left is None:
-        return right  # type: ignore[return-value]
-    if right is None:
-        return left
-    return left if left.radius <= right.radius else right
-
-
-def _circle_one_fixed(pts: list[Point], q: Point) -> Circle:
-    circ = Circle(q, 0.0)
-    for i, p in enumerate(pts):
-        if _contains(circ, p):
-            continue
-        if circ.radius == 0.0:
-            circ = _diameter_circle(q, p)
-        else:
-            circ = _circle_two_fixed(pts[: i + 1], q, p)
-    return circ
-
-
 @functools.lru_cache(maxsize=64)
 def _shuffle_order(n: int, seed: int) -> tuple[int, ...]:
     """Where random.Random(seed).shuffle sends the items of a list of n:
@@ -476,14 +466,58 @@ def smallest_enclosing_circle(points: Iterable[Iterable[float]], seed: int = 0) 
 
 def _enclosing_circle(pts: Sequence[Point], seed: int) -> Circle:
     """smallest_enclosing_circle on a nonempty sequence of finite 2-d points,
-    which are not validated again."""
+    which are not validated again.
+
+    Welzl's three nested passes as one loop over scalars.  The circle so
+    far is `center, radius`, and a point lies in it when its distance from
+    the centre is at most `limit`, set with each new circle.  Each pass
+    runs over the points the pass around it has gone through: the middle
+    pass keeps its point q on the boundary, the inner one q and the middle
+    pass's point b.  The inner pass starts from the circle on qb as
+    diameter and keeps, on each side of qb, the circumcircle through q, b
+    and a point outside it whose centre leans farthest to that side, with
+    that lean."""
     shuffled = [pts[i] for i in _shuffle_order(len(pts), seed)]
-    circ: Circle | None = None
-    for i, p in enumerate(shuffled):
-        if circ is None or not _contains(circ, p):
-            circ = _circle_one_fixed(shuffled[: i + 1], p)
-    assert circ is not None
-    return circ
+    center, radius, limit = shuffled[0], 0.0, 0.0
+    for i, q in enumerate(shuffled):
+        if math.dist(center, q) <= limit:
+            continue
+        center, radius, limit = q, 0.0, 0.0
+        q0, q1 = q
+        for j, b in enumerate(shuffled[: i + 1]):
+            if math.dist(center, b) <= limit:
+                continue
+            b0, b1 = b
+            # while the circle is the point q, the circle on qb replaces it;
+            # once it has a radius, b starts the inner pass from that circle
+            inner = radius != 0.0
+            center = ((q0 + b0) / 2.0, (q1 + b1) / 2.0)
+            radius = max(math.dist(center, q), math.dist(center, b))
+            limit = radius * _CONTAINS_EPS
+            if not inner:
+                continue
+            ex, ey = b0 - q0, b1 - q1
+            left = right = None
+            for p in shuffled[: j + 1]:
+                if math.dist(center, p) <= limit:
+                    continue
+                side = ex * (p[1] - q1) - ey * (p[0] - q0)
+                circ = _circumcircle(q, b, p)
+                if circ is None:
+                    continue
+                c0, c1 = circ.center
+                lean = ex * (c1 - q1) - ey * (c0 - q0)
+                if side > 0.0 and (left is None or lean > left_lean):
+                    left, left_lean = circ, lean
+                elif side < 0.0 and (right is None or lean < right_lean):
+                    right, right_lean = circ, lean
+            best = (
+                left if right is None or left is not None and left.radius <= right.radius else right
+            )
+            if best is not None:
+                center, radius = best
+                limit = radius * _CONTAINS_EPS
+    return Circle(center, radius)
 
 
 def manhattan_one_center(points: Iterable[Iterable[float]]) -> Point:

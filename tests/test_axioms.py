@@ -308,6 +308,14 @@ class TestPareto:
         assert len(solved) == calls
         assert len(set(solved)) == calls
 
+    def test_budgeted_search_refuses_an_overflowing_trip(self):
+        # the far agent's old trip is infinite, which would make any margin
+        # infinite: a cap, as on the planar one-facility path
+        prof = AgentProfile(((0.0, 0.0), (1.2e308, 1.2e308)), Metric.MANHATTAN)
+        sol = Solution(((0.0, 0.0), (0.0, 0.0)), (1, 2))
+        with pytest.raises(OracleCapError, match="trip overflows the float range"):
+            check_pareto(prof, sol, SearchBudget(4e307, bounding_box_pad=0.0))
+
     @settings(deadline=None, max_examples=25)
     @given(
         pts=st.lists(

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -83,6 +84,16 @@ class TestSampling:
         sizes = {sample_profile(cfg, i).n for i in range(60)}
         assert sizes <= {3, 5, 7}
         assert len(sizes) > 1
+
+    @pytest.mark.parametrize("parity", [None, "odd", "even"])
+    @pytest.mark.parametrize("box", [1.0, 100.0, 0.3, 1e-300, 1e300])
+    def test_draws_are_uniform_draws_from_a_fresh_trial_rng(self, box, parity):
+        cfg = small_config(box=box, parity=parity, seed=7)
+        for index in range(40):
+            rng = random.Random(f"{cfg.seed}:{index}")
+            n = rng.choice(cfg.admissible_sizes())
+            want = tuple((rng.uniform(0.0, box), rng.uniform(0.0, box)) for _ in range(n))
+            assert repr(sample_profile(cfg, index).agents) == repr(want)
 
     def test_metric_is_attached(self):
         cfg = small_config(metric=Metric.MANHATTAN)

@@ -300,10 +300,10 @@ def test_planar_solve_is_gauss_jordan_bit_for_bit(matrix, rhs):
     assert repr(geometry._solve_spd(matrix, rhs)) == repr(want)
 
 
-def _median_outcome(pts):
-    """_geometric_median's answer, or its failure with the last iterate."""
+def _median_outcome(pts, median=geometry._geometric_median):
+    """median's answer, or its failure with the last iterate."""
     try:
-        return repr(geometry._geometric_median(pts))
+        return repr(median(pts))
     except (ConvergenceError, OracleCapError) as exc:
         return type(exc).__name__, repr(getattr(exc, "best", None))
 
@@ -332,6 +332,117 @@ def test_planar_solver_matches_the_generic_one_on_known_traps(name):
 @given(near_collinear_profiles(dims=(2, 2)))
 def test_planar_solver_matches_the_generic_one_near_collinear(pts):
     assert_planar_solver_is_the_generic_one(pts)
+
+
+def all_anchor_median(pts):
+    """_geometric_median testing the pull at every anchor, with no cutoff
+    on its total: the loop the cutoff must agree with."""
+    if len(pts) == 1:
+        return pts[0]
+    dim = len(pts[0])
+    totals = {}
+    for anchor in dict.fromkeys(pts):
+        others = [(p, d) for p in pts if (d := math.dist(p, anchor)) > geometry.COINCIDENCE_EPS]
+        pull = [sum((p[k] - anchor[k]) / d for p, d in others) for k in range(dim)]
+        if math.hypot(*pull) <= len(pts) - len(others) + 1e-12:
+            return anchor
+        totals[anchor] = sum(d for _, d in others)
+    objective = _Objective(pts)
+    x = tuple(sum(p[k] for p in pts) / len(pts) for k in range(dim))
+    model = objective.model_at(x)
+    lowest = min(totals, key=totals.get)
+    if totals[lowest] < model.value:
+        x, model = lowest, objective.model_at(lowest)
+    for _ in range(geometry._MAX_ROUNDS):
+        if model.excess <= 0.0:
+            return x
+        delta = None if model.multiplicity else geometry._solve_spd(model.hessian, model.pull)
+        moved = objective.search(x, delta, model.improved_by) if delta else None
+        moved = moved or objective.fallback(x, model)
+        step = math.dist(x, moved[0])
+        flat = moved[1].value >= model.value * (1.0 - geometry._FLAT)
+        x, model = moved
+        if (step < geometry._STEP_TOLERANCE or flat) and model.excess <= _RESIDUAL_ACCEPT:
+            return x
+    raise ConvergenceError("did not converge", x)
+
+
+@st.composite
+def anchor_profiles(draw):
+    """2-9 points in 1-3 dimensions, uniform or on a coarse grid (ties
+    between anchor totals), some duplicated and some moved off a copy by
+    less than COINCIDENCE_EPS, at scale 1e-6, 1 or 1e6 and offset by 0 or
+    1e6."""
+    n = draw(st.integers(2, 9))
+    dim = draw(st.integers(1, 3))
+    grid = draw(st.booleans())
+    coord = st.integers(-3, 3).map(float) if grid else coords
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
+    scale = draw(st.sampled_from((1e-6, 1.0, 1e6)))
+    offset = draw(st.sampled_from((0.0, 1e6)))
+    pts = [tuple(c * scale + offset for c in p) for p in pts]
+    index = st.integers(0, n - 1)
+    nudge = st.floats(-0.5 * geometry.COINCIDENCE_EPS, 0.5 * geometry.COINCIDENCE_EPS)
+    for src, dst in draw(st.lists(st.tuples(index, index), max_size=3)):
+        pts[dst] = tuple(c + draw(nudge) for c in pts[src]) if draw(st.booleans()) else pts[src]
+    return pts
+
+
+# both anchors of a near pair pass, and the first one's total is 1.8e-12
+# above the second's, a gap only the cutoff's COINCIDENCE_EPS terms cover
+@example([(0.0, 0.0), (9e-13, 0.0), (10.0, 1.0), (10.0, -1.0)])
+# every total is infinite, and an anchor passes because its one overflowing
+# distance makes a pull term 0: nothing may be cut
+@example([(0.0, 0.0), (1.5e308, 1.5e308)])
+@example([(1.5e308, 1.5e308), (0.0, 0.0), (1e308, -1e308)])
+@settings(max_examples=300, deadline=None)
+@given(anchor_profiles())
+def test_anchor_cutoff_keeps_the_all_anchor_answer(pts):
+    assert _median_outcome(pts) == _median_outcome(pts, all_anchor_median)
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_TRAPS))
+def test_anchor_cutoff_keeps_the_all_anchor_answer_on_known_traps(name):
+    pts = list(KNOWN_TRAPS[name])
+    assert _median_outcome(pts) == _median_outcome(pts, all_anchor_median)
+
+
+# collinear, so both middle points are optimal and pass the pull test; the
+# first in order has the larger total, by rounding
+TWO_OPTIMAL_ANCHORS = [(3.7, 3.7), (0.8, 0.8), (20.3, 20.3), (4.4, 4.4)]
+
+
+def test_first_of_two_passing_anchors_is_returned():
+    def total(a):
+        return sum(math.dist(a, p) for p in TWO_OPTIMAL_ANCHORS)
+
+    assert total((3.7, 3.7)) > total((4.4, 4.4))
+    assert geometry._geometric_median(TWO_OPTIMAL_ANCHORS) == (3.7, 3.7)
+    assert geometry._geometric_median(TWO_OPTIMAL_ANCHORS[::-1]) == (4.4, 4.4)
+
+
+def test_no_passing_anchor_starts_from_the_lowest(monkeypatch):
+    # no input point is optimal, and (3, 4), third in order, has the lowest
+    # total, below the centroid's: the search starts there
+    pts = [(2.0, 2.0), (2.0, 8.0), (3.0, 4.0), (5.0, 9.0)]
+    visited = []
+
+    class Recording(_Objective):
+        def __init__(self, pts):
+            super().__init__(pts)
+            model_at = self.model_at
+
+            def recording(x):
+                visited.append(x)
+                return model_at(x)
+
+            self.model_at = recording
+
+    monkeypatch.setattr(geometry, "_Objective", Recording)
+    median = geometry._geometric_median(pts)
+    assert visited[:2] == [(3.0, 5.75), (3.0, 4.0)]
+    assert repr(median) == repr(all_anchor_median(pts))
+    assert median not in pts
 
 
 @settings(max_examples=60)
@@ -431,19 +542,99 @@ def test_cached_shuffle_order_is_the_fresh_shuffle(seed):
         assert [items[i] for i in geometry._shuffle_order(n, seed)] == shuffled
 
 
+def _contains(c, p):
+    return math.dist(c.center, p) <= c.radius * geometry._CONTAINS_EPS
+
+
+def _diameter_circle(a, b):
+    center = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+    return Circle(center, max(math.dist(center, a), math.dist(center, b)))
+
+
+def _cross(a, b, p):
+    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+
+
+def _circle_two_fixed(pts, a, b):
+    circ = _diameter_circle(a, b)
+    left = right = None
+    for p in pts:
+        if _contains(circ, p):
+            continue
+        side = _cross(a, b, p)
+        c = geometry._circumcircle(a, b, p)
+        if c is None:
+            continue
+        lean = _cross(a, b, c.center)
+        if side > 0.0 and (left is None or lean > _cross(a, b, left.center)):
+            left = c
+        elif side < 0.0 and (right is None or lean < _cross(a, b, right.center)):
+            right = c
+    if left is None and right is None:
+        return circ
+    if left is None:
+        return right
+    if right is None:
+        return left
+    return left if left.radius <= right.radius else right
+
+
+def _circle_one_fixed(pts, q):
+    circ = Circle(q, 0.0)
+    for i, p in enumerate(pts):
+        if _contains(circ, p):
+            continue
+        if circ.radius == 0.0:
+            circ = _diameter_circle(q, p)
+        else:
+            circ = _circle_two_fixed(pts[: i + 1], q, p)
+    return circ
+
+
 def reference_circle(pts, seed):
-    """The enclosing circle over a list shuffled by a fresh Random(seed)."""
+    """Welzl's passes as nested functions over Circle values, over a list
+    shuffled by a fresh Random(seed): the loop that _enclosing_circle
+    writes out over scalars, with the same float operations."""
     shuffled = [tuple(map(float, p)) for p in pts]
     random.Random(seed).shuffle(shuffled)
     circ = None
     for i, p in enumerate(shuffled):
-        if circ is None or not geometry._contains(circ, p):
-            circ = geometry._circle_one_fixed(shuffled[: i + 1], p)
+        if circ is None or not _contains(circ, p):
+            circ = _circle_one_fixed(shuffled[: i + 1], p)
     return circ
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(points_2d, min_size=1, max_size=9), st.integers(0, 4))
+@st.composite
+def circle_inputs(draw):
+    """1-12 points uniform or on a coarse grid (cocircular ties), or 2-9
+    nearly collinear ones; some duplicated; at scale 1e-6, 1 or 1e6 and
+    offset by 0 or 1e6."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(("uniform", "grid", "collinear")))
+    if shape == "uniform":
+        pts = draw(st.lists(points_2d, min_size=n, max_size=n))
+    elif shape == "grid":
+        pts = [(float(x), float(y)) for x, y in draw(
+            st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=n, max_size=n)
+        )]
+    else:
+        pts = draw(near_collinear_profiles(dims=(2, 2)))
+        n = len(pts)
+    index = st.integers(0, n - 1)
+    for src, dst in draw(st.lists(st.tuples(index, index), max_size=3)):
+        pts[dst] = pts[src]
+    scale = draw(st.sampled_from((1e-6, 1.0, 1e6)))
+    offset = draw(st.sampled_from((0.0, 1e6)))
+    return [(x * scale + offset, y * scale + offset) for x, y in pts]
+
+
+# cocircular grid points: two circumcircles lean equally far, and the
+# first one found is kept
+@example([(3.0, 1.0), (-2.0, -1.0), (-1.0, -2.0), (1.0, 3.0), (1.0, 2.0)], 2)
+@example([(0.0, 0.0), (1e120, 0.0), (5e119, 8e119)], 0)
+@example([(0.0, 0.0), (1e120, 0.0), (5e119, 8e119)], 3)
+@settings(max_examples=300, deadline=None)
+@given(circle_inputs(), st.integers(0, 4))
 def test_enclosing_circle_matches_a_fresh_shuffle(pts, seed):
     assert repr(smallest_enclosing_circle(pts, seed)) == repr(reference_circle(pts, seed))
 
