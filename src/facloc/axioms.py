@@ -715,7 +715,13 @@ def check_strategy_proofness(
     2 000 000 pairs, each widened on one axis by a few ulp or a random
     factor, found no inversion.  A one-ulp inversion could pass
     GAIN_TOLERANCE only where ulp(cost) exceeds it, for costs of 2^23 or
-    more.  For one_centre each agent tries one report, its reflection through
+    more.  Serial dictatorship gets none either, and its None is exact.
+    Every agent its walk reaches, up to the m-th placement, is placed or
+    shares a location placed already, so its cost is 0, which no report
+    lowers.  The walk stops at the m-th placement, so the other agents'
+    reports are never read, and a lone misreport by one of them leaves the
+    placement as it is.
+    For one_centre each agent tries one report, its reflection through
     itself of the other agent farthest from it, which moves the centre onto
     it: the best gain is the largest honest cost, up to rounding.  For
     lexicographic_first_agent each agent tries at most dim reports, the

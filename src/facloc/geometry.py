@@ -436,7 +436,12 @@ def _circumcircle(a: Point, b: Point, c: Point) -> Circle | None:
     y = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
          + (cx * cx + cy * cy) * (bx - ax)) / d
     if shift:
-        x, y = math.ldexp(x, shift), math.ldexp(y, shift)
+        try:
+            x, y = math.ldexp(x, shift), math.ldexp(y, shift)
+        except OverflowError:
+            raise OracleCapError(
+                "enclosing circle: a circumcircle centre is past the float range"
+            ) from None
     center = (ox + x, oy + y)
     radius = max(math.dist(center, a), math.dist(center, b), math.dist(center, c))
     return Circle(center, radius)
@@ -456,7 +461,9 @@ def smallest_enclosing_circle(points: Iterable[Iterable[float]], seed: int = 0) 
 
     Randomized incremental construction; expected linear time.  The shuffle
     is driven by the caller-supplied seed, so identical inputs give
-    identical circles.
+    identical circles.  Near the float range a circle the construction
+    passes through can have its centre past it, even where the smallest
+    one does not; that raises OracleCapError.
     """
     pts = _validated(points)
     if len(pts[0]) != 2:

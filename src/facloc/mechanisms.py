@@ -514,11 +514,13 @@ _KINDS: dict[MechanismKind, _Kind] = {
     MechanismKind.GEOMETRIC_MEDIAN: _Kind(
         "none", "one", place=lambda d, profile, m: (_geometric_median(sorted(profile.agents)),)
     ),
+    # strategy-proof, by check_strategy_proofness's proof: no report gains
     MechanismKind.SERIAL_DICTATORSHIP: _Kind(
         "order",
         "free",
         place=lambda d, profile, m: serial_dictatorship(profile, d.agent_order, m),
         order_free=False,
+        misreports=lambda d, profile: [[]] * profile.n,
     ),
     MechanismKind.ONE_CENTRE: _Kind(
         "none", "one", place=_one_centre, misreports=_reflections

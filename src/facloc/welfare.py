@@ -48,20 +48,27 @@ walk cuts a subtree once its partial groups' bounds, summed or maxed as
 the objective folds them, exceed the best partition found, up to a
 rounding slack (1e-12 relative plus 64 ulp of the largest coordinate,
 derived in optimal_welfare): a group's optimal cost never drops when an
-agent joins it.  The line splits are ranked by the fold of their two
-groups' bounds and walked lowest first, up to the first that exceeds the
-best found.  A cut partition cannot equal the winner, and ties are
-compared on (value, facility tuple, restricted-growth labels) whatever
-the walk order, so the winner and its tie-break stay those of the full
-enumeration.  The kernels solve only the groups of partitions that reach
-the cutoff.
+agent joins it.  Each node carries its blocks' bounds beside their
+masks, so it costs a fold of at most m floats and one cached bound, that
+of the block it changed.  The first cutoff is the best split of an axis'
+sorted order into a prefix and a suffix; on Manhattan profiles one sweep
+each way along the axis gives every prefix's and suffix's bound, the
+float the per-mask bound gives, and the walk finds them cached.  The
+line splits are ranked by the fold of their two groups' bounds and
+walked lowest first, up to the first that exceeds the best found.  A cut
+partition cannot equal the winner, and ties are compared on (value,
+facility tuple, restricted-growth labels) whatever the walk order, so the
+winner and its tie-break stay those of the full enumeration.  The
+kernels solve only the groups of partitions that reach the cutoff.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -127,6 +134,18 @@ def evaluate(
     return sum(costs) if objective is WelfareObjective.TOTAL else max(costs)
 
 
+def _finite_welfare(
+    profile: AgentProfile, solution: Solution, objective: WelfareObjective, whose: str
+) -> float:
+    """evaluate, refusing a welfare that overflowed the float range with
+    OracleCapError: an infinite optimum is no optimum, and a ratio of two
+    infinite welfares is NaN."""
+    value = evaluate(profile, solution, objective)
+    if not math.isfinite(value):
+        raise OracleCapError(f"{whose} welfare is past the float range")
+    return value
+
+
 @dataclass(frozen=True)
 class RatioReport:
     """Mechanism welfare against the exact optimum for one instance."""
@@ -182,8 +201,10 @@ def _one_facility_centre(
 def _partitions(
     n: int,
     max_blocks: int,
-    cut: Callable[[tuple[int, ...]], bool] | None = None,
     walk: Sequence[int] | None = None,
+    bound: Callable[[int], float] = lambda mask: 0.0,
+    fold: Callable[[Sequence[float]], float] = max,
+    cutoff: Callable[[], float] = lambda: math.inf,
 ) -> Iterator[tuple[int, ...]]:
     """Set partitions of range(n) into at most max_blocks groups, each a
     tuple of block bitmasks (bit i of a block is set when agent i is in it)
@@ -195,28 +216,38 @@ def _partitions(
     set partition is one leaf, whatever the order, and in index order the
     leaves come in restricted-growth order (_growth_labels).  The walk
     holds one root-to-leaf path's siblings at a time, never the Bell(n)
-    partitions.  When `cut` is given it is asked about each node as the
-    walk reaches it, its blocks in the order they were opened, and a node
-    it returns True for is skipped with its whole subtree.
+    partitions.  Each node carries its blocks' bounds beside their masks,
+    in the order the blocks were opened, so a child asks `bound` only
+    about the block it changed.  A node whose bounds fold above cutoff()
+    is skipped with its whole subtree.  cutoff() is read when the walk
+    starts and again each time it resumes after a leaf, so a caller may
+    lower it while it holds a leaf.  By default nothing is skipped.
     """
     if n < 1:
         raise ValueError("need at least one agent")
     bits = [1 << i for i in (range(n) if walk is None else walk)]
-    stack = [((bits[0],), 1)]
+    limit = cutoff()
+    stack = [((bits[0],), (bound(bits[0]),), 1)]
     while stack:
-        masks, placed = stack.pop()
-        if cut is not None and cut(masks):
+        masks, lows, placed = stack.pop()
+        if fold(lows) > limit:
             continue
         if placed == n:
             yield tuple(sorted(masks, key=lambda mask: mask & -mask))
+            limit = cutoff()
             continue
         bit = bits[placed]
+        placed += 1
         # pushed last-first, so joining block 0 is walked first and a new
         # block last
         if len(masks) < max_blocks:
-            stack.append((masks + (bit,), placed + 1))
+            stack.append((masks + (bit,), lows + (bound(bit),), placed))
         for b in reversed(range(len(masks))):
-            stack.append((masks[:b] + (masks[b] | bit,) + masks[b + 1 :], placed + 1))
+            mask = masks[b] | bit
+            low = bound(mask)
+            stack.append(
+                (masks[:b] + (mask,) + masks[b + 1 :], lows[:b] + (low,) + lows[b + 1 :], placed)
+            )
 
 
 def _growth_labels(masks: Sequence[int], n: int) -> tuple[int, ...]:
@@ -360,15 +391,38 @@ def _median_deviations(points: Sequence[Point]) -> Callable[[int], float]:
     return bound
 
 
+def _swept_deviations(points: Sequence[Point], line: Sequence[int]) -> list[float]:
+    """_median_deviations of line[:1], line[:2], ..., line[:-1], in one pass
+    that inserts each agent's coordinates into per-axis sorted lists.  A
+    prefix's lists hold the coordinates its mask would read off, in sorted
+    order, and the same sums run over them, so every value is the one
+    _median_deviations returns: equal coordinates, 0.0 and -0.0 among
+    them, give equal terms |x - mid|, whichever comes first."""
+    columns: list[list[float]] = [[] for _ in points[0]]
+    bounds = []
+    for i in line[:-1]:
+        total = 0.0
+        for xs, c in zip(columns, points[i]):
+            bisect.insort(xs, c)
+            mid = xs[(len(xs) - 1) >> 1]
+            total += sum([abs(x - mid) for x in xs])
+        bounds.append(total)
+    return bounds
+
+
+def _rotated(points: Sequence[Point]) -> list[tuple[float, float]]:
+    """Each point's (u, v) = (x + y, x - y), or (x, x) in 1-d.  The
+    Manhattan distance of two points is the larger of their |du| and
+    |dv|."""
+    if len(points[0]) == 1:
+        return [(x, x) for (x,) in points]
+    return [(x + y, x - y) for x, y in points]
+
+
 def _rotated_ranges(points: Sequence[Point]) -> Callable[[int], float]:
     """The Manhattan max of the group of agents in a mask, 1-d or 2-d:
-    half the larger of its u and v ranges, where (u, v) = (x + y, x - y),
-    or (x, x) in 1-d.  The Manhattan distance of two points is the larger
-    of their |du| and |dv|."""
-    if len(points[0]) == 1:
-        rotated = [(1 << i, x, x) for i, (x,) in enumerate(points)]
-    else:
-        rotated = [(1 << i, x + y, x - y) for i, (x, y) in enumerate(points)]
+    half the larger of its u and v ranges (_rotated)."""
+    rotated = [(1 << i, u, v) for i, (u, v) in enumerate(_rotated(points))]
 
     def bound(mask: int) -> float:
         us = [u for bit, u, _ in rotated if mask & bit]
@@ -376,6 +430,30 @@ def _rotated_ranges(points: Sequence[Point]) -> Callable[[int], float]:
         return max(max(us) - min(us), max(vs) - min(vs)) / 2.0
 
     return bound
+
+
+def _swept_ranges(points: Sequence[Point], line: Sequence[int]) -> list[float]:
+    """_rotated_ranges of line[:1], line[:2], ..., line[:-1], in one pass
+    that keeps the prefix's u and v extremes.  Every value is the one
+    _rotated_ranges returns: the extremes are the same numbers in any
+    order, a range of two different numbers does not depend on the sign of
+    a zero, and a range of equal ones is x - x = 0.0 either way."""
+    rotated = _rotated(points)
+    u_lo = v_lo = math.inf
+    u_hi = v_hi = -math.inf
+    bounds = []
+    for i in line[:-1]:
+        u, v = rotated[i]
+        if u < u_lo:
+            u_lo = u
+        if u > u_hi:
+            u_hi = u
+        if v < v_lo:
+            v_lo = v
+        if v > v_hi:
+            v_hi = v
+        bounds.append(max(u_hi - u_lo, v_hi - v_lo) / 2.0)
+    return bounds
 
 
 def optimal_welfare(
@@ -390,11 +468,12 @@ def optimal_welfare(
     of the agents (_line_splits), up to LINE_SPLIT_MAX_AGENTS agents; every
     other case with m >= 2 searches all agent partitions, up to
     PARTITION_ORACLE_MAX_AGENTS agents.  Either cap raises OracleCapError
-    before any enumeration.  Ties break toward the lexicographically smallest
-    facility tuple, and among equal tuples toward the partition whose
-    restricted-growth labels in index order come first (_growth_labels),
-    among the partitions searched: for two facilities on a 2-d Euclidean
-    profile among the line splits only.
+    before any enumeration, and so does an optimum whose welfare is past
+    the float range, after it.  Ties break toward the lexicographically
+    smallest facility tuple, and among equal tuples toward the partition
+    whose restricted-growth labels in index order come first
+    (_growth_labels), among the partitions searched: for two facilities on
+    a 2-d Euclidean profile among the line splits only.
     Unused facilities duplicate the last used location.
 
     Both searches are a branch and bound on a lower bound per group, which
@@ -454,7 +533,14 @@ def optimal_welfare(
     sorted order into a prefix and a suffix: solved by the kernels on
     Euclidean profiles, and scored on its bound B on Manhattan ones, whose
     value is then at most B (1 + rel) + 64 ulp(M) by the two-way bounds
-    above, so the slack is added twice.
+    above, so the slack is added twice.  The Manhattan scores come from
+    one sweep each way along the axis (_swept_deviations, _swept_ranges),
+    which keeps the prefix's sorted coordinates or its u and v extremes
+    as agents join it, and gives each prefix and suffix the float its
+    per-mask bound does; those go into the walk's bound cache.  The walk
+    carries each open block's bound beside its mask, so a node folds at
+    most m cached floats and asks for the bound of the one block it
+    changed.
 
     The kernels solve the groups of those seeds and of the partitions
     that reach the cutoff, and no others, so a ConvergenceError from the
@@ -470,7 +556,7 @@ def optimal_welfare(
         center = _one_facility_centre(sorted(agents), metric, objective)
         _require_finite((center,))
         solution = Solution._trusted((center,), (1,) * n)
-        return evaluate(profile, solution, objective), solution
+        return _finite_welfare(profile, solution, objective, "optimal"), solution
     line_splits = metric is Metric.EUCLIDEAN and profile.dim == 2 and spec.m == 2
     cap = LINE_SPLIT_MAX_AGENTS if line_splits else PARTITION_ORACLE_MAX_AGENTS
     if n > cap:
@@ -507,20 +593,20 @@ def optimal_welfare(
         bound = _median_deviations(agents) if total else _rotated_ranges(agents)
     bounds: dict[int, float] = {}
 
-    def lower(masks: tuple[int, ...]) -> float:
-        for mask in masks:
-            if mask not in bounds:
-                bounds[mask] = bound(mask)
-        return fold([bounds[mask] for mask in masks])
-
-    def cut(masks: tuple[int, ...]) -> bool:
-        return lower(masks) > cutoff
+    def cached(mask: int) -> float:
+        low = bounds.get(mask)
+        if low is None:
+            low = bounds[mask] = bound(mask)
+        return low
 
     def by_bound() -> Iterator[tuple[int, ...]]:
         """The line splits, lowest bound first, up to the first bound past
         the cutoff."""
         splits = _line_splits(agents)
-        for low, rank in sorted((lower(masks), rank) for rank, masks in enumerate(splits)):
+        ranked = sorted(
+            (fold([bound(mask) for mask in masks]), rank) for rank, masks in enumerate(splits)
+        )
+        for low, rank in ranked:
             if low > cutoff:
                 return
             yield splits[rank]
@@ -542,15 +628,22 @@ def optimal_welfare(
         # the splits of each axis' sorted order into a prefix and a suffix
         # are two-block partitions
         full = (1 << n) - 1
+        sweep = _swept_deviations if total else _swept_ranges
         for k in range(profile.dim):
-            prefix = 0
-            for i in sorted(range(n), key=lambda i: agents[i][k])[:-1]:
-                prefix |= 1 << i
-                masks = (prefix, full ^ prefix)
+            line = sorted(range(n), key=lambda i: agents[i][k])
+            prefixes = list(itertools.accumulate((1 << i for i in line[:-1]), operator.or_))
+            if euclidean:
+                values = [solved((prefix, full ^ prefix)) for prefix in prefixes]
+            else:
+                heads = sweep(agents, line)
+                tails = sweep(agents, line[::-1])[::-1]
+                bounds.update(zip(prefixes, heads))
+                bounds.update(zip([full ^ prefix for prefix in prefixes], tails))
                 # a Manhattan bound also exceeds its partition's computed
                 # value by at most the slack, so above() of it is at least
                 # that value
-                value = solved(masks) if euclidean else above(lower(masks))
+                values = [above(fold([head, tail])) for head, tail in zip(heads, tails)]
+            for value in values:
                 cutoff = min(cutoff, above(value))
         # the agents farthest from the mean in L1 first, ties toward the
         # lower index: their groups' bounds rise early in the walk
@@ -558,7 +651,7 @@ def optimal_welfare(
         walk = sorted(
             range(n), key=lambda i: -sum(abs(c - mu) for c, mu in zip(agents[i], mean))
         )
-        candidates = _partitions(n, min(spec.m, n), cut, walk)
+        candidates = _partitions(n, min(spec.m, n), walk, cached, fold, lambda: cutoff)
     best: tuple[float, tuple[Point, ...], tuple[int, ...]] | None = None
     for masks in candidates:
         centers: list[Point] = []
@@ -578,7 +671,7 @@ def optimal_welfare(
     assignment = tuple(label + 1 for label in labels)
     _require_finite(locations)
     solution = Solution._trusted(locations, assignment)
-    return evaluate(profile, solution, objective), solution
+    return _finite_welfare(profile, solution, objective, "optimal"), solution
 
 
 def optimal_capacitated_assignment(
@@ -646,7 +739,10 @@ def approximation_ratio(
     spec: FacilitySpec,
     objective: WelfareObjective,
 ) -> RatioReport:
-    """Ratio of a mechanism's welfare to the exact optimum on one instance."""
-    mech = evaluate(profile, run_mechanism(descriptor, profile, spec), objective)
+    """Ratio of a mechanism's welfare to the exact optimum on one instance.
+    Either welfare past the float range raises OracleCapError."""
+    mech = _finite_welfare(
+        profile, run_mechanism(descriptor, profile, spec), objective, "mechanism"
+    )
     opt, _ = optimal_welfare(profile, spec, objective)
     return RatioReport.from_welfares(mech, opt)

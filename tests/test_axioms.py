@@ -817,7 +817,7 @@ def test_strategy_proof_column():
         misreports = _KINDS[kind].misreports
         if misreports and misreports(per_axis_descriptor(kind, 2, 1), profile) == [[], []]:
             empty.add(kind)
-    assert empty == set(PER_AXIS_KINDS)
+    assert empty == {*PER_AXIS_KINDS, MechanismKind.SERIAL_DICTATORSHIP}
     rotated = MechanismDescriptor.percentile_plane(((0.5, 0.5),), _ROTATED)
     assert _KINDS[rotated.kind].misreports(rotated, profile) is None
 
@@ -889,6 +889,31 @@ class TestExactStrategyProofness:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 5),
+        dim=st.integers(1, 2),
+        m=st.integers(1, 3),
+        metric=st.sampled_from([Metric.EUCLIDEAN, Metric.MANHATTAN]),
+        duplicates=st.integers(0, 2),
+    )
+    def test_serial_dictatorship_matches_the_lattice_reference(
+        self, data, n, dim, m, metric, duplicates
+    ):
+        coord = st.sampled_from([-1.5, -0.3, -0.0, 0.0, 0.7, 1.0, 1.2])
+        agents = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
+        agents += data.draw(
+            st.lists(st.sampled_from(agents), min_size=duplicates, max_size=duplicates)
+        )
+        order = data.draw(st.permutations(range(1, len(agents) + 1)))
+        profile = AgentProfile(tuple(agents), metric)
+        desc, spec = MechanismDescriptor.dictatorship(tuple(order)), FacilitySpec(m)
+        assert check_strategy_proofness(desc, profile, spec, PARITY_BUDGET) is None
+        # the lattice, four draws off it, and every agent's location
+        pools = [sorted({*off_lattice_pools(profile)[0], *agents})] * profile.n
+        assert reference_strategy_proofness(desc, profile, spec, None, pools) is None
 
     def test_rotated_axes_stay_on_the_lattice(self, monkeypatch):
         desc = MechanismDescriptor.percentile_plane(((0.5, 0.5),), _ROTATED)

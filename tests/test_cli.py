@@ -455,6 +455,25 @@ class TestOracle:
         assert err.startswith(f"error: {message}") and "past the float range" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "metric, facilities",
+        [("euclidean", 1), ("manhattan", 1), ("manhattan", 2)],
+    )
+    def test_an_optimum_past_the_float_range_maps_to_resource_exit(
+        self, tmp_path, capsys, metric, facilities
+    ):
+        # every total distance overflows, and no inf is printed as an optimum
+        doc = {
+            "version": 1,
+            "metric": metric,
+            "agents": [[1e308, 1e308], [-1e308, 1e308], [1e308, -1e308], [0, 0]],
+            "facilities": facilities,
+        }
+        assert main(["oracle", "--instance", write(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: optimal welfare is past the float range")
+        assert len(err.splitlines()) == 1
+
     def test_capacitated_oracle_is_a_validation_error(self, tmp_path, capsys):
         doc = {
             "version": 1,
@@ -548,6 +567,24 @@ class TestBench:
         assert "completed 0" in out
         assert "skipped_resource_cap 2" in out
         assert "max_ratio nan" in out
+
+    @pytest.mark.parametrize("mechanism", ["multi_dim_median", "one_centre"])
+    def test_welfares_past_the_float_range_are_skipped(self, capsys, mechanism):
+        # some trials' welfares overflow, whose ratio would be NaN, and some
+        # enclosing circles pass through a circumcentre past the float range
+        args = [
+            "bench", "--mechanism", mechanism, "--metric", "manhattan",
+            "--box", "1e308", "--trials", "5",
+        ]
+        assert main(args) == 0
+        out = lines_of(capsys)
+        completed, skipped = (
+            int(line.split()[1])
+            for line in out
+            if line.startswith(("completed ", "skipped_resource_cap "))
+        )
+        assert skipped > 0 and completed + skipped == 5
+        assert "failed_solver 0" in out
 
     def test_solver_failures_are_reported(self, capsys, monkeypatch):
         def kernel(pts, **kwargs):

@@ -490,6 +490,26 @@ def test_sec_of_an_acute_triangle_past_1e102():
     assert c.radius == pytest.approx(5.5625e119, rel=1e-12)
 
 
+def test_a_circumcentre_past_the_float_range_is_refused():
+    # trial 2 of `facloc bench --mechanism one_centre --box 1e308`, sorted
+    # as the mechanism sorts it: the construction passes through the
+    # circle of agents 4, 2 and 5, whose centre lies past 1.8e308, though
+    # the smallest circle's does not
+    agents = [
+        (1.318468852464846e307, 2.023034049834709e307),
+        (1.687934405799445e307, 3.0699783458341503e307),
+        (2.508315910998845e307, 3.7120868227637793e307),
+        (2.621540692205774e307, 5.503494691115216e307),
+        (3.587974310323051e307, 8.119522910982131e307),
+        (7.339777127311625e307, 1.690819112050057e306),
+    ]
+    message = "circumcircle centre is past the float range"
+    with pytest.raises(OracleCapError, match=message):
+        geometry._circumcircle(agents[3], agents[1], agents[4])
+    with pytest.raises(OracleCapError, match=message):
+        smallest_enclosing_circle(agents)
+
+
 @pytest.mark.parametrize("exp", [0, 60, 101, 200, 340, 500, -300])
 def test_circumcentre_scales_by_a_power_of_two_exactly(exp):
     # scaling is exact in the normal range, so the offsets scaled inside

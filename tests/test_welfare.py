@@ -47,6 +47,8 @@ from facloc.welfare import (
 from helpers import NEAR_COLLINEAR, grid_min_max_distance
 
 RECTANGLE = ((0.0, 0.0), (0.0, 2.0), (12.0, 2.0), (12.0, 0.0))
+# finite agents whose total distance to any centre overflows
+WELFARE_PAST_THE_FLOAT_RANGE = ((1e308, 1e308), (-1e308, 1e308), (1e308, -1e308), (0.0, 0.0))
 
 
 class TestEvaluate:
@@ -395,10 +397,68 @@ def test_the_outliers_first_walk_evaluates_few_manhattan_bounds(monkeypatch):
         prof = AgentProfile(agents, Metric.MANHATTAN)
         for objective in WelfareObjective:
             optimal_welfare(prof, FacilitySpec(2), objective)
-    # walked in index order these profiles take 6 311 and 2 357 bound
-    # evaluations; the outliers-first walk takes 3 165 and 1 051
+    # walked in index order these profiles took 6 311 and 2 357 bound
+    # evaluations and the outliers-first walk 3 165 and 1 051, 702 of each
+    # for the axis splits of the first cutoff.  Those are swept now
+    # (_swept_deviations, _swept_ranges), which leaves 2 463 and 349
     assert calls.count("_median_deviations") <= 4000
     assert calls.count("_rotated_ranges") <= 1500
+
+
+# walk nodes and kernel solves per op on the profiles of
+# test_the_walk_visits_the_nodes_and_solves_the_groups_it_did, as the search
+# counted them when it scored the first cutoff mask by mask and re-read
+# every block's bound at each node: neither speed-up may move them
+_WALK_COUNTS = {
+    ("total", 2): (
+        [105, 137, 211, 163, 117, 205, 67, 167, 227, 113,
+         119, 115, 65, 113, 155, 237, 151, 209, 103, 163],
+        [2] * 20,
+    ),
+    ("total", 3): (
+        [339, 441, 587, 676, 662, 1624, 722, 620, 753, 1163,
+         1238, 734, 628, 632, 447, 709, 898, 1062, 358, 578],
+        [11, 10, 20, 14, 15, 40, 11, 17, 22, 22, 21, 10, 16, 22, 17, 7, 8, 18, 10, 19],
+    ),
+    ("max", 2): (
+        [135, 47, 23, 23, 41, 27, 27, 21, 31, 19, 21, 21, 19, 27, 29, 19, 43, 33, 19, 21],
+        [128, 32, 8, 2, 16, 2, 8, 2, 2, 2, 2, 2, 2, 8, 2, 2, 32, 16, 2, 4],
+    ),
+    ("max", 3): (
+        [240, 161, 86, 275, 507, 153, 114, 1029, 303, 134,
+         105, 789, 2804, 723, 2799, 238, 186, 80, 182, 134],
+        [87, 48, 26, 146, 160, 55, 34, 238, 88, 24, 31, 190, 412, 195, 455, 95, 73, 32, 53, 46],
+    ),
+}
+
+
+@pytest.mark.parametrize("objective", list(WelfareObjective))
+@pytest.mark.parametrize("m", [2, 3])
+def test_the_walk_visits_the_nodes_and_solves_the_groups_it_did(monkeypatch, objective, m):
+    # each node the walk reaches folds its blocks' bounds once
+    nodes, solves = [], []
+    walk, kernel = welfare._partitions, welfare._one_facility_centre
+
+    def counting_walk(n, max_blocks, order, bound, fold, cutoff):
+        def counted(lows):
+            nodes[-1] += 1
+            return fold(lows)
+
+        return walk(n, max_blocks, order, bound, counted, cutoff)
+
+    def counting_kernel(*args):
+        solves[-1] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(welfare, "_partitions", counting_walk)
+    monkeypatch.setattr(welfare, "_one_facility_centre", counting_kernel)
+    rng = random.Random(f"walk:{objective.value}:{m}")
+    for _ in range(20):
+        agents = tuple((rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(10))
+        nodes.append(0)
+        solves.append(0)
+        optimal_welfare(AgentProfile(agents, Metric.MANHATTAN), FacilitySpec(m), objective)
+    assert (nodes, solves) == tuple(_WALK_COUNTS[objective.value, m])
 
 
 def _floats(pts):
@@ -755,6 +815,48 @@ def test_manhattan_bound_is_within_the_slack_of_the_computed_group_value(
             assert abs(bound - max(costs)) <= 13 * ulp
 
 
+_signed_coordinate = st.one_of(
+    st.floats(0.0, 100.0),
+    st.integers(-4, 4).map(float),
+    st.sampled_from((0.0, -0.0)),
+)
+
+
+@st.composite
+def _sweep_cases(draw):
+    """Points of 1-d to 3-d under the total and 1-d or 2-d under the max:
+    uniform, integer-grid and signed-zero coordinates, duplicate agents,
+    scaled by 1, 1e-300, 1e300 or 1e306, where sums and u = x + y
+    overflow; and an order of the agents to sweep them in."""
+    total = draw(st.booleans())
+    dim = draw(st.integers(1, 3 if total else 2))
+    point = st.tuples(*[_signed_coordinate] * dim)
+    pool = draw(st.lists(point, min_size=1, max_size=10))
+    agents = pool + draw(st.lists(st.sampled_from(pool), max_size=4))
+    scale = draw(st.sampled_from((1.0, 1e-300, 1e300, 1e306)))
+    agents = [tuple(c * scale for c in p) for p in agents]
+    line = draw(st.permutations(range(len(agents))))
+    return agents, line, total
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_sweep_cases())
+def test_swept_bounds_are_the_per_mask_bounds(case):
+    agents, line, total = case
+    bound, sweep = (
+        (welfare._median_deviations, welfare._swept_deviations)
+        if total
+        else (welfare._rotated_ranges, welfare._swept_ranges)
+    )
+    bound = bound(agents)
+    heads, tails = sweep(agents, line), sweep(agents, line[::-1])
+    assert len(heads) == len(tails) == len(agents) - 1
+    for j, (head, tail) in enumerate(zip(heads, tails), 1):
+        for value, part in ((head, line[:j]), (tail, line[-j:])):
+            # the same float, bit for bit, NaN and the sign of a zero included
+            assert repr(value) == repr(bound(sum(1 << i for i in part)))
+
+
 def test_a_solver_failure_counts_only_in_groups_the_search_reaches(monkeypatch):
     prof = AgentProfile(_two_clusters(10))
     total = WelfareObjective.TOTAL
@@ -1091,6 +1193,16 @@ class TestApproximationRatio:
             WelfareObjective.TOTAL,
         )
         assert report.ratio == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_a_welfare_past_the_float_range_is_refused(self, metric):
+        # both welfares overflow to inf, whose ratio would be NaN
+        prof = AgentProfile(WELFARE_PAST_THE_FLOAT_RANGE, metric)
+        total = WelfareObjective.TOTAL
+        with pytest.raises(OracleCapError, match="mechanism welfare is past the float range"):
+            approximation_ratio(MechanismDescriptor.median(), prof, FacilitySpec(1), total)
+        with pytest.raises(OracleCapError, match="optimal welfare is past the float range"):
+            optimal_welfare(prof, FacilitySpec(1), total)
 
     def test_median_max_ratio_two_on_skewed_pair(self):
         # median sits on the doubled point, twice as far as the midpoint
