@@ -32,7 +32,9 @@ Inputs are validated once per call.  The strategy-proofness and anonymity
 checkers run the public run_mechanism on the honest profile, which checks
 the descriptor against the spec; each misreport or permutation after that
 only places facilities, on a profile built from already validated points,
-with no Solution and no assignment.  verify_certificate replays every
+with no Solution and no assignment.  The refuters build their certificates
+with Certificate._trusted from those parts, and check only the margin,
+which can round past the float range.  verify_certificate replays every
 witness through the public, fully validated path instead.
 
 Certificates are self-contained.  They carry the profile, the mechanism
@@ -141,17 +143,7 @@ class Certificate:
         object.__setattr__(self, "kind", CertificateKind(self.kind))
         if not isinstance(self.profile, AgentProfile):
             raise ValueError("certificate needs an AgentProfile")
-        # a bool or a string is no margin, and an int past the float range
-        # reads as inf
-        try:
-            improvement = float(self.improvement) if _is_number(self.improvement) else math.nan
-        except OverflowError:
-            improvement = math.inf
-        if not math.isfinite(improvement) or improvement < 0:
-            raise ValueError(
-                f"improvement must be a finite nonnegative margin, got {self.improvement!r}"
-            )
-        object.__setattr__(self, "improvement", improvement)
+        object.__setattr__(self, "improvement", _margin(self.improvement))
         if self.permutation is not None:
             object.__setattr__(
                 self,
@@ -207,6 +199,31 @@ class Certificate:
                 )
             if len(self.misreport) != self.profile.dim:
                 raise ValueError("misreport has the wrong dimension")
+
+    @classmethod
+    def _trusted(cls, **fields: Any) -> "Certificate":
+        """Certificate from parts that are already checked, built without
+        validating them again: the kind, a built profile, descriptor, spec
+        and solutions, a finite float margin, a permutation tuple of ints,
+        and a float point of the profile's dimension, fitting the kind's
+        witness.  A witness field not given reads its class default, None."""
+        cert = object.__new__(cls)
+        # frozen: the fields go straight into the instance's dict
+        vars(cert).update(fields)
+        return cert
+
+
+def _margin(value: Any) -> float:
+    """value as a finite nonnegative float margin, or ValueError."""
+    # a bool or a string is no margin, and an int past the float range
+    # reads as inf
+    try:
+        improvement = float(value) if _is_number(value) else math.nan
+    except OverflowError:
+        improvement = math.inf
+    if not math.isfinite(improvement) or improvement < 0:
+        raise ValueError(f"improvement must be a finite nonnegative margin, got {value!r}")
+    return improvement
 
 
 @dataclasses.dataclass(frozen=True)
@@ -318,9 +335,10 @@ def check_anonymity(
     Otherwise the search is exhaustive up to ANONYMITY_EXHAUSTIVE_MAX_AGENTS
     agents, a fixed deterministic sample of permutations beyond that.
     """
-    base = sorted(run_mechanism(descriptor, profile, spec).locations)
+    honest = run_mechanism(descriptor, profile, spec)
     if _KINDS[descriptor.kind].order_free:
         return None
+    base = sorted(honest.locations)
     identity = tuple(range(1, profile.n + 1))
     if profile.n <= ANONYMITY_EXHAUSTIVE_MAX_AGENTS:
         permutations: Iterator[tuple[int, ...]] | list[tuple[int, ...]]
@@ -336,10 +354,12 @@ def check_anonymity(
         )
         gap = _multiset_gap(base, _place(descriptor, reordered, spec.m))
         if gap > GAIN_TOLERANCE:
-            return Certificate(
+            # a gap rounded past the float range is refused, as the
+            # constructor refuses it
+            return Certificate._trusted(
                 kind=CertificateKind.ANONYMITY_VIOLATION,
                 profile=profile,
-                improvement=gap,
+                improvement=_margin(gap),
                 descriptor=descriptor,
                 spec=spec,
                 permutation=permutation,
@@ -354,6 +374,8 @@ def _nearest_costs(
     points of the profile's dimension, built from its points or checked
     where they came in, so they are not checked again per agent."""
     dist = _metric_distance(profile.metric)
+    if len(locations) == 1:
+        return map(dist, profile.agents, itertools.repeat(locations[0]))
     return (min(dist(agent, loc) for loc in locations) for agent in profile.agents)
 
 
@@ -580,7 +602,8 @@ def _best_domination(
     # rounds past the float range is refused rather than certified
     _require_finite(best_locations)
     dominating = Solution._trusted(best_locations, assign_nearest(best_locations, profile))
-    return Certificate(
+    # a margin below an agent's finite old trip is finite
+    return Certificate._trusted(
         kind=CertificateKind.PARETO_DOMINATION,
         profile=profile,
         improvement=best_margin,
@@ -742,6 +765,8 @@ def check_strategy_proofness(
     # reports and the mechanism's locations have the profile's dimension
     dist = _metric_distance(profile.metric)
     for index, (agent, pool) in enumerate(zip(profile.agents, pools), start=1):
+        if not pool:
+            continue
         agents = list(profile.agents)
         for report in pool:
             if report == agent:
@@ -750,17 +775,22 @@ def check_strategy_proofness(
             shifted = _place(
                 descriptor, AgentProfile._trusted(tuple(agents), profile.metric), spec.m
             )
-            cost = min(dist(agent, loc) for loc in shifted)
+            if len(shifted) == 1:
+                cost = dist(agent, shifted[0])
+            else:
+                cost = min(dist(agent, loc) for loc in shifted)
             gain = honest_costs[index - 1] - cost
             if gain > best_gain:
                 best_gain = gain
                 best = (index, report)
     if best is None:
         return None
-    return Certificate(
+    # an honest trip past the float range makes the gain infinite, which
+    # is refused as the constructor refuses it
+    return Certificate._trusted(
         kind=CertificateKind.MANIPULATION,
         profile=profile,
-        improvement=best_gain,
+        improvement=_margin(best_gain),
         descriptor=descriptor,
         spec=spec,
         agent_index=best[0],

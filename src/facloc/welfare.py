@@ -122,6 +122,9 @@ def _agent_costs(profile: AgentProfile, solution: Solution) -> list[float]:
         if len(loc) != dim:
             raise ValueError(f"dimension mismatch: {dim} vs {len(loc)}")
     dist = _metric_distance(profile.metric)
+    if len(locations) == 1:
+        loc = locations[0]
+        return [dist(agent, loc) for agent in profile.agents]
     return [dist(agent, locations[j - 1]) for agent, j in zip(profile.agents, solution.assignment)]
 
 

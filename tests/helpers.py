@@ -1,6 +1,7 @@
-"""Independent oracles and profile generators used by several test modules.
+"""Independent oracles, profile generators and a call counter used by
+several test modules.
 
-Everything here is deliberately written against the problem statement, not
+The oracles are deliberately written against the problem statement, not
 against the package internals, so the tests stay a genuine cross-check.
 """
 
@@ -9,7 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 
+from facloc import geometry
 from facloc.geometry import Circle, Metric, Point, distance
 
 # the near-collinear profile on which geometry.geometric_median gives up
@@ -79,3 +82,19 @@ def random_points(
     rng: random.Random, n: int, box: float = 100.0, dim: int = 2
 ) -> list[Point]:
     return [tuple(rng.uniform(0.0, box) for _ in range(dim)) for _ in range(n)]
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of geometry's `name`, through every reference a
+    facloc module holds to it."""
+    calls = []
+    original = getattr(geometry, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "facloc" and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls

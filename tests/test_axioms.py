@@ -37,6 +37,7 @@ from facloc.mechanisms import (
     run_mechanism,
 )
 from facloc.welfare import OracleCapError
+from helpers import _counting
 
 ONE = FacilitySpec(1)
 PAIR = AgentProfile(((0.0, 0.0), (5.0, 5.0)))
@@ -207,6 +208,14 @@ class TestAnonymity:
         )
         assert swapped.locations == ((5.0, 5.0),)
         assert verify_certificate(cert)
+
+    @pytest.mark.parametrize(
+        "spec, match", [(FacilitySpec(2), "spec asks for 2"), (FacilitySpec(1, (2,)), "capacitated")]
+    )
+    def test_order_free_kinds_still_check_the_honest_run(self, spec, match):
+        # the honest run comes before the order-free proof, so its errors surface
+        with pytest.raises(ValueError, match=match):
+            check_anonymity(MechanismDescriptor.median(), PAIR, spec)
 
     def test_single_agent_profile_passes(self):
         lone = AgentProfile(((3.0, 4.0),))
@@ -1478,3 +1487,144 @@ class TestExactPareto:
         if cert is not None:
             assert verify_certificate(cert)
 
+
+
+# --- the refuters build their certificates from parts already checked, so
+# nothing is validated again; the validating constructor rebuilds each one
+# unchanged
+
+_REFUTER_CASES = {
+    "anonymity-dictatorship": (check_anonymity, MechanismDescriptor.dictatorship(), PAIR, ONE),
+    "pareto-manhattan-vertex": (
+        check_pareto, CORNER_MISS, Solution(((2.0, 1.4),), (1, 1, 1))
+    ),
+    "pareto-euclidean-lens": (
+        check_pareto,
+        AgentProfile(((0.0, 0.0), (1.0, 0.0))),
+        Solution(((0.3, 0.01),), (1, 1)),
+        COARSE,
+    ),
+    "manipulation-one-centre": (
+        check_strategy_proofness, MechanismDescriptor.one_centre(), AgentProfile(_SKEWED), ONE
+    ),
+    "manipulation-first-agent": (
+        check_strategy_proofness,
+        MechanismDescriptor.first_agent(),
+        AgentProfile(((0.0, 1.0), (1.0, 0.0))),
+        ONE,
+    ),
+    "manipulation-geometric-lattice": (
+        check_strategy_proofness, MechanismDescriptor.geometric(), RECTANGLE, ONE, COARSE
+    ),
+}
+
+
+def rebuilt(cert):
+    """cert rebuilt by the validating constructor from its own fields."""
+    return Certificate(**{f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)})
+
+
+@pytest.mark.parametrize("case", list(_REFUTER_CASES))
+def test_refuters_validate_nothing_again(case, monkeypatch):
+    # the profiles, solutions and descriptors are built before counting
+    refute, *args = _REFUTER_CASES[case]
+    as_point_calls = _counting(monkeypatch, "as_point")
+    cert = refute(*args)
+    assert cert is not None
+    assert as_point_calls == []
+    # the counter does see the validating constructors
+    AgentProfile(cert.profile.agents, cert.profile.metric)
+    assert len(as_point_calls) == cert.profile.n
+    assert rebuilt(cert) == cert and verify_certificate(cert)
+
+
+def test_an_overflowing_anonymity_gap_is_refused_as_the_constructor_refuses_it():
+    # the two placements lie farther apart than the float range reaches
+    profile = AgentProfile(((1e308, 0.0), (-1e308, 0.0)))
+    with pytest.raises(ValueError, match="finite nonnegative margin, got inf"):
+        check_anonymity(MechanismDescriptor.dictatorship(), profile, ONE)
+
+
+@st.composite
+def refuter_inputs(draw):
+    """A descriptor of any kind; a profile of 2 to 5 agents in a dimension
+    where the kind runs, with duplicates, signed zeros and integer-grid
+    points; and a spec of 1 to 3 facilities where the kind takes that
+    many."""
+    kind = draw(st.sampled_from(list(MechanismKind)))
+    if kind is MechanismKind.PERCENTILE_1D:
+        dim = 1
+    elif kind is MechanismKind.ONE_CENTRE:
+        dim = 2
+    else:
+        dim = draw(st.integers(1, 3))
+    free = kind in (
+        MechanismKind.PERCENTILE_1D,
+        MechanismKind.PERCENTILE_MULTI_D,
+        MechanismKind.SERIAL_DICTATORSHIP,
+    )
+    m = draw(st.integers(1, 3)) if free else 1
+    probability = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    if kind is MechanismKind.PERCENTILE_1D:
+        desc = MechanismDescriptor.percentile_line(draw(st.lists(probability, min_size=m, max_size=m)))
+    elif kind is MechanismKind.PERCENTILE_MULTI_D:
+        rows = draw(st.lists(st.tuples(*[probability] * dim), min_size=m, max_size=m))
+        rotated = dim == 2 and draw(st.booleans())
+        desc = MechanismDescriptor.percentile_plane(rows, _ROTATED if rotated else None)
+    else:
+        desc = MechanismDescriptor(kind)
+    coord = st.one_of(
+        st.integers(-2, 2).map(float), st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)
+    )
+    agents = draw(st.lists(st.tuples(*[coord] * dim), min_size=2, max_size=4))
+    if draw(st.booleans()):
+        agents.append(draw(st.sampled_from(agents)))
+    metric = draw(st.sampled_from(list(Metric)))
+    return desc, AgentProfile(tuple(agents), metric), FacilitySpec(m)
+
+
+@settings(deadline=None, max_examples=120)
+@given(case=refuter_inputs())
+def test_refuter_certificates_equal_the_validated_ones(case):
+    desc, profile, spec = case
+    budget = SearchBudget(grid_resolution=1.0, bounding_box_pad=1.0)
+    honest = run_mechanism(desc, profile, spec)
+    found = [
+        check_anonymity(desc, profile, spec),
+        check_pareto(profile, honest, budget),
+        check_strategy_proofness(desc, profile, spec, budget),
+    ]
+    for cert in found:
+        if cert is not None:
+            validated = rebuilt(cert)
+            assert validated == cert and repr(validated) == repr(cert)
+            assert verify_certificate(validated)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    pts=st.lists(
+        st.tuples(
+            st.one_of(st.integers(-3, 3).map(float), st.floats(-1.0, 1.0)),
+            st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    at=st.tuples(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 2.0])),
+    scale=st.sampled_from([1e-300, 1.0, 1e300]),
+    metric=st.sampled_from(list(Metric)),
+)
+def test_one_location_costs_match_the_per_agent_fold(pts, at, scale, metric):
+    # one location: the costs are a plain pass over the agents, float for
+    # float what the per-agent min and the assignment lookup gave
+    profile = AgentProfile(tuple((x * scale, y * scale) for x, y in pts), metric)
+    locations = ((at[0] * scale, at[1] * scale),)
+    solution = Solution(locations, (1,) * profile.n)
+    dist = lambda a, b: distance(a, b, metric)  # noqa: E731
+    nearest = [min(dist(agent, loc) for loc in locations) for agent in profile.agents]
+    assigned = [
+        dist(agent, locations[j - 1]) for agent, j in zip(profile.agents, solution.assignment)
+    ]
+    assert repr(list(axioms._nearest_costs(profile, locations))) == repr(nearest)
+    assert repr(axioms._agent_costs(profile, solution)) == repr(assigned)

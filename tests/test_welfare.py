@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from facloc.mechanisms import (
     MechanismDescriptor,
     Solution,
 )
-from facloc import bench, geometry, welfare
+from facloc import bench, welfare
 from facloc.welfare import (
     LINE_SPLIT_MAX_AGENTS,
     PARTITION_ORACLE_MAX_AGENTS,
@@ -44,7 +43,7 @@ from facloc.welfare import (
     _pairs_longest_first,
     _partitions,
 )
-from helpers import NEAR_COLLINEAR, grid_min_max_distance
+from helpers import NEAR_COLLINEAR, _counting, grid_min_max_distance
 
 RECTANGLE = ((0.0, 0.0), (0.0, 2.0), (12.0, 2.0), (12.0, 0.0))
 # finite agents whose total distance to any centre overflows
@@ -1105,22 +1104,6 @@ class TestCapacitatedAssignment:
         prof = AgentProfile(tuple((float(i), 0.0) for i in range(11)))
         with pytest.raises(OracleCapError):
             optimal_capacitated_assignment(prof, ((0.0, 0.0),), (11,))
-
-
-def _counting(monkeypatch, name):
-    """Count the calls of geometry's `name`, through every reference a
-    facloc module holds to it."""
-    calls = []
-    original = getattr(geometry, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] == "facloc" and vars(module).get(name) is original:
-            monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 @pytest.mark.parametrize("metric", list(Metric))
