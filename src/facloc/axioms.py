@@ -34,7 +34,8 @@ the descriptor against the spec; each misreport or permutation after that
 only places facilities, on a profile built from already validated points,
 with no Solution and no assignment.  The refuters build their certificates
 with Certificate._trusted from those parts, and check only the margin,
-which can round past the float range.  verify_certificate replays every
+which can round past the float range: such a margin raises OracleCapError,
+as other results past the float range do.  verify_certificate replays every
 witness through the public, fully validated path instead.
 
 Certificates are self-contained.  They carry the profile, the mechanism
@@ -354,12 +355,13 @@ def check_anonymity(
         )
         gap = _multiset_gap(base, _place(descriptor, reordered, spec.m))
         if gap > GAIN_TOLERANCE:
-            # a gap rounded past the float range is refused, as the
-            # constructor refuses it
+            # valid agents can lie farther apart than a float reaches
+            if gap == math.inf:
+                raise OracleCapError("the placements' gap overflows the float range")
             return Certificate._trusted(
                 kind=CertificateKind.ANONYMITY_VIOLATION,
                 profile=profile,
-                improvement=_margin(gap),
+                improvement=gap,
                 descriptor=descriptor,
                 spec=spec,
                 permutation=permutation,
@@ -785,12 +787,13 @@ def check_strategy_proofness(
                 best = (index, report)
     if best is None:
         return None
-    # an honest trip past the float range makes the gain infinite, which
-    # is refused as the constructor refuses it
+    # an honest trip past the float range makes the gain infinite
+    if best_gain == math.inf:
+        raise OracleCapError("the manipulation gain overflows the float range")
     return Certificate._trusted(
         kind=CertificateKind.MANIPULATION,
         profile=profile,
-        improvement=_margin(best_gain),
+        improvement=best_gain,
         descriptor=descriptor,
         spec=spec,
         agent_index=best[0],

@@ -70,7 +70,6 @@ class BenchConfig:
 @dataclass(frozen=True)
 class BenchResult:
     config: BenchConfig
-    descriptor: MechanismDescriptor
     completed: int
     skipped: int
     unbounded: int
@@ -162,7 +161,6 @@ def run_bench(config: BenchConfig, descriptor: MechanismDescriptor) -> BenchResu
     mean_ratio = sum(finite) / len(finite) if finite else math.nan
     return BenchResult(
         config=config,
-        descriptor=descriptor,
         completed=len(ratios),
         skipped=skipped,
         unbounded=unbounded,

@@ -380,7 +380,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-
-if __name__ == "__main__":
-    sys.exit(main())

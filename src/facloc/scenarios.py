@@ -167,12 +167,10 @@ def run_all() -> list[ScenarioReport]:
 
 # measurement helpers ---------------------------------------------------------
 
-def _solution(scenario: Scenario) -> Solution:
-    return run_mechanism(scenario.mechanism, scenario.profile, scenario.spec)
-
-
-def _facility(scenario: Scenario) -> Point:
-    return _solution(scenario).locations[0]
+def _solution(scenario: Scenario, profile: AgentProfile | None = None) -> Solution:
+    """The scenario's mechanism run on its own profile, or on profile."""
+    profile = scenario.profile if profile is None else profile
+    return run_mechanism(scenario.mechanism, profile, scenario.spec)
 
 
 def _locations(scenario: Scenario) -> tuple[Point, ...]:
@@ -184,12 +182,7 @@ def _mechanism_welfare(scenario: Scenario, objective: WelfareObjective) -> float
 
 
 def _optimal_welfare_value(scenario: Scenario, objective: WelfareObjective) -> float:
-    value, _ = optimal_welfare(scenario.profile, scenario.spec, objective)
-    return value
-
-
-def _total_at(profile: AgentProfile, point: Point) -> float:
-    return sum(distance(agent, point, profile.metric) for agent in profile.agents)
+    return optimal_welfare(scenario.profile, scenario.spec, objective)[0]
 
 
 def _min_total_on_circle(
@@ -207,71 +200,179 @@ def _min_total_on_circle(
             center[0] + radius * math.cos(angle),
             center[1] + radius * math.sin(angle),
         )
-        best = min(best, _total_at(profile, point))
+        best = min(best, sum(distance(agent, point, profile.metric) for agent in profile.agents))
     return best
+
+
+def _assigned(
+    scenario: Scenario, locations: tuple[Point, ...], profile: AgentProfile | None = None
+) -> tuple[tuple[int, ...], float]:
+    """Best assignment of the scenario's agents, or of profile's, to
+    locations under the scenario's capacities, and its total distance."""
+    profile = scenario.profile if profile is None else profile
+    return optimal_capacitated_assignment(profile, locations, scenario.spec.capacities)
 
 
 # the axiom searches are pure and the scenario fixtures are hashable, so
 # repeated expectations can share one search
-@functools.lru_cache(maxsize=None)
-def _manipulation_search(
-    descriptor: MechanismDescriptor,
-    profile: AgentProfile,
-    spec: FacilitySpec,
-    budget: SearchBudget,
-):
-    return check_strategy_proofness(descriptor, profile, spec, budget)
-
-
-@functools.lru_cache(maxsize=None)
-def _domination_search(profile: AgentProfile, solution: Solution, budget: SearchBudget):
-    return check_pareto(profile, solution, budget)
-
-
-# fixtures --------------------------------------------------------------------
+_manipulation_search = functools.cache(check_strategy_proofness)
+_domination_search = functools.cache(check_pareto)
 
 _LOCAL_BUDGET = SearchBudget(grid_resolution=0.5, bounding_box_pad=1.0)
 
 
+def _manipulation(scenario: Scenario):
+    return _manipulation_search(scenario.mechanism, scenario.profile, scenario.spec, _LOCAL_BUDGET)
+
+
+def _domination(
+    scenario: Scenario, solution: Solution | None = None, budget: SearchBudget = _LOCAL_BUDGET
+):
+    """The Pareto refuter on the scenario's own placement, or on solution."""
+    solution = _solution(scenario) if solution is None else solution
+    return _domination_search(scenario.profile, solution, budget)
+
+
+# recurring claims ------------------------------------------------------------
+# each helper fixes a claim's name, tolerance and measurement, and a fixture
+# passes the expected value and the note
+
+def _facility_at(expected: Point, note: str) -> Expectation:
+    return Expectation("facility", expected, POSITION_TOLERANCE, note, lambda s: _locations(s)[0])
+
+
+def _manipulating_agent(expected: int, note: str) -> Expectation:
+    return Expectation(
+        "manipulating_agent", expected, 0.0, note, lambda s: _manipulation(s).agent_index
+    )
+
+
+def _best_misreport(expected: Point, note: str) -> Expectation:
+    return Expectation(
+        "best_misreport", expected, POSITION_TOLERANCE, note, lambda s: _manipulation(s).misreport
+    )
+
+
+def _manipulation_gain(expected: float, note: str) -> Expectation:
+    return Expectation(
+        "manipulation_gain",
+        expected,
+        WELFARE_TOLERANCE,
+        note,
+        lambda s: _manipulation(s).improvement,
+    )
+
+
+def _cost(objective: WelfareObjective, expected: float, note: str, prefix: str = "") -> Expectation:
+    """The mechanism's total or maximum distance."""
+    return Expectation(
+        f"{prefix}{objective.value}_distance",
+        expected,
+        WELFARE_TOLERANCE,
+        note,
+        lambda s: _mechanism_welfare(s, objective),
+    )
+
+
+def _optimum(objective: WelfareObjective, expected: float, note: str) -> Expectation:
+    return Expectation(
+        f"optimal_{objective.value}_distance",
+        expected,
+        WELFARE_TOLERANCE,
+        note,
+        lambda s: _optimal_welfare_value(s, objective),
+    )
+
+
+def _ratio(objective: WelfareObjective, expected: float, note: str) -> Expectation:
+    return Expectation(
+        f"{objective.value}_approximation_ratio",
+        expected,
+        WELFARE_TOLERANCE,
+        note,
+        lambda s: approximation_ratio(s.mechanism, s.profile, s.spec, objective).ratio,
+    )
+
+
+def _holds(name: str, note: str, predicate: Callable[[Scenario], bool]) -> Expectation:
+    """A yes/no claim that must come out true."""
+    return Expectation(name, True, 0.0, note, predicate)
+
+
+# the three refuters, each run on the scenario's own placement
+_REFUTERS: dict[str, Callable[[Scenario], Any]] = {
+    "anonymity_violation": lambda s: check_anonymity(s.mechanism, s.profile, s.spec),
+    "pareto_domination": _domination,
+    "manipulation": _manipulation,
+}
+
+
+def _no_violation(name: str, note: str) -> Expectation:
+    """The refuter named by the claim finds nothing against the scenario's
+    own placement."""
+    return Expectation(name, None, 0.0, note, _REFUTERS[name])
+
+
+def _dominated(
+    facility: tuple[Point, ...],
+    facility_note: str,
+    margin: float,
+    margin_note: str,
+    prefix: str = "",
+    solution: Solution | None = None,
+) -> tuple[Expectation, Expectation]:
+    """The Pareto refuter's witness against the scenario's placement, or
+    against solution: the dominating facility and the margin."""
+    return (
+        Expectation(
+            prefix + "dominating_facility",
+            facility,
+            POSITION_TOLERANCE,
+            facility_note,
+            lambda s: _domination(s, solution).dominating.locations,
+        ),
+        Expectation(
+            prefix + "domination_margin",
+            margin,
+            WELFARE_TOLERANCE,
+            margin_note,
+            lambda s: _domination(s, solution).improvement,
+        ),
+    )
+
+
+def _capacity_loads(
+    expected: tuple[int, ...], note: str, locations: tuple[Point, ...]
+) -> Expectation:
+    return Expectation(
+        "capacity_loads",
+        expected,
+        0.0,
+        note,
+        lambda s: tuple(map(_assigned(s, locations)[0].count, range(1, len(locations) + 1))),
+    )
+
+
+# fixtures --------------------------------------------------------------------
+
 def _thm1_manipulation() -> Scenario:
     profile = AgentProfile(((12.0, 0.0), (0.0, 0.0), (0.0, 2.0), (12.0, 2.0)))
-    spec = FacilitySpec(1)
-    mechanism = MechanismDescriptor.geometric()
     misreported = profile.with_report(1, (12.0, 2.0))
     honest_total = 4.0 * math.sqrt(37.0)
     detour_total = 2.0 * (math.sqrt(50.0) + math.sqrt(26.0))
-
-    def shifted_solution(_):
-        return run_mechanism(mechanism, misreported, spec)
-
-    def manipulation(s):
-        return _manipulation_search(mechanism, s.profile, spec, _LOCAL_BUDGET)
-
     return Scenario(
         name="thm1_manipulation",
         profile=profile,
-        spec=spec,
-        mechanism=mechanism,
+        spec=FacilitySpec(1),
+        mechanism=MechanismDescriptor.geometric(),
         note=(
             "Four agents on the corners of a 12 by 2 rectangle: the total-distance"
             " minimizer sits at the centre, so the corner agent listed first gains"
             " more than 4 by reporting the corner above itself."
         ),
         expectations=(
-            Expectation(
-                "facility",
-                (6.0, 1.0),
-                POSITION_TOLERANCE,
-                "the minimizer of total distance is the rectangle centre",
-                _facility,
-            ),
-            Expectation(
-                "total_distance",
-                honest_total,
-                WELFARE_TOLERANCE,
-                "every corner is root-37 from the centre",
-                lambda s: _mechanism_welfare(s, WelfareObjective.TOTAL),
-            ),
+            _facility_at((6.0, 1.0), "the minimizer of total distance is the rectangle centre"),
+            _cost(WelfareObjective.TOTAL, honest_total, "every corner is root-37 from the centre"),
             Expectation(
                 "cheapest_total_one_unit_out",
                 detour_total,
@@ -287,10 +388,8 @@ def _thm1_manipulation() -> Scenario:
                 lambda s: _min_total_on_circle(s.profile, (6.0, 1.0), 1.0)
                 / _mechanism_welfare(s, WelfareObjective.TOTAL),
             ),
-            Expectation(
+            _holds(
                 "detour_ratio_strictly_inside_bounds",
-                True,
-                0.0,
                 "that relative cost lands strictly between 1.0003 and 1.0004",
                 lambda s: 1.0003
                 < _min_total_on_circle(s.profile, (6.0, 1.0), 1.0)
@@ -302,127 +401,92 @@ def _thm1_manipulation() -> Scenario:
                 (12.0, 2.0),
                 POSITION_TOLERANCE,
                 "doubling up on the top-right corner drags the facility onto it",
-                lambda s: shifted_solution(s).locations[0],
+                lambda s: _solution(s, misreported).locations[0],
             ),
             Expectation(
                 "reported_total_after_exaggeration",
                 12.0 + 2.0 * math.sqrt(37.0),
                 WELFARE_TOLERANCE,
                 "total distance of the reported profile once the facility moves",
-                lambda s: evaluate(
-                    misreported, shifted_solution(s), WelfareObjective.TOTAL
-                ),
+                lambda s: evaluate(misreported, _solution(s, misreported), WelfareObjective.TOTAL),
             ),
-            Expectation(
+            _holds(
                 "two_unit_moves_all_cost_more_than_24_18",
-                True,
-                0.0,
                 "totals two units out from the dragged facility stay above 24.18,"
                 " so the facility cannot sit far from the exaggerated corner",
                 lambda s: _min_total_on_circle(misreported, (12.0, 2.0), 2.0) > 24.18,
             ),
-            Expectation(
-                "manipulating_agent",
-                1,
-                0.0,
-                "the refuter blames the corner agent listed first",
-                lambda s: manipulation(s).agent_index,
-            ),
-            Expectation(
-                "best_misreport",
-                (12.0, 2.0),
-                POSITION_TOLERANCE,
-                "the best lie found is the corner above the manipulator",
-                lambda s: manipulation(s).misreport,
-            ),
-            Expectation(
-                "manipulation_gain",
-                math.sqrt(37.0) - 2.0,
-                WELFARE_TOLERANCE,
-                "the manipulator's distance drops from root-37 to 2",
-                lambda s: manipulation(s).improvement,
+            _manipulating_agent(1, "the refuter blames the corner agent listed first"),
+            _best_misreport((12.0, 2.0), "the best lie found is the corner above the manipulator"),
+            _manipulation_gain(
+                math.sqrt(37.0) - 2.0, "the manipulator's distance drops from root-37 to 2"
             ),
         ),
     )
 
 
 def _onecentre_manipulation() -> Scenario:
-    profile = AgentProfile(((0.0, 1.0), (0.0, 0.0), (0.0, 0.0)))
-    spec = FacilitySpec(1)
-    mechanism = MechanismDescriptor.one_centre()
-
-    def manipulation(s):
-        return _manipulation_search(mechanism, s.profile, spec, _LOCAL_BUDGET)
-
     return Scenario(
         name="onecentre_manipulation",
-        profile=profile,
-        spec=spec,
-        mechanism=mechanism,
+        profile=AgentProfile(((0.0, 1.0), (0.0, 0.0), (0.0, 0.0))),
+        spec=FacilitySpec(1),
+        mechanism=MechanismDescriptor.one_centre(),
         note=(
             "Two agents at the origin and one a unit above: the smallest enclosing"
             " circle centres halfway up, so the top agent halves its distance by"
             " reporting twice as high."
         ),
         expectations=(
-            Expectation(
-                "facility",
-                (0.0, 0.5),
-                POSITION_TOLERANCE,
-                "the enclosing-circle centre splits the two occupied points",
-                _facility,
+            _facility_at((0.0, 0.5), "the enclosing-circle centre splits the two occupied points"),
+            _manipulating_agent(1, "the top agent is the one who gains"),
+            _best_misreport(
+                (0.0, 2.0), "stretching the circle upward centres it on the liar's true spot"
             ),
-            Expectation(
-                "manipulating_agent",
-                1,
-                0.0,
-                "the top agent is the one who gains",
-                lambda s: manipulation(s).agent_index,
-            ),
-            Expectation(
-                "best_misreport",
-                (0.0, 2.0),
-                POSITION_TOLERANCE,
-                "stretching the circle upward centres it on the liar's true spot",
-                lambda s: manipulation(s).misreport,
-            ),
-            Expectation(
-                "manipulation_gain",
-                0.5,
-                WELFARE_TOLERANCE,
-                "the centre moves from half a unit away to zero",
-                lambda s: manipulation(s).improvement,
-            ),
+            _manipulation_gain(0.5, "the centre moves from half a unit away to zero"),
             Expectation(
                 "facility_after_exaggeration",
                 (0.0, 1.0),
                 POSITION_TOLERANCE,
                 "after the lie the circle centres on the true location",
-                lambda s: run_mechanism(
-                    mechanism, s.profile.with_report(1, (0.0, 2.0)), spec
-                ).locations[0],
+                lambda s: _solution(s, s.profile.with_report(1, (0.0, 2.0))).locations[0],
             ),
         ),
     )
 
 
-def _unbounded_ratio_expectations() -> tuple[Expectation, ...]:
-    return (
-        Expectation(
-            "optimal_max_distance",
-            0.0,
-            WELFARE_TOLERANCE,
-            "placing one facility on each occupied point serves everyone exactly",
-            lambda s: _optimal_welfare_value(s, WelfareObjective.MAX),
-        ),
-        Expectation(
-            "approximation_ratio_unbounded",
-            True,
-            0.0,
-            "a positive cost against a zero optimum makes the ratio infinite",
-            lambda s: approximation_ratio(
-                s.mechanism, s.profile, s.spec, WelfareObjective.MAX
-            ).unbounded,
+def _thm4_case(
+    name: str,
+    agents: tuple[Point, ...],
+    picks: tuple[tuple[float, float], ...],
+    note: str,
+    facilities: tuple[Point, ...],
+    facilities_note: str,
+    max_distance: float,
+    max_distance_note: str,
+) -> Scenario:
+    """A Theorem 4 case: two rank-based picks leave an agent stranded at a
+    positive maximum distance where the optimum serves everyone exactly."""
+    return Scenario(
+        name=name,
+        profile=AgentProfile(agents),
+        spec=FacilitySpec(2),
+        mechanism=MechanismDescriptor.percentile_plane(picks),
+        note=note,
+        expectations=(
+            Expectation("facilities", facilities, POSITION_TOLERANCE, facilities_note, _locations),
+            _cost(WelfareObjective.MAX, max_distance, max_distance_note, prefix="mechanism_"),
+            _optimum(
+                WelfareObjective.MAX,
+                0.0,
+                "placing one facility on each occupied point serves everyone exactly",
+            ),
+            _holds(
+                "approximation_ratio_unbounded",
+                "a positive cost against a zero optimum makes the ratio infinite",
+                lambda s: approximation_ratio(
+                    s.mechanism, s.profile, s.spec, WelfareObjective.MAX
+                ).unbounded,
+            ),
         ),
     )
 
@@ -430,114 +494,64 @@ def _unbounded_ratio_expectations() -> tuple[Expectation, ...]:
 def _thm4_case1() -> Scenario:
     # largest parameter below one is 0.5, so six agents force both picks
     # into the crowd at the origin
-    profile = AgentProfile(tuple([(0.0, 0.0)] * 5) + ((1.0, 1.0),))
-    return Scenario(
+    return _thm4_case(
         name="thm4_case1",
-        profile=profile,
-        spec=FacilitySpec(2),
-        mechanism=MechanismDescriptor.percentile_plane(((0.5, 0.5), (0.5, 0.5))),
+        agents=tuple([(0.0, 0.0)] * 5) + ((1.0, 1.0),),
+        picks=((0.5, 0.5), (0.5, 0.5)),
         note=(
             "Five agents at the origin and one off-diagonal: rank-based picks that"
             " never take the top rank leave both facilities on the crowd and strand"
             " the outlier, while the optimum covers everyone at cost zero."
         ),
-        expectations=(
-            Expectation(
-                "facilities",
-                ((0.0, 0.0), (0.0, 0.0)),
-                POSITION_TOLERANCE,
-                "both facilities land on the crowded origin",
-                _locations,
-            ),
-            Expectation(
-                "mechanism_max_distance",
-                math.sqrt(2.0),
-                WELFARE_TOLERANCE,
-                "the stranded agent walks the whole diagonal",
-                lambda s: _mechanism_welfare(s, WelfareObjective.MAX),
-            ),
-        )
-        + _unbounded_ratio_expectations(),
+        facilities=((0.0, 0.0), (0.0, 0.0)),
+        facilities_note="both facilities land on the crowded origin",
+        max_distance=math.sqrt(2.0),
+        max_distance_note="the stranded agent walks the whole diagonal",
     )
 
 
 def _thm4_case2() -> Scenario:
-    profile = AgentProfile(tuple([(1.0, 1.0)] * 5) + ((0.0, 0.0),))
-    return Scenario(
+    return _thm4_case(
         name="thm4_case2",
-        profile=profile,
-        spec=FacilitySpec(2),
-        mechanism=MechanismDescriptor.percentile_plane(((0.5, 0.5), (1.0, 1.0))),
+        agents=tuple([(1.0, 1.0)] * 5) + ((0.0, 0.0),),
+        picks=((0.5, 0.5), (1.0, 1.0)),
         note=(
             "Five agents at the top corner and one at the origin: a top-rank pick"
             " plus any pick with a positive parameter both land on the crowd, so"
             " the origin agent is stranded despite a zero-cost optimum existing."
         ),
-        expectations=(
-            Expectation(
-                "facilities",
-                ((1.0, 1.0), (1.0, 1.0)),
-                POSITION_TOLERANCE,
-                "both facilities land on the crowded corner",
-                _locations,
-            ),
-            Expectation(
-                "mechanism_max_distance",
-                math.sqrt(2.0),
-                WELFARE_TOLERANCE,
-                "the origin agent walks the whole diagonal",
-                lambda s: _mechanism_welfare(s, WelfareObjective.MAX),
-            ),
-        )
-        + _unbounded_ratio_expectations(),
+        facilities=((1.0, 1.0), (1.0, 1.0)),
+        facilities_note="both facilities land on the crowded corner",
+        max_distance=math.sqrt(2.0),
+        max_distance_note="the origin agent walks the whole diagonal",
     )
 
 
 def _thm4_case3() -> Scenario:
-    profile = AgentProfile(((0.0, 1.0), (1.0, 0.0)))
-    return Scenario(
+    return _thm4_case(
         name="thm4_case3",
-        profile=profile,
-        spec=FacilitySpec(2),
-        mechanism=MechanismDescriptor.percentile_plane(((0.0, 0.0), (1.0, 1.0))),
+        agents=((0.0, 1.0), (1.0, 0.0)),
+        picks=((0.0, 0.0), (1.0, 1.0)),
         note=(
             "Two agents on opposite off-diagonal corners: bottom-rank and top-rank"
             " picks build facilities at empty corners, a unit from everyone, while"
             " the optimum covers both agents exactly."
         ),
-        expectations=(
-            Expectation(
-                "facilities",
-                ((0.0, 0.0), (1.0, 1.0)),
-                POSITION_TOLERANCE,
-                "coordinate-wise extremes assemble two empty corners",
-                _locations,
-            ),
-            Expectation(
-                "mechanism_max_distance",
-                1.0,
-                WELFARE_TOLERANCE,
-                "each agent is a unit from the nearest empty corner",
-                lambda s: _mechanism_welfare(s, WelfareObjective.MAX),
-            ),
-        )
-        + _unbounded_ratio_expectations(),
+        facilities=((0.0, 0.0), (1.0, 1.0)),
+        facilities_note="coordinate-wise extremes assemble two empty corners",
+        max_distance=1.0,
+        max_distance_note="each agent is a unit from the nearest empty corner",
     )
 
 
 def _thm3_construction() -> Scenario:
-    profile = AgentProfile(tuple([(0.0, 0.0)] * 4) + ((100.0, 100.0),))
-    spec = FacilitySpec(2)
     budget = SearchBudget(grid_resolution=50.0, bounding_box_pad=10.0)
     split = ((0.0, 0.0), (100.0, 100.0))
-
-    def doubled_solution() -> Solution:
-        return Solution(((0.0, 0.0), (0.0, 0.0)), (1,) * 5)
-
+    doubled = Solution(((0.0, 0.0), (0.0, 0.0)), (1,) * 5)
     return Scenario(
         name="thm3_construction",
-        profile=profile,
-        spec=spec,
+        profile=AgentProfile(tuple([(0.0, 0.0)] * 4) + ((100.0, 100.0),)),
+        spec=FacilitySpec(2),
         mechanism=MechanismDescriptor.percentile_plane(((0.0, 0.0), (1.0, 1.0))),
         note=(
             "Four agents at the origin and one far away: the only undominated"
@@ -552,46 +566,36 @@ def _thm3_construction() -> Scenario:
                 "extreme-rank picks place one facility on each cluster",
                 _locations,
             ),
-            Expectation(
-                "optimal_total_distance",
-                0.0,
-                WELFARE_TOLERANCE,
-                "serving each cluster where it stands costs nothing",
-                lambda s: _optimal_welfare_value(s, WelfareObjective.TOTAL),
+            _optimum(
+                WelfareObjective.TOTAL, 0.0, "serving each cluster where it stands costs nothing"
             ),
             Expectation(
                 "optimal_facilities",
                 split,
                 POSITION_TOLERANCE,
                 "the welfare oracle picks the same two cluster points",
-                lambda s: optimal_welfare(s.profile, s.spec, WelfareObjective.TOTAL)[
-                    1
-                ].locations,
+                lambda s: optimal_welfare(s.profile, s.spec, WelfareObjective.TOTAL)[1].locations,
             ),
             Expectation(
                 "split_placement_undominated",
                 None,
                 0.0,
                 "no candidate move improves on serving both clusters exactly",
-                lambda s: _domination_search(s.profile, _solution(s), budget),
+                lambda s: _domination(s, budget=budget),
             ),
             Expectation(
                 "doubled_up_placement_dominated",
                 split,
                 POSITION_TOLERANCE,
                 "parking both facilities on the origin is beaten by the split",
-                lambda s: _domination_search(
-                    s.profile, doubled_solution(), budget
-                ).dominating.locations,
+                lambda s: _domination(s, doubled, budget).dominating.locations,
             ),
             Expectation(
                 "doubling_margin",
                 100.0 * math.sqrt(2.0),
                 WELFARE_TOLERANCE,
                 "the far agent saves the whole diagonal when the split returns",
-                lambda s: _domination_search(
-                    s.profile, doubled_solution(), budget
-                ).improvement,
+                lambda s: _domination(s, doubled, budget).improvement,
             ),
         ),
     )
@@ -600,21 +604,12 @@ def _thm3_construction() -> Scenario:
 def _capacitated_even() -> Scenario:
     box = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
     far = ((100.0, 100.0),) * 4
-    profile = AgentProfile(box + far)
-    spec = FacilitySpec(2, (4, 4))
     in_box = (0.5, 0.5)
     locations = (in_box, (100.0, 100.0))
-
-    def assignment(s):
-        pairing, _ = optimal_capacitated_assignment(
-            s.profile, locations, s.spec.capacities
-        )
-        return pairing
-
     return Scenario(
         name="capacitated_even",
-        profile=profile,
-        spec=spec,
+        profile=AgentProfile(box + far),
+        spec=FacilitySpec(2, (4, 4)),
         mechanism=None,
         note=(
             "Two capacity-4 facilities, four agents boxed near the origin and four"
@@ -628,35 +623,23 @@ def _capacitated_even() -> Scenario:
                 (1, 1, 1, 1, 2, 2, 2, 2),
                 0.0,
                 "the box agents fill the near facility, the far agents the far one",
-                assignment,
+                lambda s: _assigned(s, locations)[0],
             ),
-            Expectation(
-                "capacity_loads",
-                (4, 4),
-                0.0,
-                "both facilities run exactly full",
-                lambda s: tuple(assignment(s).count(j) for j in (1, 2)),
-            ),
+            _capacity_loads((4, 4), "both facilities run exactly full", locations),
             Expectation(
                 "total_distance",
                 2.0 * math.sqrt(2.0),
                 WELFARE_TOLERANCE,
                 "each box corner walks half a diagonal to the box centre",
-                lambda s: optimal_capacitated_assignment(
-                    s.profile, locations, s.spec.capacities
-                )[1],
+                lambda s: _assigned(s, locations)[1],
             ),
-            Expectation(
+            _holds(
                 "no_spare_capacity",
-                True,
-                0.0,
                 "total capacity equals the number of agents",
                 lambda s: sum(s.spec.capacities) == s.profile.n,
             ),
-            Expectation(
+            _holds(
                 "fleeing_far_backfires",
-                True,
-                0.0,
                 "joining the far crowd would cost a box agent the whole diagonal"
                 " instead of half a box diagonal",
                 lambda s: distance((0.0, 0.0), (100.0, 100.0))
@@ -667,19 +650,16 @@ def _capacitated_even() -> Scenario:
 
 
 def _capacitated_odd() -> Scenario:
-    profile = AgentProfile(
-        ((0.0, 0.0), (0.0, 0.0), (50.0, 50.0))
-        + ((100.0, 100.0),) * 3
-    )
-    spec = FacilitySpec(2, (3, 3))
     split = ((0.0, 0.0), (100.0, 100.0))
     start = AgentProfile(((0.0, 0.0),) * 3 + ((100.0, 100.0),) * 3)
     arrived = AgentProfile(((0.0, 0.0),) * 2 + ((100.0, 100.0),) * 4)
-
     return Scenario(
         name="capacitated_odd",
-        profile=profile,
-        spec=spec,
+        profile=AgentProfile(
+            ((0.0, 0.0), (0.0, 0.0), (50.0, 50.0))
+            + ((100.0, 100.0),) * 3
+        ),
+        spec=FacilitySpec(2, (3, 3)),
         mechanism=None,
         note=(
             "Two capacity-3 facilities, three agents per cluster, with one origin"
@@ -693,39 +673,22 @@ def _capacitated_odd() -> Scenario:
                 0.0,
                 WELFARE_TOLERANCE,
                 "before anyone moves, both clusters are served on the spot",
-                lambda s: optimal_capacitated_assignment(
-                    start, split, s.spec.capacities
-                )[1],
+                lambda s: _assigned(s, split, start)[1],
             ),
             Expectation(
                 "assignment_mid_journey",
                 (1, 1, 1, 2, 2, 2),
                 0.0,
                 "the full far facility turns the walker back to the origin one",
-                lambda s: optimal_capacitated_assignment(
-                    s.profile, split, s.spec.capacities
-                )[0],
+                lambda s: _assigned(s, split)[0],
             ),
-            Expectation(
-                "capacity_loads",
-                (3, 3),
-                0.0,
-                "both facilities run exactly full",
-                lambda s: tuple(
-                    optimal_capacitated_assignment(s.profile, split, s.spec.capacities)[
-                        0
-                    ].count(j)
-                    for j in (1, 2)
-                ),
-            ),
+            _capacity_loads((3, 3), "both facilities run exactly full", split),
             Expectation(
                 "mid_journey_total_distance",
                 50.0 * math.sqrt(2.0),
                 WELFARE_TOLERANCE,
                 "only the walker pays, half the diagonal back to the origin",
-                lambda s: optimal_capacitated_assignment(
-                    s.profile, split, s.spec.capacities
-                )[1],
+                lambda s: _assigned(s, split)[1],
             ),
             Expectation(
                 "arrival_doubling_total_distance",
@@ -733,25 +696,18 @@ def _capacitated_odd() -> Scenario:
                 WELFARE_TOLERANCE,
                 "once four agents crowd the far point, serving them all there"
                 " strands the two origin agents a full diagonal away",
-                lambda s: optimal_capacitated_assignment(
-                    arrived,
-                    ((100.0, 100.0), (100.0, 100.0)),
-                    s.spec.capacities,
-                )[1],
+                lambda s: _assigned(s, ((100.0, 100.0), (100.0, 100.0)), arrived)[1],
             ),
         ),
     )
 
 
 def _manhattan_2agent_max() -> Scenario:
-    profile = AgentProfile(((0.0, 1.0), (2.0, 0.0)), Metric.MANHATTAN)
-    spec = FacilitySpec(1)
-    mechanism = MechanismDescriptor.coordinate_extreme("max")
     return Scenario(
         name="manhattan_2agent_max",
-        profile=profile,
-        spec=spec,
-        mechanism=mechanism,
+        profile=AgentProfile(((0.0, 1.0), (2.0, 0.0)), Metric.MANHATTAN),
+        spec=FacilitySpec(1),
+        mechanism=MechanismDescriptor.coordinate_extreme("max"),
         note=(
             "Two agents under rectilinear distance with the facility on the"
             " coordinate-wise maximum: the empty bounding-box corner survives"
@@ -759,81 +715,30 @@ def _manhattan_2agent_max() -> Scenario:
             " from the other."
         ),
         expectations=(
-            Expectation(
-                "facility",
-                (2.0, 1.0),
-                POSITION_TOLERANCE,
-                "coordinate-wise maxima assemble the top-right box corner",
-                _facility,
-            ),
-            Expectation(
-                "anonymity_violation",
-                None,
-                0.0,
-                "swapping the two agents changes nothing",
-                lambda s: check_anonymity(s.mechanism, s.profile, s.spec),
-            ),
-            Expectation(
-                "pareto_domination",
-                None,
-                0.0,
-                "any step helping one agent hurts the other",
-                lambda s: _domination_search(s.profile, _solution(s), _LOCAL_BUDGET),
-            ),
-            Expectation(
-                "manipulation",
-                None,
-                0.0,
-                "raising a report drags the corner away from the liar",
-                lambda s: _manipulation_search(s.mechanism, s.profile, s.spec, _LOCAL_BUDGET),
-            ),
+            _facility_at((2.0, 1.0), "coordinate-wise maxima assemble the top-right box corner"),
+            _no_violation("anonymity_violation", "swapping the two agents changes nothing"),
+            _no_violation("pareto_domination", "any step helping one agent hurts the other"),
+            _no_violation("manipulation", "raising a report drags the corner away from the liar"),
         ),
     )
 
 
 def _manhattan_3agent_median() -> Scenario:
-    profile = AgentProfile(((0.0, 2.0), (1.0, 0.0), (2.0, 1.0)), Metric.MANHATTAN)
-    spec = FacilitySpec(1)
-    mechanism = MechanismDescriptor.median()
     return Scenario(
         name="manhattan_3agent_median",
-        profile=profile,
-        spec=spec,
-        mechanism=mechanism,
+        profile=AgentProfile(((0.0, 2.0), (1.0, 0.0), (2.0, 1.0)), Metric.MANHATTAN),
+        spec=FacilitySpec(1),
+        mechanism=MechanismDescriptor.median(),
         note=(
             "Three agents under rectilinear distance with the facility on the"
             " per-axis median: the interior point survives every axiom check,"
             " the largest profile size for which that is possible."
         ),
         expectations=(
-            Expectation(
-                "facility",
-                (1.0, 1.0),
-                POSITION_TOLERANCE,
-                "the per-axis medians meet in the interior",
-                _facility,
-            ),
-            Expectation(
-                "pareto_domination",
-                None,
-                0.0,
-                "moving along either axis backs away from somebody",
-                lambda s: _domination_search(s.profile, _solution(s), _LOCAL_BUDGET),
-            ),
-            Expectation(
-                "manipulation",
-                None,
-                0.0,
-                "medians ignore how far a liar stretches a report",
-                lambda s: _manipulation_search(s.mechanism, s.profile, s.spec, _LOCAL_BUDGET),
-            ),
-            Expectation(
-                "anonymity_violation",
-                None,
-                0.0,
-                "medians never depend on agent order",
-                lambda s: check_anonymity(s.mechanism, s.profile, s.spec),
-            ),
+            _facility_at((1.0, 1.0), "the per-axis medians meet in the interior"),
+            _no_violation("pareto_domination", "moving along either axis backs away from somebody"),
+            _no_violation("manipulation", "medians ignore how far a liar stretches a report"),
+            _no_violation("anonymity_violation", "medians never depend on agent order"),
         ),
     )
 
@@ -841,13 +746,7 @@ def _manhattan_3agent_median() -> Scenario:
 def _manhattan_3agent_max_dominated() -> Scenario:
     profile = AgentProfile(((0.0, 2.0), (1.0, 0.0), (2.0, 1.0)), Metric.MANHATTAN)
     spec = FacilitySpec(1)
-
-    def min_corner_cert(s):
-        sol = run_mechanism(
-            MechanismDescriptor.coordinate_extreme("min"), s.profile, s.spec
-        )
-        return _domination_search(s.profile, sol, _LOCAL_BUDGET)
-
+    min_corner = run_mechanism(MechanismDescriptor.coordinate_extreme("min"), profile, spec)
     return Scenario(
         name="manhattan_3agent_max_dominated",
         profile=profile,
@@ -859,186 +758,86 @@ def _manhattan_3agent_max_dominated() -> Scenario:
             " beaten by the interior point, each by a margin of two."
         ),
         expectations=(
-            Expectation(
-                "facility",
-                (2.0, 2.0),
-                POSITION_TOLERANCE,
-                "coordinate-wise maxima assemble the top-right corner",
-                _facility,
-            ),
-            Expectation(
-                "dominating_facility",
+            _facility_at((2.0, 2.0), "coordinate-wise maxima assemble the top-right corner"),
+            *_dominated(
                 ((1.0, 1.0),),
-                POSITION_TOLERANCE,
                 "the interior point beats the max corner",
-                lambda s: _domination_search(
-                    s.profile, _solution(s), _LOCAL_BUDGET
-                ).dominating.locations,
-            ),
-            Expectation(
-                "domination_margin",
                 2.0,
-                WELFARE_TOLERANCE,
                 "the middle agent's trip shrinks from three to one",
-                lambda s: _domination_search(
-                    s.profile, _solution(s), _LOCAL_BUDGET
-                ).improvement,
             ),
-            Expectation(
-                "min_corner_dominating_facility",
+            *_dominated(
                 ((1.0, 1.0),),
-                POSITION_TOLERANCE,
                 "the same interior point beats the min corner too",
-                lambda s: min_corner_cert(s).dominating.locations,
-            ),
-            Expectation(
-                "min_corner_domination_margin",
                 2.0,
-                WELFARE_TOLERANCE,
                 "the right-hand agent's trip shrinks from three to one",
-                lambda s: min_corner_cert(s).improvement,
+                prefix="min_corner_",
+                solution=min_corner,
             ),
         ),
     )
 
 
 def _manhattan_4agent_min_dominated() -> Scenario:
-    profile = AgentProfile(
-        ((0.0, 2.0), (1.0, 0.0), (2.0, 1.0), (3.0, 0.0)), Metric.MANHATTAN
-    )
-    spec = FacilitySpec(1)
-    # bottom rank on x, second-of-four rank on y; 0.4 selects rank 2 without
-    # the floating-point hazard a literal one-third invites
-    mechanism = MechanismDescriptor.percentile_plane(((0.0, 0.4),))
     return Scenario(
         name="manhattan_4agent_min_dominated",
-        profile=profile,
-        spec=spec,
-        mechanism=mechanism,
+        profile=AgentProfile(
+            ((0.0, 2.0), (1.0, 0.0), (2.0, 1.0), (3.0, 0.0)), Metric.MANHATTAN
+        ),
+        spec=FacilitySpec(1),
+        # bottom rank on x, second-of-four rank on y; 0.4 selects rank 2 without
+        # the floating-point hazard a literal one-third invites
+        mechanism=MechanismDescriptor.percentile_plane(((0.0, 0.4),)),
         note=(
             "Four rectilinear agents where a rank-based pick lands on the empty"
             " origin: rank picks stay anonymous and honest, but from four agents"
             " up they can return a placement beaten by an interior point."
         ),
         expectations=(
-            Expectation(
-                "facility",
-                (0.0, 0.0),
-                POSITION_TOLERANCE,
-                "lowest x rank and second-lowest y rank assemble the origin",
-                _facility,
-            ),
-            Expectation(
-                "anonymity_violation",
-                None,
-                0.0,
-                "rank picks never depend on agent order",
-                lambda s: check_anonymity(s.mechanism, s.profile, s.spec),
-            ),
-            Expectation(
-                "manipulation",
-                None,
-                0.0,
-                "rank picks ignore how far a liar stretches a report",
-                lambda s: _manipulation_search(s.mechanism, s.profile, s.spec, _LOCAL_BUDGET),
-            ),
-            Expectation(
-                "dominating_facility",
+            _facility_at((0.0, 0.0), "lowest x rank and second-lowest y rank assemble the origin"),
+            _no_violation("anonymity_violation", "rank picks never depend on agent order"),
+            _no_violation("manipulation", "rank picks ignore how far a liar stretches a report"),
+            *_dominated(
                 ((1.0, 1.0),),
-                POSITION_TOLERANCE,
                 "the interior point beats the origin",
-                lambda s: _domination_search(
-                    s.profile, _solution(s), _LOCAL_BUDGET
-                ).dominating.locations,
-            ),
-            Expectation(
-                "domination_margin",
                 2.0,
-                WELFARE_TOLERANCE,
                 "the middle agent's trip shrinks from three to one",
-                lambda s: _domination_search(
-                    s.profile, _solution(s), _LOCAL_BUDGET
-                ).improvement,
             ),
         ),
     )
 
 
 def _manhattan_median_optimal_total() -> Scenario:
-    profile = AgentProfile(
-        ((0.0, 0.0), (1.0, 3.0), (4.0, 1.0), (2.0, 2.0), (5.0, 5.0)),
-        Metric.MANHATTAN,
-    )
-    spec = FacilitySpec(1)
-    mechanism = MechanismDescriptor.median()
     return Scenario(
         name="manhattan_median_optimal_total",
-        profile=profile,
-        spec=spec,
-        mechanism=mechanism,
+        profile=AgentProfile(
+            ((0.0, 0.0), (1.0, 3.0), (4.0, 1.0), (2.0, 2.0), (5.0, 5.0)),
+            Metric.MANHATTAN,
+        ),
+        spec=FacilitySpec(1),
+        mechanism=MechanismDescriptor.median(),
         note=(
             "Five scattered rectilinear agents: the per-axis median minimizes"
             " each coordinate's contribution separately, so it is exactly optimal"
             " for total distance and within a factor of two for the maximum."
         ),
         expectations=(
-            Expectation(
-                "facility",
-                (2.0, 2.0),
-                POSITION_TOLERANCE,
-                "the per-axis medians land on the central agent",
-                _facility,
+            _facility_at((2.0, 2.0), "the per-axis medians land on the central agent"),
+            _cost(WelfareObjective.TOTAL, 15.0, "total rectilinear distance from the median point"),
+            _optimum(
+                WelfareObjective.TOTAL, 15.0, "the oracle cannot do better than the median point"
             ),
-            Expectation(
-                "total_distance",
-                15.0,
-                WELFARE_TOLERANCE,
-                "total rectilinear distance from the median point",
-                lambda s: _mechanism_welfare(s, WelfareObjective.TOTAL),
+            _ratio(WelfareObjective.TOTAL, 1.0, "exactly optimal for total distance"),
+            _cost(
+                WelfareObjective.MAX, 6.0, "the far corner agent walks six from the median point"
             ),
-            Expectation(
-                "optimal_total_distance",
-                15.0,
-                WELFARE_TOLERANCE,
-                "the oracle cannot do better than the median point",
-                lambda s: _optimal_welfare_value(s, WelfareObjective.TOTAL),
-            ),
-            Expectation(
-                "total_approximation_ratio",
-                1.0,
-                WELFARE_TOLERANCE,
-                "exactly optimal for total distance",
-                lambda s: approximation_ratio(
-                    s.mechanism, s.profile, s.spec, WelfareObjective.TOTAL
-                ).ratio,
-            ),
-            Expectation(
-                "max_distance",
-                6.0,
-                WELFARE_TOLERANCE,
-                "the far corner agent walks six from the median point",
-                lambda s: _mechanism_welfare(s, WelfareObjective.MAX),
-            ),
-            Expectation(
-                "optimal_max_distance",
-                5.0,
-                WELFARE_TOLERANCE,
-                "the best single point leaves someone five away",
-                lambda s: _optimal_welfare_value(s, WelfareObjective.MAX),
-            ),
-            Expectation(
-                "max_approximation_ratio",
+            _optimum(WelfareObjective.MAX, 5.0, "the best single point leaves someone five away"),
+            _ratio(
+                WelfareObjective.MAX,
                 1.2,
-                WELFARE_TOLERANCE,
                 "six against five, comfortably inside the factor-two bound",
-                lambda s: approximation_ratio(
-                    s.mechanism, s.profile, s.spec, WelfareObjective.MAX
-                ).ratio,
             ),
-            Expectation(
+            _holds(
                 "max_within_twice_optimal",
-                True,
-                0.0,
                 "per-axis medians at worst double each coordinate's share",
                 lambda s: _mechanism_welfare(s, WelfareObjective.MAX)
                 <= 2.0 * _optimal_welfare_value(s, WelfareObjective.MAX) + 1e-9,

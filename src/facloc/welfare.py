@@ -89,7 +89,6 @@ from .mechanisms import (
     FacilitySpec,
     MechanismDescriptor,
     Solution,
-    _integral,
     _require_finite,
     run_mechanism,
 )
@@ -687,17 +686,13 @@ def optimal_capacitated_assignment(
 
     Depth-first over agents in index order with cost pruning; first
     lexicographic optimum wins ties.  Same agent cap as the welfare oracle.
+    The capacities are checked as FacilitySpec checks them.
     """
     objective = WelfareObjective(objective)
     locations = tuple(as_point(p) for p in locations)
-    caps = tuple(_integral(c, "capacity") for c in capacities)
-    if not caps or len(locations) != len(caps):
-        raise ValueError("need one capacity per facility location")
-    if any(c < 1 for c in caps):
-        raise ValueError("capacities must be positive")
+    spec = FacilitySpec(len(locations), capacities)
     n = profile.n
-    if sum(caps) < n:
-        raise ValueError(f"total capacity {sum(caps)} cannot serve {n} agents")
+    spec.require_feasible_for(n)
     if n > PARTITION_ORACLE_MAX_AGENTS:
         raise OracleCapError(
             f"exact assignment capped at {PARTITION_ORACLE_MAX_AGENTS} agents, got {n}"
@@ -707,7 +702,7 @@ def optimal_capacitated_assignment(
         [distance(agent, loc, profile.metric) for loc in locations]
         for agent in profile.agents
     ]
-    remaining = list(caps)
+    remaining = list(spec.capacities)
     chosen = [0] * n
     best_value = math.inf
     best_assignment: tuple[int, ...] | None = None

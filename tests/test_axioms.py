@@ -1538,10 +1538,10 @@ def test_refuters_validate_nothing_again(case, monkeypatch):
     assert rebuilt(cert) == cert and verify_certificate(cert)
 
 
-def test_an_overflowing_anonymity_gap_is_refused_as_the_constructor_refuses_it():
+def test_an_overflowing_anonymity_gap_is_a_resource_cap():
     # the two placements lie farther apart than the float range reaches
     profile = AgentProfile(((1e308, 0.0), (-1e308, 0.0)))
-    with pytest.raises(ValueError, match="finite nonnegative margin, got inf"):
+    with pytest.raises(OracleCapError, match="gap overflows the float range"):
         check_anonymity(MechanismDescriptor.dictatorship(), profile, ONE)
 
 

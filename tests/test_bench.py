@@ -211,7 +211,6 @@ class TestRunBench:
         with pytest.raises(ValueError, match="every trial"):
             BenchResult(
                 config=cfg,
-                descriptor=MEDIAN,
                 completed=1,
                 skipped=0,
                 unbounded=0,

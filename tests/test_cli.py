@@ -1,14 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import facloc
 from facloc import mechanisms, welfare
 from facloc.axioms import certificate_from_dict, verify_certificate
 from facloc.cli import main
 from facloc.geometry import ConvergenceError, geometric_median
 from facloc.mechanisms import AgentProfile, FacilitySpec, MechanismDescriptor
 from facloc import scenarios as scenario_registry
+
+DATA = Path(__file__).parent / "data"
 
 RECTANGLE = {
     "version": 1,
@@ -302,6 +309,18 @@ class TestCheck:
         assert err.startswith("error: reflected misreport of agent 2 overflows")
         assert len(err.splitlines()) == 1
 
+    def test_overflowing_anonymity_gap_maps_to_resource_exit(self, tmp_path, capsys):
+        # the two dictators' placements lie farther apart than a float reaches
+        doc = {
+            "version": 1,
+            "agents": [[1e308, 0], [-1e308, 0]],
+            "mechanism": {"kind": "serial_dictatorship"},
+        }
+        assert main(["check", "--instance", write(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the placements' gap overflows the float range")
+        assert len(err.splitlines()) == 1
+
     def test_far_flung_median_needs_no_lattice(self, tmp_path, capsys):
         # the median sits on a hull vertex, and its manipulations are
         # searched on the agents' coordinates, so no box is padded
@@ -499,6 +518,14 @@ class TestScenario:
         assert f"summary {count} of {count} passed" in out
         assert count >= 11
 
+    @pytest.mark.parametrize(
+        "fmt, golden", [("text", "scenario_all.txt"), ("table", "scenario_all_table.tsv")]
+    )
+    def test_all_scenarios_reproduce_the_committed_report(self, capsys, fmt, golden):
+        # every fixture's measured values, to the printed digit
+        assert main(["scenario", "all", "--format", fmt]) == 0
+        assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
     def test_unknown_scenario_fails_validation(self, capsys):
         assert main(["scenario", "nope"]) == 1
         assert "unknown scenario" in capsys.readouterr().err
@@ -530,6 +557,22 @@ class TestListScenarios:
         out = capsys.readouterr().out
         for name, _ in scenario_registry.list_scenarios():
             assert name in out
+
+    def test_module_entry_point_lists_every_scenario(self):
+        # `python -m facloc` is the documented entry; run it in a fresh
+        # interpreter that imports this checkout of the package
+        src = str(Path(facloc.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "facloc", "list-scenarios"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        names = [line.split()[0] for line in done.stdout.splitlines()]
+        assert names == [name for name, _ in scenario_registry.list_scenarios()]
 
 
 class TestBench:
