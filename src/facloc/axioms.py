@@ -4,10 +4,10 @@ All three checkers follow the same recipe: treat the mechanism as a black
 box behind a MechanismDescriptor, enumerate a finite candidate set, and
 either return a Certificate that replays through the public API or return
 None.  None is a proof of compliance for that profile where the candidate
-set is exhaustive: check_anonymity for every kind whose placement ignores
-the agents' order (all but serial dictatorship), which needs no candidate,
-and otherwise up to ANONYMITY_EXHAUSTIVE_MAX_AGENTS agents, where it tries
-every permutation; check_strategy_proofness wherever the kind table gives
+set is exhaustive: check_anonymity everywhere, since a kind whose placement
+ignores the agents' order (all but serial dictatorship) needs no candidate,
+and serial dictatorship tries one reordering per facility multiset a
+permutation can reach; check_strategy_proofness wherever the kind table gives
 the misreports: per-axis percentile picks on the coordinate axes
 (percentile_1d, percentile_multi_d without axes, the coordinate-wise
 median, coordinate max and min), which need none, since a report only
@@ -50,7 +50,6 @@ import dataclasses
 import enum
 import itertools
 import math
-import random
 from typing import Any, Iterable, Iterator, Sequence
 
 from .geometry import (
@@ -93,9 +92,6 @@ GAIN_TOLERANCE = 1e-9
 # replay may undershoot the recorded margin by at most this much
 REPLAY_SLACK = 1e-12
 
-# all n! permutations up to here; sampled permutations beyond
-ANONYMITY_EXHAUSTIVE_MAX_AGENTS = 8
-_ANONYMITY_SAMPLES = 512
 # subset / partition candidate enumeration blows up combinatorially
 _SUBSET_CANDIDATE_MAX_AGENTS = 8
 _MAX_GRID_POINTS = 500_000
@@ -314,40 +310,48 @@ def _multiset_gap(ranked: Sequence[Point], b: Sequence[Point]) -> float:
     return max(math.dist(p, q) for p, q in zip(ranked, sorted(b)))
 
 
-def _sampled_permutations(n: int) -> list[tuple[int, ...]]:
-    rng = random.Random(0)
-    base = list(range(1, n + 1))
-    drawn: set[tuple[int, ...]] = set()
-    for _ in range(_ANONYMITY_SAMPLES):
-        rng.shuffle(base)
-        drawn.add(tuple(base))
-    return sorted(drawn)
-
-
 def check_anonymity(
     descriptor: MechanismDescriptor,
     profile: AgentProfile,
     spec: FacilitySpec,
 ) -> Certificate | None:
-    """First permutation (in lexicographic order) that moves the facility
-    multiset by more than GAIN_TOLERANCE, or None.  A kind whose placement
-    ignores the agents' order (every kind but serial dictatorship) returns
-    None once the honest run passes: a proof, whatever the agent count.
-    Otherwise the search is exhaustive up to ANONYMITY_EXHAUSTIVE_MAX_AGENTS
-    agents, a fixed deterministic sample of permutations beyond that.
+    """First of the kind table's reorderings that moves the facility
+    multiset by more than GAIN_TOLERANCE, or None.  The reorderings reach
+    every facility multiset that any permutation of the agents can, so None
+    is a proof at any agent count.  A kind without reorderings (every kind
+    but serial dictatorship) places by the reports as a multiset and
+    returns None once the honest run passes, without a permutation.
+
+    Serial dictatorship has one reordering per reachable multiset, the
+    honest one first (see mechanisms._dictatorship_reorderings): with k
+    distinct locations, C(k, m) subsets for k > m, and for 1 < k < m the k
+    choices of the location that comes up last.  Where the distinct
+    locations lie pairwise more than GAIN_TOLERANCE apart, the second
+    reordering already violates: its multiset differs from the honest one
+    in one location, so the two cannot be paired rank by rank within
+    GAIN_TOLERANCE, as any two distinct locations lie farther apart than
+    that.  Such a profile is never refused.  Otherwise C(k, m) past
+    _MAX_GRID_POINTS raises OracleCapError before the first reordering is
+    placed.  For k <= m, C(k, m) is at most 1, and the k < m reorderings
+    stay below the facility cap, MAX_FACILITIES, so they are never refused.
     """
     honest = run_mechanism(descriptor, profile, spec)
-    if _KINDS[descriptor.kind].order_free:
+    reorderings = _KINDS[descriptor.kind].reorderings
+    if reorderings is None:
         return None
+    distinct = set(profile.agents)
+    placements = math.comb(len(distinct), spec.m)
+    if placements > _MAX_GRID_POINTS and any(
+        math.dist(p, q) <= GAIN_TOLERANCE for p, q in itertools.combinations(distinct, 2)
+    ):
+        raise OracleCapError(
+            f"anonymity check would place {placements} facility multisets (cap "
+            f"{_MAX_GRID_POINTS}), with locations within {GAIN_TOLERANCE} of each other"
+        )
     base = sorted(honest.locations)
     identity = tuple(range(1, profile.n + 1))
-    if profile.n <= ANONYMITY_EXHAUSTIVE_MAX_AGENTS:
-        permutations: Iterator[tuple[int, ...]] | list[tuple[int, ...]]
-        permutations = itertools.permutations(identity)
-    else:
-        permutations = _sampled_permutations(profile.n)
     agents, metric = profile.agents, profile.metric
-    for permutation in permutations:
+    for permutation in reorderings(descriptor, profile, spec.m):
         if permutation == identity:
             continue
         reordered = AgentProfile._trusted(

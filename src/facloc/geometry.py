@@ -461,9 +461,9 @@ def smallest_enclosing_circle(points: Iterable[Iterable[float]], seed: int = 0) 
 
     Randomized incremental construction; expected linear time.  The shuffle
     is driven by the caller-supplied seed, so identical inputs give
-    identical circles.  Near the float range a circle the construction
-    passes through can have its centre past it, even where the smallest
-    one does not; that raises OracleCapError.
+    identical circles.  Near the float range the input is scaled by a
+    power of two first, so that the circles the construction passes
+    through stay inside it; a radius past the float range reads inf.
     """
     pts = _validated(points)
     if len(pts[0]) != 2:
@@ -471,9 +471,31 @@ def smallest_enclosing_circle(points: Iterable[Iterable[float]], seed: int = 0) 
     return _enclosing_circle(pts, seed)
 
 
+# Welzl's construction multiplies an offset between two points by another,
+# or by a circumcentre's offset, and a circumcentre it passes through lies
+# up to about 2^107 spans from its points (twice the area of a float
+# triangle off one line is about ulp^2 or more).  With every coordinate
+# within 2^_CIRCLE_EXP those products stay below 2^1005, so larger inputs
+# are scaled by a power of two to within it, and the circle scaled back.
+_CIRCLE_EXP = 448
+
+
 def _enclosing_circle(pts: Sequence[Point], seed: int) -> Circle:
     """smallest_enclosing_circle on a nonempty sequence of finite 2-d points,
-    which are not validated again.
+    which are not validated again.  Points within 2**_CIRCLE_EXP run as
+    given; others are scaled by a power of two, which is exact in the
+    normal range, and a radius past the float range reads inf."""
+    top = max(map(abs, itertools.chain.from_iterable(pts)))
+    if top <= 2.0**_CIRCLE_EXP:
+        return _welzl(pts, seed)
+    shift = math.frexp(top)[1] - _CIRCLE_EXP
+    (x, y), radius = _welzl([(math.ldexp(u, -shift), math.ldexp(v, -shift)) for u, v in pts], seed)
+    scale = 2.0**shift
+    return Circle((x * scale, y * scale), radius * scale)
+
+
+def _welzl(pts: Sequence[Point], seed: int) -> Circle:
+    """_enclosing_circle on points within 2**_CIRCLE_EXP.
 
     Welzl's three nested passes as one loop over scalars.  The circle so
     far is `center, radius`, and a point lies in it when its distance from

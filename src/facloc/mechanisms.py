@@ -7,7 +7,8 @@ index winning ties.  Facility and agent indices are 1-based everywhere they
 appear in public records, matching the usual presentation of assignments.
 
 One table, _KINDS, gives each MechanismKind's parameter shape, facility
-count and placement, whether the placement ignores the agents' order, and
+count and placement, the exhaustive set of agent reorderings the anonymity
+refuter tries where the placement does not ignore the agents' order, and
 where it has one, the exhaustive set of lone misreports the
 strategy-proofness refuter tries.  The per-axis percentile family
 (percentile_1d, percentile_multi_d, and the coordinate-wise median, max and
@@ -27,9 +28,10 @@ measuring a distance.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Literal, Sequence
+from typing import Any, Callable, Iterable, Iterator, Literal, Sequence
 
 from .geometry import (
     Metric,
@@ -355,19 +357,47 @@ def serial_dictatorship(
     if m < 1:
         raise ValueError("need at least one facility")
     if order is None:
-        order = tuple(range(1, profile.n + 1))
+        order = range(1, profile.n + 1)
     if sorted(order) != list(range(1, profile.n + 1)):
         raise ValueError(f"order must be a permutation of 1..{profile.n}")
-    placed: list[Point] = []
+    placed = list(_walk(profile, order))[:m]
+    return tuple(placed + placed[-1:] * (m - len(placed)))
+
+
+def _walk(profile: AgentProfile, order: Iterable[int]) -> dict[Point, int]:
+    """Each distinct location in walk order, with the first agent (1-based)
+    to walk there.  Locations are told apart by ==, as serial dictatorship
+    tells them, so -0.0 and 0.0 are one location."""
+    firsts: dict[Point, int] = {}
     for idx in order:
-        loc = profile.agents[idx - 1]
-        if loc not in placed:
-            placed.append(loc)
-            if len(placed) == m:
-                break
-    while len(placed) < m:
-        placed.append(placed[-1])
-    return tuple(placed)
+        firsts.setdefault(profile.agents[idx - 1], idx)
+    return firsts
+
+
+def _dictatorship_reorderings(
+    descriptor: MechanismDescriptor, profile: AgentProfile, m: int
+) -> Iterator[tuple[int, ...]]:
+    """One permutation per facility multiset that reordering the agents
+    can make serial dictatorship place, the honest one first.
+
+    With k distinct locations, a walk places the first m of them to come
+    up, padded with copies of the last.  So for k > m a reordering reaches
+    every m-subset of the locations, and for 1 < k < m every choice of the
+    location that comes up last; for k = 1 or k = m it reaches only the
+    honest multiset, so k = m gives no permutation and k = 1 the identity
+    alone.  Each permutation walks the first agents of the chosen locations
+    first, in honest walk order, then the rest in honest walk order: the
+    chosen are the m-subsets for k > m, and for k < m the k - 1 locations
+    that come up before the last, in itertools.combinations order.
+    """
+    order = descriptor.agent_order or range(1, profile.n + 1)
+    firsts = list(_walk(profile, order).values())
+    if len(firsts) == m:
+        return
+    for chosen in itertools.combinations(firsts, min(m, len(firsts) - 1)):
+        walk = [*chosen, *(i for i in order if i not in chosen)]
+        # position order[t] of the reordered profile holds walk[t]
+        yield tuple(agent for _, agent in sorted(zip(order, walk)))
 
 
 def _one_centre(
@@ -474,19 +504,23 @@ class _Kind:
     family gives rows, its per-axis parameters for a profile's dimension,
     for _percentile_picks; every other kind gives place.
 
-    order_free says the placement depends on the reports only as a
-    multiset, up to the sign of a zero coordinate.  misreports gives, per
-    agent, lone reports among which one gains as much as any report can, up
-    to rounding, or None where the descriptor has no such set; an empty
-    set says that no report gains at all, and a kind without misreports, or
-    a None, leaves the refuter to its search lattice.
+    reorderings gives, for m facilities, one agent permutation per facility
+    multiset that reordering the reports can make the kind place, or is
+    None where the placement depends on the reports only as a multiset, up
+    to the sign of a zero coordinate, so that no reordering moves it.
+    misreports gives, per agent, lone reports among which one gains as much
+    as any report can, up to rounding, or None where the descriptor has no
+    such set; an empty set says that no report gains at all, and a kind
+    without misreports, or a None, leaves the refuter to its search lattice.
     """
 
     params: Literal["none", "row", "rows", "order"]
     facilities: Literal["one", "per_param", "free"]
     rows: Callable[[MechanismDescriptor, int], Sequence[Sequence[float]]] | None = None
     place: Callable[[MechanismDescriptor, AgentProfile, int], tuple[Point, ...]] | None = None
-    order_free: bool = True
+    reorderings: (
+        Callable[[MechanismDescriptor, AgentProfile, int], Iterable[tuple[int, ...]]] | None
+    ) = None
     misreports: (
         Callable[[MechanismDescriptor, AgentProfile], list[list[Point]] | None] | None
     ) = None
@@ -519,7 +553,7 @@ _KINDS: dict[MechanismKind, _Kind] = {
         "order",
         "free",
         place=lambda d, profile, m: serial_dictatorship(profile, d.agent_order, m),
-        order_free=False,
+        reorderings=_dictatorship_reorderings,
         misreports=lambda d, profile: [[]] * profile.n,
     ),
     MechanismKind.ONE_CENTRE: _Kind(

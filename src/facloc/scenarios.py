@@ -731,8 +731,7 @@ def _manhattan_3agent_median() -> Scenario:
         mechanism=MechanismDescriptor.median(),
         note=(
             "Three agents under rectilinear distance with the facility on the"
-            " per-axis median: the interior point survives every axiom check,"
-            " the largest profile size for which that is possible."
+            " per-axis median: the interior point survives every axiom check."
         ),
         expectations=(
             _facility_at((1.0, 1.0), "the per-axis medians meet in the interior"),

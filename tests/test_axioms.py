@@ -37,7 +37,7 @@ from facloc.mechanisms import (
     run_mechanism,
 )
 from facloc.welfare import OracleCapError
-from helpers import _counting
+from helpers import _counting, random_points
 
 ONE = FacilitySpec(1)
 PAIR = AgentProfile(((0.0, 0.0), (5.0, 5.0)))
@@ -221,11 +221,61 @@ class TestAnonymity:
         lone = AgentProfile(((3.0, 4.0),))
         assert check_anonymity(MechanismDescriptor.dictatorship(), lone, ONE) is None
 
-    def test_sampled_permutations_catch_big_dictatorships(self):
-        big = AgentProfile(tuple((float(i), 0.0) for i in range(9)))
-        cert = check_anonymity(MechanismDescriptor.dictatorship(), big, ONE)
-        assert cert is not None
+    @staticmethod
+    def count_placements(monkeypatch):
+        placed = []
+
+        def counted(*args):
+            placed.append(args)
+            return _place(*args)
+
+        monkeypatch.setattr(axioms, "_place", counted)
+        return placed
+
+    @pytest.mark.parametrize(
+        "agents, m, order",
+        [
+            # twelve distinct locations; four locations three times over,
+            # walked out of turn; three locations for five facilities
+            ([(float(i), 0.0) for i in range(12)], 2, None),
+            ([(float(i % 4), 1.0) for i in range(12)], 2, [12, *range(1, 12)]),
+            ([(0.0, float(i % 3)) for i in range(12)], 5, None),
+            # C(30, 15) subsets, but separated locations violate at once
+            (random_points(random.Random(4), 30, box=1.0), 15, None),
+        ],
+    )
+    def test_separated_locations_violate_within_two_placements(
+        self, agents, m, order, monkeypatch
+    ):
+        placed = self.count_placements(monkeypatch)
+        profile = AgentProfile(tuple(agents))
+        cert = check_anonymity(MechanismDescriptor.dictatorship(order), profile, FacilitySpec(m))
+        assert cert is not None and len(placed) <= 2
         assert verify_certificate(cert)
+
+    @pytest.mark.parametrize(
+        "agents, m",
+        [
+            # one location (k = 1), and four for four facilities (k = m)
+            ([(2.0, -1.0)] * 12, 3),
+            ([(float(i % 4), 0.5) for i in range(12)], 4),
+        ],
+    )
+    def test_only_the_honest_placement_is_reachable(self, agents, m, monkeypatch):
+        placed = self.count_placements(monkeypatch)
+        profile = AgentProfile(tuple(agents))
+        order = [*range(12, 0, -1)]
+        for desc in (MechanismDescriptor.dictatorship(), MechanismDescriptor.dictatorship(order)):
+            assert check_anonymity(desc, profile, FacilitySpec(m)) is None
+        assert placed == []
+
+    def test_too_many_placements_near_each_other_are_refused_first(self, monkeypatch):
+        # 30 points 5e-11 apart on a line: C(30, 15) is about 155 million
+        placed = self.count_placements(monkeypatch)
+        line = AgentProfile(tuple((i * 5e-11,) for i in range(30)))
+        with pytest.raises(OracleCapError, match="155117520 facility multisets"):
+            check_anonymity(MechanismDescriptor.dictatorship(), line, FacilitySpec(15))
+        assert placed == []
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -1007,7 +1057,7 @@ class TestOwnWitnessStrategyProofness:
 # --- anonymity of the kinds whose placement ignores the agents' order is a
 # proof without permuting; the column is checked against permuted inputs
 
-ORDER_FREE_KINDS = [kind for kind in MechanismKind if _KINDS[kind].order_free]
+ORDER_FREE_KINDS = [kind for kind in MechanismKind if _KINDS[kind].reorderings is None]
 
 
 def test_order_free_column():
@@ -1052,6 +1102,90 @@ def test_order_free_anonymity_places_no_permutation(kind, monkeypatch):
     agents = tuple(tuple(0.1 * i + 0.37 * k * i * i for k in range(dim)) for i in range(9))
     profile = AgentProfile(agents)
     assert check_anonymity(per_axis_descriptor(kind, dim, m), profile, FacilitySpec(m)) is None
+
+
+# --- serial dictatorship tries one reordering per reachable facility
+# multiset; every permutation, run through the public path, is the reference
+
+
+@st.composite
+def near_duplicate_dictatorships(draw, max_agents=7):
+    """(agents, m, order): up to max_agents agents on up to 3 sites of a
+    small grid, each an exact copy of its site or nudged by 1e-12 to 2e-9
+    per axis, with m 1-3, dims 1-3 and a random walk order half the time."""
+    n, m, dim = draw(st.integers(1, max_agents)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    site = st.tuples(*[st.sampled_from([0.0, 1.0, 2.0])] * dim)
+    sites = draw(st.lists(site, min_size=1, max_size=3))
+    nudge = st.one_of(st.just(0.0), st.floats(1e-12, 2e-9), st.floats(-2e-9, -1e-12))
+    agents = [
+        tuple(c + draw(nudge) for c in draw(st.sampled_from(sites))) for _ in range(n)
+    ]
+    order = draw(st.none() | st.permutations(range(1, n + 1)))
+    return agents, m, order
+
+
+# distinct locations span more than GAIN_TOLERANCE, yet no reordering
+# moves the multiset that far: a diameter test would call it a violation
+@example(
+    (
+        [(2.0000000002917866,), (2.0,), (2.000000001189905,),
+         (2.0000000002497216,), (1.9999999999535605,), (2.0,)],
+        2,
+        (1, 5, 3, 2, 4, 6),
+    )
+)
+@settings(deadline=None, max_examples=200)
+@given(near_duplicate_dictatorships())
+def test_dictatorship_reorderings_decide_as_every_permutation(instance):
+    agents, m, order = instance
+    desc = MechanismDescriptor.dictatorship(order)
+    profile, spec = AgentProfile(tuple(agents)), FacilitySpec(m)
+    cert = check_anonymity(desc, profile, spec)
+    assert (cert is None) == (reference_anonymity(desc, profile, spec) is None)
+    if cert is not None:
+        assert verify_certificate(cert)
+
+
+@settings(deadline=None, max_examples=150)
+@given(near_duplicate_dictatorships(max_agents=6))
+def test_dictatorship_reorderings_reach_each_placement_once(instance):
+    agents, m, order = instance
+    desc = MechanismDescriptor.dictatorship(order)
+    profile = AgentProfile(tuple(agents))
+
+    def placed(permutation):
+        return tuple(sorted(_place(desc, profile.permuted(permutation), m)))
+
+    identity = range(1, len(agents) + 1)
+    reachable = {placed(p) for p in itertools.permutations(identity)}
+    tried = [placed(p) for p in _KINDS[desc.kind].reorderings(desc, profile, m)]
+    # the honest placement first, or no reordering where it is the only one
+    assert tried[:1] in ([], [placed(identity)])
+    assert len(set(tried)) == len(tried) and set(tried) | {placed(identity)} == reachable
+
+
+# --- the per-axis median under Manhattan distance keeps all three axioms
+# on more than the three agents of manhattan_3agent_median, and each None
+# is a proof: no reorderings (check_anonymity), empty misreport pools
+# (check_strategy_proofness) and one planar facility with coordinates
+# within 64 (check_pareto), so no search lattice is built
+
+
+def test_the_manhattan_median_keeps_every_axiom_on_five_agents(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("searched the lattice")
+
+    monkeypatch.setattr(axioms, "candidate_points", refuse)
+    agents = ((0.0, 0.0), (4.0, 1.0), (1.0, 4.0), (3.0, 3.0), (2.0, 0.0))
+    profile = AgentProfile(agents, Metric.MANHATTAN)
+    desc = MechanismDescriptor.median()
+    kind = _KINDS[desc.kind]
+    assert kind.reorderings is None and kind.misreports(desc, profile) == [[]] * 5
+    solution = run_mechanism(desc, profile, ONE)
+    assert solution.locations == ((2.0, 1.0),)
+    assert check_anonymity(desc, profile, ONE) is None
+    assert check_strategy_proofness(desc, profile, ONE) is None
+    assert check_pareto(profile, solution) is None
 
 
 # --- one facility in the plane: exact Pareto candidates, checked against

@@ -321,6 +321,20 @@ class TestCheck:
         assert err.startswith("error: the placements' gap overflows the float range")
         assert len(err.splitlines()) == 1
 
+    def test_too_many_near_placements_map_to_resource_exit(self, tmp_path, capsys):
+        # 30 agents 5e-11 apart on a line, 15 dictators: C(30, 15) subsets
+        # of locations that no pairwise gap settles, refused before any runs
+        doc = {
+            "version": 1,
+            "agents": [[i * 5e-11] for i in range(30)],
+            "facilities": 15,
+            "mechanism": {"kind": "serial_dictatorship"},
+        }
+        assert main(["check", "--instance", write(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: anonymity check would place 155117520 facility multisets")
+        assert len(err.splitlines()) == 1
+
     def test_far_flung_median_needs_no_lattice(self, tmp_path, capsys):
         # the median sits on a hull vertex, and its manipulations are
         # searched on the agents' coordinates, so no box is padded

@@ -459,8 +459,9 @@ def test_geometric_median_beats_input_points_and_coordinate_median(pts):
 
 
 # the enclosing-circle tests also run past 1e102, where the circumcentre
-# formula's cubed offsets leave the float range unless they are scaled
-SEC_SCALES = (1.0, 1e100, 1e120, 1e150)
+# formula's cubed offsets leave the float range unless they are scaled,
+# and at 1e300, where the construction's products of offsets would
+SEC_SCALES = (1.0, 1e100, 1e120, 1e150, 1e300)
 
 
 def scaled(pts, scale):
@@ -490,24 +491,46 @@ def test_sec_of_an_acute_triangle_past_1e102():
     assert c.radius == pytest.approx(5.5625e119, rel=1e-12)
 
 
+# trial 2 of `facloc bench --mechanism one_centre --box 1e308`, sorted as
+# the mechanism sorts it
+BENCH_TRIAL_2 = [
+    (1.318468852464846e307, 2.023034049834709e307),
+    (1.687934405799445e307, 3.0699783458341503e307),
+    (2.508315910998845e307, 3.7120868227637793e307),
+    (2.621540692205774e307, 5.503494691115216e307),
+    (3.587974310323051e307, 8.119522910982131e307),
+    (7.339777127311625e307, 1.690819112050057e306),
+]
+
+
 def test_a_circumcentre_past_the_float_range_is_refused():
-    # trial 2 of `facloc bench --mechanism one_centre --box 1e308`, sorted
-    # as the mechanism sorts it: the construction passes through the
-    # circle of agents 4, 2 and 5, whose centre lies past 1.8e308, though
-    # the smallest circle's does not
-    agents = [
-        (1.318468852464846e307, 2.023034049834709e307),
-        (1.687934405799445e307, 3.0699783458341503e307),
-        (2.508315910998845e307, 3.7120868227637793e307),
-        (2.621540692205774e307, 5.503494691115216e307),
-        (3.587974310323051e307, 8.119522910982131e307),
-        (7.339777127311625e307, 1.690819112050057e306),
-    ]
-    message = "circumcircle centre is past the float range"
-    with pytest.raises(OracleCapError, match=message):
+    # the circle of agents 4, 2 and 5 has its centre past 1.8e308; unscaled,
+    # the construction passes through it, though the smallest circle's
+    # centre lies inside the float range, and scaled it does not
+    agents = BENCH_TRIAL_2
+    with pytest.raises(OracleCapError, match="circumcircle centre is past the float range"):
         geometry._circumcircle(agents[3], agents[1], agents[4])
-    with pytest.raises(OracleCapError, match=message):
-        smallest_enclosing_circle(agents)
+    circle = smallest_enclosing_circle(agents)
+    assert all(map(math.isfinite, (*circle.center, circle.radius)))
+
+
+FLOAT_MAX = 1.7976931348623157e308
+NEAR_MAX_CIRCLE_INPUTS = [
+    BENCH_TRIAL_2,
+    [(FLOAT_MAX, 0.0), (0.5 * FLOAT_MAX, 0.5 * FLOAT_MAX), (0.0, FLOAT_MAX), (0.0, 0.0)],
+    *(random_points(random.Random(s), 6, box=box) for s in range(3) for box in (1e308, -1e308)),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("agents", NEAR_MAX_CIRCLE_INPUTS)
+def test_circles_near_the_float_range_hold_every_agent_and_are_smallest(agents, seed):
+    circle = smallest_enclosing_circle(agents, seed)
+    assert all(math.dist(circle.center, p) <= circle.radius for p in agents)
+    # the brute force runs on the agents scaled down by 2^1018, which is
+    # exact, and its radius is scaled back up
+    small = brute_force_sec([tuple(math.ldexp(c, -1018) for c in p) for p in agents])
+    assert circle.radius <= math.ldexp(small.radius, 1018) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("exp", [0, 60, 101, 200, 340, 500, -300])
