@@ -310,6 +310,24 @@ def _multiset_gap(ranked: Sequence[Point], b: Sequence[Point]) -> float:
     return max(math.dist(p, q) for p, q in zip(ranked, sorted(b)))
 
 
+def _has_near_pair(points: Iterable[Point]) -> bool:
+    """Whether two of the points lie within GAIN_TOLERANCE of each other.
+    Sorted on the first coordinate, each point is compared only with the
+    later ones whose first coordinate is within GAIN_TOLERANCE of its own:
+    math.dist is no smaller than the difference of the first coordinates,
+    which only grows along the sorted order, so every pair past that
+    window lies farther apart.  On spread-out points that costs the sort."""
+    ranked = sorted(points)
+    for i, p in enumerate(ranked):
+        for j in range(i + 1, len(ranked)):
+            q = ranked[j]
+            if q[0] - p[0] > GAIN_TOLERANCE:
+                break
+            if math.dist(p, q) <= GAIN_TOLERANCE:
+                return True
+    return False
+
+
 def check_anonymity(
     descriptor: MechanismDescriptor,
     profile: AgentProfile,
@@ -341,9 +359,7 @@ def check_anonymity(
         return None
     distinct = set(profile.agents)
     placements = math.comb(len(distinct), spec.m)
-    if placements > _MAX_GRID_POINTS and any(
-        math.dist(p, q) <= GAIN_TOLERANCE for p, q in itertools.combinations(distinct, 2)
-    ):
+    if placements > _MAX_GRID_POINTS and _has_near_pair(distinct):
         raise OracleCapError(
             f"anonymity check would place {placements} facility multisets (cap "
             f"{_MAX_GRID_POINTS}), with locations within {GAIN_TOLERANCE} of each other"

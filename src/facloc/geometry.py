@@ -553,7 +553,9 @@ def manhattan_one_center(points: Iterable[Iterable[float]]) -> Point:
     """Point minimizing the maximum Manhattan distance to the inputs (2-d).
 
     Rotating 45 degrees turns Manhattan distance into Chebyshev distance,
-    where the optimum is the center of the bounding box.
+    where the optimum is the center of the bounding box.  That centre lies
+    in the inputs' own bounding box, so it is finite however large they
+    are, unless it rounds past the largest float.
     """
     pts = _validated(points)
     if len(pts[0]) != 2:
@@ -561,11 +563,35 @@ def manhattan_one_center(points: Iterable[Iterable[float]]) -> Point:
     return _manhattan_centre(pts)
 
 
+# With every coordinate within 2^_ROTATED_EXP in magnitude, u = x + y and
+# v = x - y lie within 2^(_ROTATED_EXP + 1), and the sum or difference of two
+# of them within 2^1023, inside the float range.
+_ROTATED_EXP = 1021
+
+
 def _manhattan_centre(pts: Sequence[Point]) -> Point:
     """manhattan_one_center on a nonempty sequence of finite 2-d points,
-    which are not validated again."""
+    which are not validated again.
+
+    With u_lo, u_hi, v_lo, v_hi the extremes of u = x + y and v = x - y,
+    the centre's x is (u_lo + v_hi + u_hi + v_lo) / 4.  u_lo + v_hi lies
+    between twice the x of the point that attains u_lo and twice that of
+    the point that attains v_hi, and so does u_hi + v_lo with the points
+    that attain v_lo and u_hi.  So x lies between the points' smallest and
+    largest x, and y likewise.  The sums on the way there overflow only
+    past about 9e307, and an overflow leaves inf or NaN in the answer.  So
+    a finite answer is returned as computed, and otherwise the points are
+    scaled by a power of two to within 2^_ROTATED_EXP, which is exact in
+    the normal range, and the centre is scaled back."""
     us = [x + y for x, y in pts]
     vs = [x - y for x, y in pts]
     uc = (min(us) + max(us)) / 2.0
     vc = (min(vs) + max(vs)) / 2.0
-    return ((uc + vc) / 2.0, (uc - vc) / 2.0)
+    x, y = (uc + vc) / 2.0, (uc - vc) / 2.0
+    if math.isfinite(x) and math.isfinite(y):
+        return (x, y)
+    shift = math.frexp(max(map(abs, itertools.chain.from_iterable(pts))))[1] - _ROTATED_EXP
+    x, y = _manhattan_centre([(math.ldexp(p, -shift), math.ldexp(q, -shift)) for p, q in pts])
+    # a centre rounded past the float's end reads inf, as unscaled sums do
+    scale = 2.0**shift
+    return (x * scale, y * scale)

@@ -13,8 +13,16 @@ facilities' perpendicular bisector, and those on it can all join one side,
 so some optimal partition is separated by a line, for the total and the max
 objective alike (the planar 2-median / 2-centre argument).  Those O(n^2)
 line splits are enumerated instead, up to LINE_SPLIT_MAX_AGENTS agents.
-Manhattan bisectors are not lines, so Manhattan profiles, other dimensions
-and m >= 3 search every partition, under the branch and bound below.
+Manhattan bisectors are not lines.  Under the max objective, though,
+(x + y, x - y) turns Manhattan balls into axis-parallel squares, and some
+optimal pair of squares sits at opposite corners of the agents' bounding
+box there (Drezner 1987; Sharir and Welzl 1996).  So two Manhattan
+facilities under the max search the corner splits, up to
+LINE_SPLIT_MAX_AGENTS agents too: the one-block partition and every prefix,
+with its complement, of the agents ranked by their need toward the first
+corner of either diagonal, 2n - 1 candidates at most (optimal_welfare
+gives the proof).  The Manhattan total, other dimensions and m >= 3
+search every partition, under the branch and bound below.
 
 The profile is validated once, when it is built, and the oracles build
 their solutions with Solution._trusted from kernel centres that
@@ -29,8 +37,8 @@ candidates with equal (value, facility tuple) the one whose
 restricted-growth labels in index order come first wins (_growth_labels),
 so that order decides ties.
 
-Both searches are a branch and bound on a lower bound per group, which
-calls no kernel.  Manhattan distance is the larger coordinate difference in
+All three searches are a branch and bound on a lower bound per group,
+which calls no kernel.  Manhattan distance is the larger coordinate difference in
 (x + y, x - y), so a Manhattan group's optimum has a closed form: under the
 max objective half its larger range there, and under the total the sum
 over the axes of its deviations from its median on that axis, read off
@@ -54,12 +62,14 @@ of the block it changed.  The first cutoff is the best split of an axis'
 sorted order into a prefix and a suffix; on Manhattan profiles one sweep
 each way along the axis gives every prefix's and suffix's bound, the
 float the per-mask bound gives, and the walk finds them cached.  The
-line splits are ranked by the fold of their two groups' bounds and
-walked lowest first, up to the first that exceeds the best found.  A cut
-partition cannot equal the winner, and ties are compared on (value,
-facility tuple, restricted-growth labels) whatever the walk order, so the
-winner and its tie-break stay those of the full enumeration.  The
-kernels solve only the groups of partitions that reach the cutoff.
+line and corner splits are ranked by the fold of their two groups'
+bounds, the corner splits' read off the same sweeps along each corner
+order, and walked lowest first, up to the first that exceeds the best
+found.  A cut partition cannot equal the winner, and ties are compared on
+(value, facility tuple, restricted-growth labels) whatever the walk
+order, so the winner and its tie-break stay those of an unbounded scan of
+the partitions searched.  The kernels solve only the groups of partitions
+that reach the cutoff.
 """
 
 from __future__ import annotations
@@ -76,6 +86,7 @@ from .geometry import (
     Metric,
     OracleCapError,
     Point,
+    _ROTATED_EXP,
     _coordinate_median,
     _enclosing_circle,
     _geometric_median,
@@ -458,6 +469,29 @@ def _swept_ranges(points: Sequence[Point], line: Sequence[int]) -> list[float]:
     return bounds
 
 
+def _corner_orders(points: Sequence[Point], top: float) -> list[list[int]]:
+    """The agents ranked by their need toward the first corner of each
+    diagonal of their bounding box in (u, v) (_rotated), ties toward the
+    lower index: max(u - u0, v - v0) toward the (u0, v0) corner, and
+    max(u - u0, v1 - v) toward the (u0, v1) corner, with u0 the least u and
+    v0 and v1 the least and largest v.  A need is the side of the square
+    at that corner that covers the agent.  top is the largest coordinate
+    magnitude.  Past 2^_ROTATED_EXP the needs are taken on the points
+    scaled by a power of two, where they stay finite, so no inf or NaN is
+    ranked."""
+    if top > 2.0**_ROTATED_EXP:
+        shift = math.frexp(top)[1] - _ROTATED_EXP
+        points = [tuple(math.ldexp(c, -shift) for c in p) for p in points]
+    rotated = _rotated(points)
+    u0 = min(u for u, _ in rotated)
+    v0 = min(v for _, v in rotated)
+    v1 = max(v for _, v in rotated)
+    agents = range(len(points))
+    lower = [max(u - u0, v - v0) for u, v in rotated]
+    upper = [max(u - u0, v1 - v) for u, v in rotated]
+    return [sorted(agents, key=lower.__getitem__), sorted(agents, key=upper.__getitem__)]
+
+
 def optimal_welfare(
     profile: AgentProfile,
     spec: FacilitySpec,
@@ -467,20 +501,46 @@ def optimal_welfare(
 
     Uncapacitated only.  One facility needs no enumeration and has no agent
     cap.  Two facilities on a 2-d Euclidean profile search the line splits
-    of the agents (_line_splits), up to LINE_SPLIT_MAX_AGENTS agents; every
-    other case with m >= 2 searches all agent partitions, up to
-    PARTITION_ORACLE_MAX_AGENTS agents.  Either cap raises OracleCapError
-    before any enumeration, and so does an optimum whose welfare is past
-    the float range, after it.  Ties break toward the lexicographically
-    smallest facility tuple, and among equal tuples toward the partition
-    whose restricted-growth labels in index order come first
-    (_growth_labels), among the partitions searched: for two facilities on
-    a 2-d Euclidean profile among the line splits only.
+    of the agents (_line_splits), and two Manhattan facilities under the
+    max objective, on 1-d or 2-d profiles, the corner splits below, both
+    up to LINE_SPLIT_MAX_AGENTS agents; every other case with m >= 2
+    searches all agent partitions, up to PARTITION_ORACLE_MAX_AGENTS
+    agents.  Each cap raises OracleCapError before any enumeration or
+    sort, and so does an optimum whose welfare is past the float range,
+    after it.  Ties break toward the lexicographically smallest facility
+    tuple, and among equal tuples toward the partition whose
+    restricted-growth labels in index order come first (_growth_labels),
+    among the partitions searched: among the line splits only for two
+    facilities on a 2-d Euclidean profile, and among the corner splits
+    only for two Manhattan facilities under the max.
     Unused facilities duplicate the last used location.
 
-    Both searches are a branch and bound on a lower bound per group, which
-    calls no kernel: under the Manhattan total the sum over the axes of
-    the group's deviations from its lower median there
+    The corner splits hold an optimal partition.  In (u, v) =
+    (x + y, x - y) a Manhattan ball is an axis-parallel square, and some
+    optimum of radius R puts its two squares, of half-side R, at opposite
+    corners A and B of the agents' bounding box there (Drezner, Naval
+    Research Logistics 1987; Sharir and Welzl, SoCG 1996).  The agents
+    whose need toward A (_corner_orders) is at most 2R are those in A's
+    square, and the rest lie in B's.  They are a prefix of the agents
+    ranked by that need, so that prefix and its complement both fit
+    squares of half-side R.  Hence the one-block partition and every
+    prefix of either corner order, with its complement, hold an optimal
+    partition, 2n - 1 candidates at most.  In floats, with M the largest
+    coordinate magnitude, the needs are taken on the rounded u and v, each
+    within ulp(M) of its exact value, whose optimum R' is at most
+    OPT + ulp(M); a need, at most 4M, rounds by at most 2 ulp(M).  The
+    prefix that runs through every agent whose rounded need equals that of
+    the last agent of A's square then fits a square of half-side
+    R' + 2 ulp(M) on the rounded points, so its exact optimum is at most
+    OPT + 4 ulp(M), and its computed value (below) at most OPT + 14 ulp(M).
+    Every partition's computed value is at least OPT - 4 ulp(M), so the
+    corner splits' value is never below the full enumeration's and exceeds
+    it by at most 18 ulp(M).  Past 2^_ROTATED_EXP the needs are taken on
+    the agents scaled by a power of two, with the same bound.
+
+    All three searches are a branch and bound on a lower bound per group,
+    which calls no kernel: under the Manhattan total the sum over the axes
+    of the group's deviations from its lower median there
     (_median_deviations), under the Manhattan max half the larger of its
     ranges in (x + y, x - y) (_rotated_ranges), and on Euclidean profiles
     _group_bound, from pairwise distances.  The partition search walks the
@@ -490,10 +550,11 @@ def optimal_welfare(
     groups' bounds, summed under the total and maxed under the max
     objective, exceed the cutoff: adding an agent to a group never lowers
     its optimal cost, so that fold bounds from below the value of every
-    partition under the node.  The line-split search ranks the splits by
-    the fold of their two groups' bounds and stops at the first past the
-    cutoff.  In floats, with eps = 2^-53 and M the largest coordinate
-    magnitude:
+    partition under the node.  The line-split and corner-split searches
+    rank the splits by the fold of their two groups' bounds, which one
+    sweep each way along each corner order gives for the corner splits
+    (_swept_ranges), and stop at the first past the cutoff.  In floats,
+    with eps = 2^-53 and M the largest coordinate magnitude:
     - a Manhattan total's centre is exact (coordinate medians are input
       coordinates), so its value and its bound sum the same rounded
       deviations |x_k - med_k|, by agent and by axis respectively.  Each
@@ -520,16 +581,17 @@ def optimal_welfare(
       errs by at most ulp(M) / 2 instead.
     So a node's bound exceeds the value V of any partition under it by at
     most rel * V + 64 ulp(M), where rel = max(1e-12, 8 (dim + 2n) eps)
-    leaves room to spare.  A node, or a line split, is cut when its bound
+    leaves room to spare.  A node, or a split, is cut when its bound
     exceeds best * (1 + rel) + 64 ulp(M), best being the lowest value of a
     partition already found; every partition under it is then strictly
     worse than that one, so it can neither win nor tie.  Ties are compared
     on (value, facility tuple, restricted-growth labels in index order),
     with each leaf's blocks ordered by their lowest agent, so the walk's
-    order does not decide them, and the search returns what the full
-    enumeration does.  Where a coordinate exceeds 2^512 in magnitude, sums
-    of distances could overflow, and the absolute slack is infinite:
-    nothing is cut, and every partition or line split is solved.
+    order does not decide them, and the search returns what an unbounded
+    scan of its partitions does: the full enumeration, or every line or
+    corner split.  Where a coordinate exceeds 2^512 in magnitude, sums of
+    distances could overflow, and the absolute slack is infinite: nothing
+    is cut, and every partition or split is solved.
 
     The partition search's first cutoff is the best split of an axis'
     sorted order into a prefix and a suffix: solved by the kernels on
@@ -559,12 +621,14 @@ def optimal_welfare(
         _require_finite((center,))
         solution = Solution._trusted((center,), (1,) * n)
         return _finite_welfare(profile, solution, objective, "optimal"), solution
-    line_splits = metric is Metric.EUCLIDEAN and profile.dim == 2 and spec.m == 2
-    cap = LINE_SPLIT_MAX_AGENTS if line_splits else PARTITION_ORACLE_MAX_AGENTS
-    if n > cap:
-        raise OracleCapError(f"exact oracle capped at {cap} agents, got {n}")
     total = objective is WelfareObjective.TOTAL
     euclidean = metric is Metric.EUCLIDEAN
+    # two facilities search a family of splits that holds an optimal one
+    line_splits = euclidean and profile.dim == 2 and spec.m == 2
+    corner_splits = not (euclidean or total) and profile.dim <= 2 and spec.m == 2
+    cap = LINE_SPLIT_MAX_AGENTS if line_splits or corner_splits else PARTITION_ORACLE_MAX_AGENTS
+    if n > cap:
+        raise OracleCapError(f"exact oracle capped at {cap} agents, got {n}")
     if not total:
         _require_max_dim(profile.dim)
     fold = sum if total else max
@@ -601,14 +665,10 @@ def optimal_welfare(
             low = bounds[mask] = bound(mask)
         return low
 
-    def by_bound() -> Iterator[tuple[int, ...]]:
-        """The line splits, lowest bound first, up to the first bound past
-        the cutoff."""
-        splits = _line_splits(agents)
-        ranked = sorted(
-            (fold([bound(mask) for mask in masks]), rank) for rank, masks in enumerate(splits)
-        )
-        for low, rank in ranked:
+    def by_bound(splits: list[tuple[int, ...]], lows: list[float]) -> Iterator[tuple[int, ...]]:
+        """The splits, lowest bound (lows) first and in their given order
+        among equal bounds, up to the first bound past the cutoff."""
+        for low, rank in sorted(zip(lows, itertools.count())):
             if low > cutoff:
                 return
             yield splits[rank]
@@ -624,12 +684,25 @@ def optimal_welfare(
 
     cutoff = math.inf
     candidates: Iterable[tuple[int, ...]]
+    full = (1 << n) - 1
     if line_splits:
-        candidates = by_bound()
+        splits = _line_splits(agents)
+        candidates = by_bound(splits, [fold([bound(mask) for mask in masks]) for masks in splits])
+    elif corner_splits:
+        # the one-block partition, and each prefix of a corner order with
+        # its complement, blocks ordered by their lowest agent
+        scored = {(full,): bound(full)}
+        for line in _corner_orders(agents, scale):
+            heads = _swept_ranges(agents, line)
+            tails = _swept_ranges(agents, line[::-1])[::-1]
+            prefixes = itertools.accumulate((1 << i for i in line[:-1]), operator.or_)
+            for prefix, head, tail in zip(prefixes, heads, tails):
+                rest = full ^ prefix
+                scored[(prefix, rest) if prefix & 1 else (rest, prefix)] = max(head, tail)
+        candidates = by_bound(list(scored), list(scored.values()))
     else:
         # the splits of each axis' sorted order into a prefix and a suffix
         # are two-block partitions
-        full = (1 << n) - 1
         sweep = _swept_deviations if total else _swept_ranges
         for k in range(profile.dim):
             line = sorted(range(n), key=lambda i: agents[i][k])

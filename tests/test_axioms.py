@@ -277,6 +277,27 @@ class TestAnonymity:
             check_anonymity(MechanismDescriptor.dictatorship(), line, FacilitySpec(15))
         assert placed == []
 
+    @settings(deadline=None, max_examples=300)
+    @given(
+        dim=st.integers(1, 3),
+        step=st.sampled_from((4e-10, 7.1e-10, 1e-9, 1.0000000000000002e-9, 1.5e-9, 1.0)),
+        offset=st.sampled_from((0.0, -3.0, 1e6)),
+        data=st.data(),
+    )
+    def test_the_near_pair_window_decides_as_every_pair(self, dim, step, offset, data):
+        # grid sites a step apart, some nudged by a few ulp, so that pairs
+        # fall on both sides of GAIN_TOLERANCE along and across the axes
+        site = st.tuples(*[st.integers(-3, 3)] * dim)
+        nudge = st.sampled_from((0.0, 2.0**-60, -(2.0**-58), 1e-10))
+        points = {
+            tuple(offset + k * step + data.draw(nudge) for k in cell)
+            for cell in data.draw(st.lists(site, min_size=1, max_size=12))
+        }
+        every_pair = any(
+            math.dist(p, q) <= GAIN_TOLERANCE for p, q in itertools.combinations(points, 2)
+        )
+        assert axioms._has_near_pair(points) == every_pair
+
     @settings(deadline=None, max_examples=40)
     @given(
         pts=st.lists(

@@ -468,15 +468,16 @@ class TestOracle:
                 ["check", "--mechanism", "geometric_median"],
                 "geometric median",
             ),
-            # the rotated centre's x + y overflows
+            # the rotated centre is finite, and its distance to either agent
+            # overflows
             (
-                [[1.7e308, 1.7e308], [0, 0], [1, 1]],
+                [[1.7e308, 1.7e308], [-1.7e308, -1.7e308]],
                 "manhattan",
                 ["oracle", "--objective", "max"],
-                "facility centre",
+                "optimal welfare",
             ),
         ],
-        ids=["oracle-median", "run-median", "check-median", "oracle-rotated-centre"],
+        ids=["oracle-median", "run-median", "check-median", "oracle-rotated-welfare"],
     )
     def test_past_the_float_range_maps_to_resource_exit(
         self, tmp_path, capsys, agents, metric, argv, message
@@ -487,6 +488,50 @@ class TestOracle:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "past the float range" in err
         assert len(err.splitlines()) == 1
+
+    def test_a_rotated_centre_whose_sums_overflow_is_found(self, tmp_path, capsys):
+        # x + y of the first agent overflows, and the centre lies in the
+        # agents' bounding box
+        doc = {
+            "version": 1,
+            "metric": "manhattan",
+            "agents": [[1.7e308, 1.7e308], [0, 0], [1, 1]],
+            "facilities": 1,
+        }
+        assert main(["oracle", "--instance", write(tmp_path, doc), "--objective", "max"]) == 0
+        out = lines_of(capsys)
+        assert "optimal_welfare 1.7e+308" in out
+        assert "facility 1 (8.5e+307, 8.5e+307)" in out
+
+    # the optima are the least half-sides at which two axis-parallel squares
+    # in (x + y, x - y), each with its lower-left corner at some agent's u
+    # and some agent's v, cover every agent
+    @pytest.mark.parametrize("n, optimum", [(11, "3"), (30, "7.5")])
+    def test_two_manhattan_facilities_under_the_max_take_thirty_agents(
+        self, tmp_path, capsys, n, optimum
+    ):
+        doc = {
+            "version": 1,
+            "agents": [[float(i), float(i % 3)] for i in range(n)],
+            "metric": "manhattan",
+            "facilities": 2,
+        }
+        path = write(tmp_path, doc)
+        assert main(["oracle", "--instance", path, "--objective", "max"]) == 0
+        out = lines_of(capsys)
+        assert f"optimal_welfare {optimum}" in out
+        assert len([l for l in out if l.startswith("facility ")]) == 2
+
+    def test_the_corner_split_cap_maps_to_resource_exit(self, tmp_path, capsys):
+        doc = {
+            "version": 1,
+            "agents": [[float(i), float(i % 3)] for i in range(31)],
+            "metric": "manhattan",
+            "facilities": 2,
+        }
+        path = write(tmp_path, doc)
+        assert main(["oracle", "--instance", path, "--objective", "max"]) == 3
+        assert "capped at 30 agents" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "metric, facilities",
@@ -624,6 +669,31 @@ class TestBench:
         assert "completed 0" in out
         assert "skipped_resource_cap 2" in out
         assert "max_ratio nan" in out
+
+    def test_two_manhattan_facilities_under_the_max_complete_past_ten_agents(self, capsys):
+        # corner splits take up to 30 agents; the partition walk refused
+        # every one of these trials
+        args = [
+            "bench", "--mechanism", "percentile_multi_d", "--params", "0,0;1,1",
+            "--trials", "20", "--n-min", "11", "--n-max", "20",
+            "--metric", "manhattan", "--objective", "max",
+        ]
+        assert main(args) == 0
+        out = lines_of(capsys)
+        assert "completed 20" in out
+        assert "skipped_resource_cap 0" in out
+
+    def test_manhattan_max_optima_near_the_float_range_complete(self, capsys):
+        # x + y of some agents overflows, and the rotated centres stay in
+        # their bounding boxes: trials 0 and 1 used to be refused
+        args = [
+            "bench", "--mechanism", "one_centre", "--metric", "manhattan",
+            "--box", "1e308", "--trials", "3", "--objective", "max",
+        ]
+        assert main(args) == 0
+        out = lines_of(capsys)
+        assert "completed 3" in out
+        assert "skipped_resource_cap 0" in out
 
     @pytest.mark.parametrize("mechanism", ["multi_dim_median", "one_centre"])
     def test_welfares_past_the_float_range_are_skipped(self, capsys, mechanism):

@@ -719,6 +719,47 @@ def test_manhattan_one_center_matches_grid_search():
         assert grid_value <= value + 2 * res
 
 
+def _plain_manhattan_centre(pts):
+    """The rotated box's centre without scaling: the float operations
+    manhattan_one_center runs on points up to about 9e307."""
+    us = [x + y for x, y in pts]
+    vs = [x - y for x, y in pts]
+    uc = (min(us) + max(us)) / 2.0
+    vc = (min(vs) + max(vs)) / 2.0
+    return ((uc + vc) / 2.0, (uc - vc) / 2.0)
+
+
+def test_manhattan_one_center_past_the_sums_float_range():
+    # x + y of the first point overflows; the centre is the one of the
+    # points halved, doubled back
+    pts = [(1.7e308, 1.7e308), (0.0, 0.0), (1.0, 1.0)]
+    assert not math.isfinite(_plain_manhattan_centre(pts)[0])
+    assert manhattan_one_center(pts) == (8.5e307, 8.5e307)
+
+
+_anywhere = st.one_of(
+    st.floats(-1.7976931348623157e308, 1.7976931348623157e308),
+    st.sampled_from((0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308, 9e307)),
+    st.floats(-100.0, 100.0),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(pts=st.lists(st.tuples(_anywhere, _anywhere), min_size=1, max_size=6))
+def test_manhattan_one_center_lies_in_the_bounding_box(pts):
+    center = manhattan_one_center(pts)
+    top = max(abs(c) for p in pts for c in p)
+    if top <= 2.0**1021:
+        # nothing overflows there, and the bits are the plain formula's
+        assert repr(center) == repr(_plain_manhattan_centre(pts))
+    # a few roundings of the largest coordinate off the exact centre, which
+    # lies in the bounding box; past the float's end that reads inf
+    ulp = math.ulp(top)
+    for k, c in enumerate(center):
+        lo, hi = min(p[k] for p in pts), max(p[k] for p in pts)
+        assert lo - 4 * ulp <= c <= hi + 4 * ulp
+
+
 def test_bounding_box():
     mins, maxs = bounding_box([(0, 2), (1, 0), (2, 1)])
     assert mins == (0.0, 0.0)

@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from facloc.geometry import (
@@ -399,7 +399,9 @@ def test_the_outliers_first_walk_evaluates_few_manhattan_bounds(monkeypatch):
     # walked in index order these profiles took 6 311 and 2 357 bound
     # evaluations and the outliers-first walk 3 165 and 1 051, 702 of each
     # for the axis splits of the first cutoff.  Those are swept now
-    # (_swept_deviations, _swept_ranges), which leaves 2 463 and 349
+    # (_swept_deviations, _swept_ranges), which left 2 463 and 349.  Under
+    # the max the corner splits are swept too, and only the one-block
+    # partition's bound is asked for, once a profile
     assert calls.count("_median_deviations") <= 4000
     assert calls.count("_rotated_ranges") <= 1500
 
@@ -407,7 +409,9 @@ def test_the_outliers_first_walk_evaluates_few_manhattan_bounds(monkeypatch):
 # walk nodes and kernel solves per op on the profiles of
 # test_the_walk_visits_the_nodes_and_solves_the_groups_it_did, as the search
 # counted them when it scored the first cutoff mask by mask and re-read
-# every block's bound at each node: neither speed-up may move them
+# every block's bound at each node: neither speed-up may move them.  Two
+# facilities under the max search corner splits, which walk no node and
+# solve the groups of the splits that reach the cutoff
 _WALK_COUNTS = {
     ("total", 2): (
         [105, 137, 211, 163, 117, 205, 67, 167, 227, 113,
@@ -420,8 +424,8 @@ _WALK_COUNTS = {
         [11, 10, 20, 14, 15, 40, 11, 17, 22, 22, 21, 10, 16, 22, 17, 7, 8, 18, 10, 19],
     ),
     ("max", 2): (
-        [135, 47, 23, 23, 41, 27, 27, 21, 31, 19, 21, 21, 19, 27, 29, 19, 43, 33, 19, 21],
-        [128, 32, 8, 2, 16, 2, 8, 2, 2, 2, 2, 2, 2, 8, 2, 2, 32, 16, 2, 4],
+        [0] * 20,
+        [14, 10, 4, 2, 6, 2, 2, 2, 2, 2, 2, 2, 2, 4, 2, 2, 2, 2, 2, 4],
     ),
     ("max", 3): (
         [240, 161, 86, 275, 507, 153, 114, 1029, 303, 134,
@@ -521,6 +525,50 @@ def line_split_optimum(prof, objective):
     return evaluate(prof, solution, objective), solution
 
 
+def corner_split_optimum(prof):
+    """The two-facility Manhattan max search over corner splits without a
+    bound: the one-block partition, and every prefix with its complement
+    of the agents ranked by their need toward the first corner of a
+    diagonal of their (x + y, x - y) bounding box, ties toward the lower
+    index.  Each group is solved on its sorted points, and ties are broken
+    toward the smaller facility tuple and then toward the earlier
+    restricted-growth labels."""
+    objective = WelfareObjective.MAX
+    n = prof.n
+    rotated = [(p[0], p[0]) if len(p) == 1 else (p[0] + p[1], p[0] - p[1]) for p in prof.agents]
+    u0 = min(u for u, _ in rotated)
+    v0, v1 = min(v for _, v in rotated), max(v for _, v in rotated)
+    labellings = {(0,) * n}
+    for need in ([max(u - u0, v - v0) for u, v in rotated],
+                 [max(u - u0, v1 - v) for u, v in rotated]):
+        ranked = sorted(range(n), key=lambda i: need[i])
+        for k in range(1, n):
+            head = set(ranked[:k])
+            labellings.add(tuple(int((i in head) != (0 in head)) for i in range(n)))
+    best = None
+    for labels in labellings:
+        centers, costs = [], []
+        for b in range(max(labels) + 1):
+            group = tuple(sorted(p for p, label in zip(prof.agents, labels) if label == b))
+            cost, center = reference_group_optimum(group, prof.metric, objective)
+            centers.append(center)
+            costs.append(cost)
+        padded = tuple(centers) + (centers[-1],) * (2 - len(centers))
+        if best is None or (max(costs), padded, labels) < best:
+            best = (max(costs), padded, labels)
+    solution = Solution(best[1], tuple(label + 1 for label in best[2]))
+    return evaluate(prof, solution, objective), solution
+
+
+def searched_optimum(prof, m, objective):
+    """The unbounded scan of the family optimal_welfare searches: corner
+    splits for two Manhattan facilities under the max, and every partition
+    for the other cases these tests draw."""
+    if prof.metric is Metric.MANHATTAN and objective is WelfareObjective.MAX and m == 2:
+        return corner_split_optimum(prof)
+    return full_enumeration_optimum(prof, m, objective)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     pts=st.one_of(_uniform, _grid, _collinear, _duplicates),
@@ -536,9 +584,12 @@ def test_bounded_line_split_search_matches_the_full_scan_bit_for_bit(pts, scale,
 
 @st.composite
 def _enumerated_cases(draw):
-    """A profile, facility count and objective the full enumeration serves:
+    """A profile, facility count and objective for the partition searches:
     any but two facilities on a 2-d Euclidean profile, which take line
-    splits.  Agents repeat points from a small pool to make duplicates."""
+    splits.  Two Manhattan facilities under the max take corner splits and
+    are compared with corner_split_optimum, the rest with the full
+    enumeration.  Agents repeat points from a small pool to make
+    duplicates."""
     metric = draw(st.sampled_from(list(Metric)))
     m = draw(st.sampled_from((2, 3)))
     objective = draw(st.sampled_from(list(WelfareObjective)))
@@ -560,24 +611,32 @@ def _enumerated_cases(draw):
 def test_partition_oracle_matches_the_reference_bit_for_bit(case):
     prof, m, objective = case
     assert repr(optimal_welfare(prof, FacilitySpec(m), objective)) == repr(
-        full_enumeration_optimum(prof, m, objective)
+        searched_optimum(prof, m, objective)
     )
 
 
 def test_tied_interior_agent_joins_the_first_group_in_restricted_growth_order():
-    # agent 5 lies inside both groups' rotated bounding boxes, so it joins
-    # either group without moving a centre or changing the max
+    # in the full enumeration's winner, (1, 2, 1, 2, 1), agent 5 lies inside
+    # both groups' rotated bounding boxes, so it joins either group without
+    # moving a centre or changing the max.  Two Manhattan facilities under
+    # the max search corner splits only, and of the four partitions that
+    # cost 3 only (1, 1, 1, 2, 1) is a corner split: agent 4 is the last
+    # of both corner orders (agents 2, 1, 5, 3, 4 and 3, 5, 2, 1, 4), and
+    # agent 5 stays in the first group with agents 1-3
     prof = AgentProfile(
         ((1.0, 5.0), (1.0, 2.0), (2.0, 0.0), (6.0, 3.0), (3.0, 2.0)), Metric.MANHATTAN
     )
     objective = WelfareObjective.MAX
     value, sol = optimal_welfare(prof, FacilitySpec(2), objective)
-    assert repr((value, sol)) == repr(full_enumeration_optimum(prof, 2, objective))
-    assert (value, sol.assignment) == (3.0, (1, 2, 1, 2, 1))
+    assert repr((value, sol)) == repr(corner_split_optimum(prof))
+    assert (value, sol.assignment) == (3.0, (1, 1, 1, 2, 1))
+    assert sol.locations == ((1.5, 2.5), (6.0, 3.0))
+    full_value, full_sol = full_enumeration_optimum(prof, 2, objective)
+    assert (full_value, full_sol.assignment) == (value, (1, 2, 1, 2, 1))
     later = (1, 2, 1, 2, 2)
     groups = [tuple(sorted(p for p, b in zip(prof.agents, later) if b == k)) for k in (1, 2)]
     solved = [reference_group_optimum(g, prof.metric, objective) for g in groups]
-    assert tuple(center for _, center in solved) == sol.locations
+    assert tuple(center for _, center in solved) == full_sol.locations
     assert max(cost for cost, _ in solved) == value
 
 
@@ -586,7 +645,8 @@ def _pruned_search_cases(draw):
     """A profile, facility count and objective for the partition search,
     up to the agent cap: integer grids, duplicate agents, and coordinates
     scaled by 1e-6 or 1e6.  Two facilities on a 2-d Euclidean profile take
-    line splits and are left out."""
+    line splits and are left out; two Manhattan facilities under the max
+    take corner splits, drawn here up to the partition cap."""
     metric = draw(st.sampled_from(list(Metric)))
     m = draw(st.sampled_from((2, 3, 4)))
     objective = draw(st.sampled_from(list(WelfareObjective)))
@@ -610,7 +670,7 @@ def _pruned_search_cases(draw):
 def test_pruned_search_matches_the_reference_bit_for_bit(case):
     prof, m, objective = case
     assert repr(optimal_welfare(prof, FacilitySpec(m), objective)) == repr(
-        full_enumeration_optimum(prof, m, objective)
+        searched_optimum(prof, m, objective)
     )
 
 
@@ -618,8 +678,9 @@ def test_pruned_search_matches_the_reference_bit_for_bit(case):
 def _past_two_to_the_512_cases(draw):
     """A profile, facility count and objective with coordinates past 2^512,
     half of them two facilities under the total on a 2-d Euclidean
-    profile, which take line splits.  The Euclidean max is drawn in 1-d
-    only: the enclosing circle's circumcentre overflows at these scales."""
+    profile, which take line splits.  Two Manhattan facilities under the
+    max take corner splits.  The Euclidean max is drawn in 1-d only: the
+    enclosing circle's circumcentre overflows at these scales."""
     if draw(st.booleans()):
         metric, m, objective, dim = Metric.EUCLIDEAN, 2, WelfareObjective.TOTAL, 2
     else:
@@ -644,12 +705,100 @@ def _past_two_to_the_512_cases(draw):
 @settings(deadline=None, max_examples=60)
 @given(case=_past_two_to_the_512_cases())
 def test_past_two_to_the_512_nothing_is_cut(case):
-    # the slack is infinite there, so the searches solve every partition or
-    # line split, ranked or not, and the tie-break keeps the reference's
+    # the slack is infinite there, so the searches solve every partition,
+    # line split or corner split, ranked or not, and the tie-break keeps the
+    # reference's
     prof, m, objective = case
     assert repr(optimal_welfare(prof, FacilitySpec(m), objective)) == repr(
-        full_enumeration_optimum(prof, m, objective)
+        searched_optimum(prof, m, objective)
     )
+
+
+@st.composite
+def _corner_cases(draw):
+    """A Manhattan profile of 1-d or 2-d agents up to the partition cap:
+    integer-grid, uniform and duplicate coordinates, scaled by 1, 1e-6 or
+    1e6."""
+    dim = draw(st.sampled_from((1, 2)))
+    scale = draw(st.sampled_from((1.0, 1e-6, 1e6)))
+    coordinate = st.one_of(st.integers(-4, 4).map(float), st.floats(-100.0, 100.0))
+    point = st.tuples(*[coordinate] * dim)
+    pool = draw(st.lists(point, min_size=1, max_size=5))
+    agents = draw(
+        st.lists(
+            st.one_of(st.sampled_from(pool), point),
+            min_size=1,
+            max_size=PARTITION_ORACLE_MAX_AGENTS,
+        )
+    )
+    return AgentProfile(tuple(tuple(c * scale for c in p) for p in agents), Metric.MANHATTAN)
+
+
+@settings(deadline=None, max_examples=100)
+@given(prof=_corner_cases())
+# the corner splits' best value is a quarter of an ulp of 83.44 above the
+# full enumeration's here
+@example(
+    prof=AgentProfile(
+        ((14.65, 57.83), (51.37, 53.95), (39.78, 40.46), (78.83, 62.64), (83.44, 61.13)),
+        Metric.MANHATTAN,
+    )
+)
+def test_corner_splits_are_within_the_derived_slack_of_the_full_enumeration(prof):
+    objective = WelfareObjective.MAX
+    value, sol = optimal_welfare(prof, FacilitySpec(2), objective)
+    assert value == evaluate(prof, sol, objective)
+    full, _ = full_enumeration_optimum(prof, 2, objective)
+    # the corner splits are some of the partitions, and some of them is
+    # optimal up to the 18 ulp(M) that optimal_welfare derives
+    ulp = math.ulp(max(abs(c) for p in prof.agents for c in p))
+    assert full <= value <= full + 18 * ulp
+
+
+class TestCornerSplits:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cap_is_checked_before_ranking(self, monkeypatch, dim):
+        def refuse(points, top):
+            raise AssertionError("corner orders ranked past the cap")
+
+        monkeypatch.setattr(welfare, "_corner_orders", refuse)
+        agents = tuple((float(i), float(i % 3))[:dim] for i in range(LINE_SPLIT_MAX_AGENTS + 1))
+        prof = AgentProfile(agents, Metric.MANHATTAN)
+        with pytest.raises(OracleCapError, match="capped at 30 agents, got 31"):
+            optimal_welfare(prof, FacilitySpec(2), WelfareObjective.MAX)
+
+    def test_thirty_agents_in_two_clusters(self):
+        rng = random.Random(30)
+        clusters = [
+            tuple((cx + rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(15))
+            for cx in (0.0, 100.0)
+        ]
+        agents = tuple(p for pair in zip(*clusters) for p in pair)
+        prof = AgentProfile(agents, Metric.MANHATTAN)
+        value, sol = optimal_welfare(prof, FacilitySpec(2), WelfareObjective.MAX)
+        assert sol.assignment == (1, 2) * 15
+        alone = [
+            optimal_welfare(AgentProfile(c, Metric.MANHATTAN), FacilitySpec(1), "max")
+            for c in clusters
+        ]
+        assert sol.locations == tuple(s.locations[0] for _, s in alone)
+        assert value == max(v for v, _ in alone)
+
+    def test_needs_past_the_float_range_are_ranked_on_scaled_points(self):
+        agents = (
+            (1.7e308, 1.7e308), (1.6e308, 1.7e308), (0.0, 0.0), (1.0, 1.0), (1.7e308, 1.6e308)
+        )
+        # x + y overflows on the far agents, so their needs would read inf or
+        # NaN; on the agents scaled by 2^-4 nothing overflows, and the order
+        # is the one scaling by 2^-3 gives
+        assert not all(math.isfinite(x + y) for x, y in agents)
+        scaled = tuple((x / 16, y / 16) for x, y in agents)
+        orders = welfare._corner_orders(agents, 1.7e308)
+        assert orders == welfare._corner_orders(scaled, 1.7e308 / 16)
+        prof = AgentProfile(agents, Metric.MANHATTAN)
+        value, sol = optimal_welfare(prof, FacilitySpec(2), WelfareObjective.MAX)
+        assert repr((value, sol)) == repr(full_enumeration_optimum(prof, 2, WelfareObjective.MAX))
+        assert sol.assignment == (1, 1, 2, 2, 1)
 
 
 @pytest.mark.parametrize(
