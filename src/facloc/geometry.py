@@ -582,7 +582,10 @@ def _manhattan_centre(pts: Sequence[Point]) -> Point:
     past about 9e307, and an overflow leaves inf or NaN in the answer.  So
     a finite answer is returned as computed, and otherwise the points are
     scaled by a power of two to within 2^_ROTATED_EXP, which is exact in
-    the normal range, and the centre is scaled back."""
+    the normal range, and the centre is scaled back and clamped into the
+    points' bounding box.  The clamp undoes a rounding past the box's
+    edges, the float's end among them, and brings the centre no farther
+    from any point."""
     us = [x + y for x, y in pts]
     vs = [x - y for x, y in pts]
     uc = (min(us) + max(us)) / 2.0
@@ -591,7 +594,8 @@ def _manhattan_centre(pts: Sequence[Point]) -> Point:
     if math.isfinite(x) and math.isfinite(y):
         return (x, y)
     shift = math.frexp(max(map(abs, itertools.chain.from_iterable(pts))))[1] - _ROTATED_EXP
-    x, y = _manhattan_centre([(math.ldexp(p, -shift), math.ldexp(q, -shift)) for p, q in pts])
-    # a centre rounded past the float's end reads inf, as unscaled sums do
-    scale = 2.0**shift
-    return (x * scale, y * scale)
+    centre = _manhattan_centre([(math.ldexp(p, -shift), math.ldexp(q, -shift)) for p, q in pts])
+    lows, highs = _bounding_box(pts)
+    return tuple(
+        min(max(c * 2.0**shift, lo), hi) for c, lo, hi in zip(centre, lows, highs)
+    )

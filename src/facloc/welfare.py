@@ -41,9 +41,12 @@ All three searches are a branch and bound on a lower bound per group,
 which calls no kernel.  Manhattan distance is the larger coordinate difference in
 (x + y, x - y), so a Manhattan group's optimum has a closed form: under the
 max objective half its larger range there, and under the total the sum
-over the axes of its deviations from its median on that axis, read off
-each axis' rank order.  Either lies within a few roundings of the value the
-kernels compute, on both sides.  A Euclidean group's bound comes from
+over the axes of its deviations from its median on that axis.  Both grow
+by one agent in O(dim): the extremes in (x + y, x - y) take the agent in,
+and an agent raises a group's optimal total by exactly its distance to
+the group's median box, which spans the lower to the upper median on each
+axis.  Either bound lies within a few roundings of the value the kernels
+compute, on both sides.  A Euclidean group's bound comes from
 pairwise distances alone: half its longest pair under the max objective,
 and under the total a greedy matching of its pairs, since
 d(i, c) + d(j, c) >= d(i, j) for every centre c.  That bound never exceeds
@@ -56,20 +59,21 @@ walk cuts a subtree once its partial groups' bounds, summed or maxed as
 the objective folds them, exceed the best partition found, up to a
 rounding slack (1e-12 relative plus 64 ulp of the largest coordinate,
 derived in optimal_welfare): a group's optimal cost never drops when an
-agent joins it.  Each node carries its blocks' bounds beside their
-masks, so it costs a fold of at most m floats and one cached bound, that
-of the block it changed.  The first cutoff is the best split of an axis'
-sorted order into a prefix and a suffix; on Manhattan profiles one sweep
-each way along the axis gives every prefix's and suffix's bound, the
-float the per-mask bound gives, and the walk finds them cached.  The
-line and corner splits are ranked by the fold of their two groups'
-bounds, the corner splits' read off the same sweeps along each corner
-order, and walked lowest first, up to the first that exceeds the best
-found.  A cut partition cannot equal the winner, and ties are compared on
-(value, facility tuple, restricted-growth labels) whatever the walk
-order, so the winner and its tie-break stay those of an unbounded scan of
-the partitions searched.  The kernels solve only the groups of partitions
-that reach the cutoff.
+agent joins it.  Each node carries a state per block beside its mask,
+the block's bound first, so it costs a fold of at most m floats and one
+growth step, that of the block it changed: a Manhattan block grows its
+parent's state by the new agent, and a Euclidean one reads its bound off
+a cache by mask.  The first cutoff is the best split of an axis' sorted
+order into a prefix and a suffix; on Manhattan profiles one sweep of the
+same growth step each way along the axis gives every prefix's and
+suffix's bound.  The line and corner splits are ranked by the fold of
+their two groups' bounds, the corner splits' read off the same sweeps
+along each corner order, and walked lowest first, up to the first that
+exceeds the best found.  A cut partition cannot equal the winner, and
+ties are compared on (value, facility tuple, restricted-growth labels)
+whatever the walk order, so the winner and its tie-break stay those of an
+unbounded scan of the partitions searched.  The kernels solve only the
+groups of partitions that reach the cutoff.
 """
 
 from __future__ import annotations
@@ -211,11 +215,16 @@ def _one_facility_centre(
     return _enclosing_circle(pts, 0).center
 
 
+# grow(state, agent) is the state of a block grown by one agent, from the
+# block's state, or from None for a new block; the block's bound comes first
+_Grow = Callable[[tuple | None, int], tuple]
+
+
 def _partitions(
     n: int,
     max_blocks: int,
     walk: Sequence[int] | None = None,
-    bound: Callable[[int], float] = lambda mask: 0.0,
+    grow: _Grow = lambda block, agent: (0.0,),
     fold: Callable[[Sequence[float]], float] = max,
     cutoff: Callable[[], float] = lambda: math.inf,
 ) -> Iterator[tuple[int, ...]]:
@@ -229,37 +238,44 @@ def _partitions(
     set partition is one leaf, whatever the order, and in index order the
     leaves come in restricted-growth order (_growth_labels).  The walk
     holds one root-to-leaf path's siblings at a time, never the Bell(n)
-    partitions.  Each node carries its blocks' bounds beside their masks,
-    in the order the blocks were opened, so a child asks `bound` only
-    about the block it changed.  A node whose bounds fold above cutoff()
-    is skipped with its whole subtree.  cutoff() is read when the walk
-    starts and again each time it resumes after a leaf, so a caller may
-    lower it while it holds a leaf.  By default nothing is skipped.
+    partitions.  Each node carries a state per block beside its mask, in
+    the order the blocks were opened, so a child grows (_Grow) only the
+    block it changed.  A node whose bounds fold above cutoff() is skipped
+    with its whole subtree.  cutoff() is read when the walk starts and
+    again each time it resumes after a leaf, so a caller may lower it
+    while it holds a leaf.  By default nothing is skipped.
     """
     if n < 1:
         raise ValueError("need at least one agent")
-    bits = [1 << i for i in (range(n) if walk is None else walk)]
+    order = range(n) if walk is None else walk
+    first = grow(None, order[0])
     limit = cutoff()
-    stack = [((bits[0],), (bound(bits[0]),), 1)]
+    stack = [((1 << order[0],), (first,), (first[0],), 1)]
     while stack:
-        masks, lows, placed = stack.pop()
+        masks, blocks, lows, placed = stack.pop()
         if fold(lows) > limit:
             continue
         if placed == n:
             yield tuple(sorted(masks, key=lambda mask: mask & -mask))
             limit = cutoff()
             continue
-        bit = bits[placed]
+        agent = order[placed]
+        bit = 1 << agent
         placed += 1
         # pushed last-first, so joining block 0 is walked first and a new
         # block last
         if len(masks) < max_blocks:
-            stack.append((masks + (bit,), lows + (bound(bit),), placed))
+            block = grow(None, agent)
+            stack.append((masks + (bit,), blocks + (block,), lows + (block[0],), placed))
         for b in reversed(range(len(masks))):
-            mask = masks[b] | bit
-            low = bound(mask)
+            block = grow(blocks[b], agent)
             stack.append(
-                (masks[:b] + (mask,) + masks[b + 1 :], lows[:b] + (low,) + lows[b + 1 :], placed)
+                (
+                    masks[:b] + (masks[b] | bit,) + masks[b + 1 :],
+                    blocks[:b] + (block,) + blocks[b + 1 :],
+                    lows[:b] + (block[0],) + lows[b + 1 :],
+                    placed,
+                )
             )
 
 
@@ -383,46 +399,6 @@ def _group_bound(pairs: Sequence[tuple[float, int]], mask: int, total: bool) -> 
     return bound
 
 
-def _median_deviations(points: Sequence[Point]) -> Callable[[int], float]:
-    """The Manhattan total of the group of agents in a mask, by axis: the
-    sum over the axes of the group's deviations from its lower median
-    there.  Each axis is ranked once, so a group's coordinates are read
-    off its mask already sorted.  The deviations are the float terms the
-    group's cost at _coordinate_median sums, in another order."""
-    ranked = [
-        sorted((p[k], 1 << i) for i, p in enumerate(points)) for k in range(len(points[0]))
-    ]
-
-    def bound(mask: int) -> float:
-        total = 0.0
-        for column in ranked:
-            xs = [x for x, bit in column if mask & bit]
-            mid = xs[(len(xs) - 1) >> 1]
-            total += sum([abs(x - mid) for x in xs])
-        return total
-
-    return bound
-
-
-def _swept_deviations(points: Sequence[Point], line: Sequence[int]) -> list[float]:
-    """_median_deviations of line[:1], line[:2], ..., line[:-1], in one pass
-    that inserts each agent's coordinates into per-axis sorted lists.  A
-    prefix's lists hold the coordinates its mask would read off, in sorted
-    order, and the same sums run over them, so every value is the one
-    _median_deviations returns: equal coordinates, 0.0 and -0.0 among
-    them, give equal terms |x - mid|, whichever comes first."""
-    columns: list[list[float]] = [[] for _ in points[0]]
-    bounds = []
-    for i in line[:-1]:
-        total = 0.0
-        for xs, c in zip(columns, points[i]):
-            bisect.insort(xs, c)
-            mid = xs[(len(xs) - 1) >> 1]
-            total += sum([abs(x - mid) for x in xs])
-        bounds.append(total)
-    return bounds
-
-
 def _rotated(points: Sequence[Point]) -> list[tuple[float, float]]:
     """Each point's (u, v) = (x + y, x - y), or (x, x) in 1-d.  The
     Manhattan distance of two points is the larger of their |du| and
@@ -432,41 +408,76 @@ def _rotated(points: Sequence[Point]) -> list[tuple[float, float]]:
     return [(x + y, x - y) for x, y in points]
 
 
-def _rotated_ranges(points: Sequence[Point]) -> Callable[[int], float]:
-    """The Manhattan max of the group of agents in a mask, 1-d or 2-d:
-    half the larger of its u and v ranges (_rotated)."""
-    rotated = [(1 << i, u, v) for i, (u, v) in enumerate(_rotated(points))]
+def _manhattan_growth(points: Sequence[Point], total: bool) -> _Grow:
+    """The grow step of _partitions for a Manhattan optimum: the state of a
+    block grown by agent i, from the block's state (None for a new block),
+    with the block's bound first.
 
-    def bound(mask: int) -> float:
-        us = [u for bit, u, _ in rotated if mask & bit]
-        vs = [v for bit, _, v in rotated if mask & bit]
-        return max(max(us) - min(us), max(vs) - min(vs)) / 2.0
-
-    return bound
-
-
-def _swept_ranges(points: Sequence[Point], line: Sequence[int]) -> list[float]:
-    """_rotated_ranges of line[:1], line[:2], ..., line[:-1], in one pass
-    that keeps the prefix's u and v extremes.  Every value is the one
-    _rotated_ranges returns: the extremes are the same numbers in any
+    Under the total the state holds the block's coordinates sorted per
+    axis.  Adding a point x to a group raises the group's optimal total by
+    exactly the distance from x to the group's median box, whose side on
+    each axis runs from the lower to the upper median there; so a block's
+    bound is its parent's plus x's distance to that box, one rounded
+    subtraction per axis.  Under the max, 1-d or 2-d, the state holds the
+    block's least and largest u and v (_rotated), and the bound is half the
+    larger of the two ranges.  Those extremes are the same floats in any
     order, a range of two different numbers does not depend on the sign of
-    a zero, and a range of equal ones is x - x = 0.0 either way."""
+    a zero, and a range of equal ones is x - x = 0.0, so the max bound is
+    the same float whatever order the agents joined in."""
+    if total:
+
+        def grow_total(block: tuple | None, i: int) -> tuple:
+            point = points[i]
+            if block is None:
+                return 0.0, [[x] for x in point]
+            low, columns = block
+            size = len(columns[0])
+            lower, upper = (size - 1) >> 1, size >> 1
+            rise = 0.0
+            grown = []
+            for xs, x in zip(columns, point):
+                if x < xs[lower]:
+                    rise += xs[lower] - x
+                elif x > xs[upper]:
+                    rise += x - xs[upper]
+                # a copy: the parent's lists are shared with its siblings
+                xs = xs.copy()
+                bisect.insort(xs, x)
+                grown.append(xs)
+            return low + rise, grown
+
+        return grow_total
     rotated = _rotated(points)
-    u_lo = v_lo = math.inf
-    u_hi = v_hi = -math.inf
-    bounds = []
-    for i in line[:-1]:
+
+    def grow_max(block: tuple | None, i: int) -> tuple:
         u, v = rotated[i]
-        if u < u_lo:
-            u_lo = u
-        if u > u_hi:
-            u_hi = u
-        if v < v_lo:
-            v_lo = v
-        if v > v_hi:
-            v_hi = v
-        bounds.append(max(u_hi - u_lo, v_hi - v_lo) / 2.0)
-    return bounds
+        if block is None:
+            u_lo = u_hi = u
+            v_lo = v_hi = v
+        else:
+            _, u_lo, u_hi, v_lo, v_hi = block
+            if u < u_lo:
+                u_lo = u
+            elif u > u_hi:
+                u_hi = u
+            if v < v_lo:
+                v_lo = v
+            elif v > v_hi:
+                v_hi = v
+        return max(u_hi - u_lo, v_hi - v_lo) / 2.0, u_lo, u_hi, v_lo, v_hi
+
+    return grow_max
+
+
+def _sweep(grow: _Grow, line: Sequence[int]) -> list[float]:
+    """The bounds of line[:1], line[:2], ..., line[:n], each grown from the
+    one before it by one agent."""
+    block = None
+    lows = []
+    for i in line:
+        block = grow(block, i)
+        lows.append(block[0])
+    return lows
 
 
 def _corner_orders(points: Sequence[Point], top: float) -> list[list[int]]:
@@ -540,31 +551,37 @@ def optimal_welfare(
 
     All three searches are a branch and bound on a lower bound per group,
     which calls no kernel: under the Manhattan total the sum over the axes
-    of the group's deviations from its lower median there
-    (_median_deviations), under the Manhattan max half the larger of its
-    ranges in (x + y, x - y) (_rotated_ranges), and on Euclidean profiles
-    _group_bound, from pairwise distances.  The partition search walks the
-    restricted-growth tree (_partitions) over the agents farthest from
-    their coordinate mean in L1 first, ties toward the lower index, since
-    outliers' groups have high bounds, and cuts a node whose partial
-    groups' bounds, summed under the total and maxed under the max
-    objective, exceed the cutoff: adding an agent to a group never lowers
-    its optimal cost, so that fold bounds from below the value of every
-    partition under the node.  The line-split and corner-split searches
-    rank the splits by the fold of their two groups' bounds, which one
-    sweep each way along each corner order gives for the corner splits
-    (_swept_ranges), and stop at the first past the cutoff.  In floats,
+    of the group's deviations from its lower median there, under the
+    Manhattan max half the larger of its ranges in (x + y, x - y), both
+    grown one agent at a time (_manhattan_growth), and on Euclidean
+    profiles _group_bound, from pairwise distances.  The partition search
+    walks the restricted-growth tree (_partitions) over the agents
+    farthest from their coordinate mean in L1 first, ties toward the lower
+    index, since outliers' groups have high bounds, and cuts a node whose
+    partial groups' bounds, summed under the total and maxed under the
+    max objective, exceed the cutoff: adding an agent to a group never
+    lowers its optimal cost, so that fold bounds from below the value of
+    every partition under the node.  The line-split and corner-split
+    searches rank the splits by the fold of their two groups' bounds,
+    which one sweep each way along each corner order gives for the corner
+    splits (_sweep), and stop at the first past the cutoff.  In floats,
     with eps = 2^-53 and M the largest coordinate magnitude:
     - a Manhattan total's centre is exact (coordinate medians are input
-      coordinates), so its value and its bound sum the same rounded
-      deviations |x_k - med_k|, by agent and by axis respectively.  Each
-      deviation sits at most dim + n additions deep in either sum, the
-      block fold adds at most n more, and a subtraction or sum that
-      leaves the normal range is exact, so both are within
-      (dim + 2n + 1) eps relative of the exact sum of the deviations; a
-      median minimises the sum of deviations, so a partial group's exact
-      sum is at most its whole group's.  Bound and value thus differ by
-      at most 2 (dim + 2n + 1) eps relative, both ways;
+      coordinates), so its value sums the rounded deviations
+      |x_k - med_k| by agent and then by axis.  Its bound sums, in the
+      order the agents joined the group, each agent's rounded distance
+      to the median box of the agents before it on each axis, by axis and
+      then by agent.  Every term is one correctly rounded subtraction of
+      input coordinates, and the exact terms sum to the group's exact
+      optimal total, that of its value: adding x to a group raises the
+      optimum by exactly x's distance to the group's median box.  Each
+      term sits at most dim + n additions deep in either sum, the block
+      fold adds at most n more, and a subtraction or sum that leaves the
+      normal range is exact, so both are within (dim + 2n + 1) eps
+      relative of the exact optimal total; the terms are nonnegative, so
+      a partial group's exact total is at most its whole group's.  Bound
+      and value thus differ by at most 2 (dim + 2n + 1) eps relative,
+      both ways, though they are not the same float;
     - a Manhattan max centre (the rotated box's or the 1-d midpoint) is
       rounded by a few ulp(M), so a max group's value lies between its
       optimum minus 4 ulp(M) and its optimum plus 10 ulp(M).  Its bound
@@ -598,13 +615,10 @@ def optimal_welfare(
     Euclidean profiles, and scored on its bound B on Manhattan ones, whose
     value is then at most B (1 + rel) + 64 ulp(M) by the two-way bounds
     above, so the slack is added twice.  The Manhattan scores come from
-    one sweep each way along the axis (_swept_deviations, _swept_ranges),
-    which keeps the prefix's sorted coordinates or its u and v extremes
-    as agents join it, and gives each prefix and suffix the float its
-    per-mask bound does; those go into the walk's bound cache.  The walk
-    carries each open block's bound beside its mask, so a node folds at
-    most m cached floats and asks for the bound of the one block it
-    changed.
+    one sweep each way along the axis (_sweep), which grows the prefix by
+    one agent at a time.  The walk carries each open block's state beside
+    its mask, its bound first, so a node folds at most m floats and grows
+    the one block it changed.
 
     The kernels solve the groups of those seeds and of the partitions
     that reach the cutoff, and no others, so a ConvergenceError from the
@@ -648,22 +662,21 @@ def optimal_welfare(
     def solved(masks: tuple[int, ...]) -> float:
         return fold([(group_cache.get(mask) or solve(mask))[0] for mask in masks])
 
-    bound: Callable[[int], float]
+    grow: _Grow
     if euclidean:
         pairs = _pairs_longest_first(agents)
+        bounds: dict[int, float] = {}
 
-        def bound(mask: int) -> float:
-            return _group_bound(pairs, mask, total)
+        # a Euclidean block's state is its mask, its bound cached by mask
+        def grow(block: tuple | None, i: int) -> tuple:
+            mask = 1 << i if block is None else block[1] | 1 << i
+            low = bounds.get(mask)
+            if low is None:
+                low = bounds[mask] = _group_bound(pairs, mask, total)
+            return low, mask
 
     else:
-        bound = _median_deviations(agents) if total else _rotated_ranges(agents)
-    bounds: dict[int, float] = {}
-
-    def cached(mask: int) -> float:
-        low = bounds.get(mask)
-        if low is None:
-            low = bounds[mask] = bound(mask)
-        return low
+        grow = _manhattan_growth(agents, total)
 
     def by_bound(splits: list[tuple[int, ...]], lows: list[float]) -> Iterator[tuple[int, ...]]:
         """The splits, lowest bound (lows) first and in their given order
@@ -687,37 +700,35 @@ def optimal_welfare(
     full = (1 << n) - 1
     if line_splits:
         splits = _line_splits(agents)
-        candidates = by_bound(splits, [fold([bound(mask) for mask in masks]) for masks in splits])
+        candidates = by_bound(
+            splits, [fold([_group_bound(pairs, mask, total) for mask in masks]) for masks in splits]
+        )
     elif corner_splits:
         # the one-block partition, and each prefix of a corner order with
         # its complement, blocks ordered by their lowest agent
-        scored = {(full,): bound(full)}
+        scored: dict[tuple[int, ...], float] = {}
         for line in _corner_orders(agents, scale):
-            heads = _swept_ranges(agents, line)
-            tails = _swept_ranges(agents, line[::-1])[::-1]
+            heads, tails = _sweep(grow, line), _sweep(grow, line[::-1])
+            scored.setdefault((full,), heads[-1])
             prefixes = itertools.accumulate((1 << i for i in line[:-1]), operator.or_)
-            for prefix, head, tail in zip(prefixes, heads, tails):
+            for prefix, head, tail in zip(prefixes, heads, tails[-2::-1]):
                 rest = full ^ prefix
                 scored[(prefix, rest) if prefix & 1 else (rest, prefix)] = max(head, tail)
         candidates = by_bound(list(scored), list(scored.values()))
     else:
         # the splits of each axis' sorted order into a prefix and a suffix
         # are two-block partitions
-        sweep = _swept_deviations if total else _swept_ranges
         for k in range(profile.dim):
             line = sorted(range(n), key=lambda i: agents[i][k])
-            prefixes = list(itertools.accumulate((1 << i for i in line[:-1]), operator.or_))
             if euclidean:
+                prefixes = itertools.accumulate((1 << i for i in line[:-1]), operator.or_)
                 values = [solved((prefix, full ^ prefix)) for prefix in prefixes]
             else:
-                heads = sweep(agents, line)
-                tails = sweep(agents, line[::-1])[::-1]
-                bounds.update(zip(prefixes, heads))
-                bounds.update(zip([full ^ prefix for prefix in prefixes], tails))
+                heads, tails = _sweep(grow, line), _sweep(grow, line[::-1])
                 # a Manhattan bound also exceeds its partition's computed
                 # value by at most the slack, so above() of it is at least
                 # that value
-                values = [above(fold([head, tail])) for head, tail in zip(heads, tails)]
+                values = [above(fold([head, tail])) for head, tail in zip(heads, tails[-2::-1])]
             for value in values:
                 cutoff = min(cutoff, above(value))
         # the agents farthest from the mean in L1 first, ties toward the
@@ -726,7 +737,7 @@ def optimal_welfare(
         walk = sorted(
             range(n), key=lambda i: -sum(abs(c - mu) for c, mu in zip(agents[i], mean))
         )
-        candidates = _partitions(n, min(spec.m, n), walk, cached, fold, lambda: cutoff)
+        candidates = _partitions(n, min(spec.m, n), walk, grow, fold, lambda: cutoff)
     best: tuple[float, tuple[Point, ...], tuple[int, ...]] | None = None
     for masks in candidates:
         centers: list[Point] = []

@@ -432,6 +432,20 @@ class TestOracle:
         assert "optimal_welfare 5.5625e+119" in out
         assert "facility 1 (5e+119, 2.4375e+119)" in out
 
+    def test_max_oracle_on_a_lone_agent_at_the_float_end(self, tmp_path, capsys):
+        # its scaled-back centre used to round past the largest float, and
+        # the oracle refused it
+        doc = {
+            "version": 1,
+            "agents": [[1.9158989217766164e298, 1.7976931348623157e308]],
+            "metric": "manhattan",
+            "facilities": 1,
+        }
+        assert main(["oracle", "--instance", write(tmp_path, doc), "--objective", "max"]) == 0
+        out = lines_of(capsys)
+        assert "optimal_welfare 0" in out
+        assert "facility 1 (1.91589892178e+298, 1.79769313486e+308)" in out
+
     def test_partition_cap_maps_to_resource_exit(self, tmp_path, capsys):
         doc = {
             "version": 1,
@@ -657,6 +671,20 @@ class TestBench:
         first = capsys.readouterr().out
         assert main(self.ARGS) == 0
         assert capsys.readouterr().out == first
+
+    def test_two_manhattan_facilities_under_the_total_reproduce_the_committed_report(
+        self, capsys
+    ):
+        # the partition walk's grown bounds cut other nodes than bounds
+        # summed mask by mask may, but never the optimum or its tie-break
+        args = [
+            "bench", "--mechanism", "percentile_multi_d", "--params", "0.25,0.25;0.75,0.75",
+            "--metric", "manhattan", "--objective", "total", "--n-min", "6", "--n-max", "10",
+            "--seed", "3", "--trials", "100",
+        ]
+        assert main(args) == 0
+        golden = DATA / "bench_manhattan_total_two_facilities.txt"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
 
     def test_oracle_cap_skips_are_reported(self, capsys):
         args = [

@@ -737,6 +737,14 @@ def test_manhattan_one_center_past_the_sums_float_range():
     assert manhattan_one_center(pts) == (8.5e307, 8.5e307)
 
 
+def test_a_scaled_centre_is_clamped_into_the_bounding_box():
+    # scaled back, the rotated box's centre of this lone agent rounds to
+    # (1.915899919696771e298, inf): one ulp past the largest float
+    agent = (1.9158989217766164e298, FLOAT_MAX)
+    assert not math.isfinite(_plain_manhattan_centre([agent])[1])
+    assert repr(manhattan_one_center([agent])) == repr(agent)
+
+
 _anywhere = st.one_of(
     st.floats(-1.7976931348623157e308, 1.7976931348623157e308),
     st.sampled_from((0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308, 9e307)),
@@ -749,12 +757,14 @@ _anywhere = st.one_of(
 def test_manhattan_one_center_lies_in_the_bounding_box(pts):
     center = manhattan_one_center(pts)
     top = max(abs(c) for p in pts for c in p)
+    plain = _plain_manhattan_centre(pts)
     if top <= 2.0**1021:
         # nothing overflows there, and the bits are the plain formula's
-        assert repr(center) == repr(_plain_manhattan_centre(pts))
+        assert repr(center) == repr(plain)
     # a few roundings of the largest coordinate off the exact centre, which
-    # lies in the bounding box; past the float's end that reads inf
-    ulp = math.ulp(top)
+    # lies in the bounding box; a centre taken on scaled points, where the
+    # plain formula overflows, is clamped into the box
+    ulp = math.ulp(top) if all(map(math.isfinite, plain)) else 0.0
     for k, c in enumerate(center):
         lo, hi = min(p[k] for p in pts), max(p[k] for p in pts)
         assert lo - 4 * ulp <= c <= hi + 4 * ulp

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -379,17 +380,18 @@ def test_a_tie_the_outliers_first_walk_reaches_late_keeps_the_index_order_winner
 
 def test_the_outliers_first_walk_evaluates_few_manhattan_bounds(monkeypatch):
     calls = []
-    for name in ("_median_deviations", "_rotated_ranges"):
-        def counted(points, factory=getattr(welfare, name), name=name):
-            bound = factory(points)
+    factory = welfare._manhattan_growth
 
-            def counting(mask):
-                calls.append(name)
-                return bound(mask)
+    def counted(points, total):
+        grow = factory(points, total)
 
-            return counting
+        def counting(block, i):
+            calls.append(total)
+            return grow(block, i)
 
-        monkeypatch.setattr(welfare, name, counted)
+        return counting
+
+    monkeypatch.setattr(welfare, "_manhattan_growth", counted)
     rng = random.Random(10)
     for _ in range(20):
         agents = tuple((rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(10))
@@ -398,20 +400,20 @@ def test_the_outliers_first_walk_evaluates_few_manhattan_bounds(monkeypatch):
             optimal_welfare(prof, FacilitySpec(2), objective)
     # walked in index order these profiles took 6 311 and 2 357 bound
     # evaluations and the outliers-first walk 3 165 and 1 051, 702 of each
-    # for the axis splits of the first cutoff.  Those are swept now
-    # (_swept_deviations, _swept_ranges), which left 2 463 and 349.  Under
-    # the max the corner splits are swept too, and only the one-block
-    # partition's bound is asked for, once a profile
-    assert calls.count("_median_deviations") <= 4000
-    assert calls.count("_rotated_ranges") <= 1500
+    # for the axis splits of the first cutoff.  Each bound is now one
+    # growth step from its block's parent: 3 632 under the total, 800 of
+    # them in the sweeps of the first cutoff, and 800 under the max, where
+    # the corner splits are swept and nothing is walked
+    assert calls.count(True) <= 4000
+    assert calls.count(False) <= 1500
 
 
 # walk nodes and kernel solves per op on the profiles of
 # test_the_walk_visits_the_nodes_and_solves_the_groups_it_did, as the search
 # counted them when it scored the first cutoff mask by mask and re-read
-# every block's bound at each node: neither speed-up may move them.  Two
-# facilities under the max search corner splits, which walk no node and
-# solve the groups of the splits that reach the cutoff
+# every block's bound at each node: no speed-up of the bounds may move
+# them.  Two facilities under the max search corner splits, which walk no
+# node and solve the groups of the splits that reach the cutoff
 _WALK_COUNTS = {
     ("total", 2): (
         [105, 137, 211, 163, 117, 205, 67, 167, 227, 113,
@@ -932,6 +934,21 @@ def test_group_bound_never_exceeds_the_computed_group_value(pts, scale, data):
         assert _group_bound(pairs, mask, total) <= value * (1 + 8 * n * 2.0**-53)
 
 
+def _manhattan_group_value(group, objective):
+    """The computed Manhattan value of a group of points at the kernel's
+    centre, as optimal_welfare computes it."""
+    group = sorted(group)
+    center = welfare._one_facility_centre(group, Metric.MANHATTAN, objective)
+    costs = [distance(p, center, Metric.MANHATTAN) for p in group]
+    return sum(costs) if objective is WelfareObjective.TOTAL else max(costs)
+
+
+def _total_slack(dim, n):
+    """The two-way relative slack between a grown Manhattan total bound and
+    the computed group value that optimal_welfare derives."""
+    return 2 * (dim + 2 * n + 1) * 2.0**-53
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     pts=st.one_of(_uniform, _grid, _collinear, _duplicates),
@@ -946,21 +963,30 @@ def test_manhattan_bound_is_within_the_slack_of_the_computed_group_value(
     pts = [(x * scale + offset, y * scale + offset)[:dim] for x, y in pts]
     n = len(pts)
     mask = data.draw(st.integers(1, (1 << n) - 1))
-    group = sorted(p for i, p in enumerate(pts) if mask >> i & 1)
+    # the group grown one agent at a time, in a drawn order
+    joined = data.draw(st.permutations([i for i in range(n) if mask >> i & 1]))
+    group = [pts[i] for i in joined]
     ulp = math.ulp(max(abs(c) for p in pts for c in p))
-    for objective, bounds in (
-        (WelfareObjective.TOTAL, welfare._median_deviations(pts)),
-        (WelfareObjective.MAX, welfare._rotated_ranges(pts)),
-    ):
-        center = welfare._one_facility_centre(group, Metric.MANHATTAN, objective)
-        costs = [distance(p, center, Metric.MANHATTAN) for p in group]
-        bound = bounds(mask)
+    for objective in WelfareObjective:
+        total = objective is WelfareObjective.TOTAL
+        bound = welfare._sweep(welfare._manhattan_growth(pts, total), joined)[-1]
+        value = _manhattan_group_value(group, objective)
         # the two-way slacks that optimal_welfare derives
-        if objective is WelfareObjective.TOTAL:
-            value = sum(costs)
-            assert abs(bound - value) <= 2 * (dim + 2 * n + 1) * 2.0**-53 * value
+        if total:
+            assert abs(bound - value) <= _total_slack(dim, n) * value
         else:
-            assert abs(bound - max(costs)) <= 13 * ulp
+            assert abs(bound - value) <= 13 * ulp
+
+
+def _exact_median_total(points):
+    """The exact optimal Manhattan total of a group: per axis, the sum of
+    its deviations from its lower median there."""
+    cost = 0
+    for column in zip(*points):
+        xs = sorted(column)
+        mid = xs[(len(xs) - 1) // 2]
+        cost += sum(abs(x - mid) for x in xs)
+    return cost
 
 
 _signed_coordinate = st.one_of(
@@ -968,6 +994,24 @@ _signed_coordinate = st.one_of(
     st.integers(-4, 4).map(float),
     st.sampled_from((0.0, -0.0)),
 )
+
+
+@settings(deadline=None, max_examples=300)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_adding_an_agent_raises_the_total_by_its_distance_to_the_median_box(dim, data):
+    point = st.tuples(*[_signed_coordinate] * dim)
+    pool = data.draw(st.lists(point, min_size=1, max_size=8))
+    group = pool + data.draw(st.lists(st.sampled_from(pool), max_size=3))
+    x = data.draw(st.one_of(point, st.sampled_from(group)))
+    # exact arithmetic: the identity, not its rounding
+    group = [tuple(map(Fraction, p)) for p in group]
+    x = tuple(map(Fraction, x))
+    rise = 0
+    for k, c in enumerate(x):
+        xs = sorted(p[k] for p in group)
+        lower, upper = xs[(len(xs) - 1) // 2], xs[len(xs) // 2]
+        rise += max(lower - c, c - upper, 0)
+    assert _exact_median_total(group + [x]) - _exact_median_total(group) == rise
 
 
 @st.composite
@@ -987,22 +1031,44 @@ def _sweep_cases(draw):
     return agents, line, total
 
 
+def _mask_range(points, mask):
+    """The Manhattan max bound of the group of agents in mask, read off the
+    mask in index order: half the larger of its u and v ranges, with
+    (u, v) = (x + y, x - y), or (x, x) in 1-d."""
+    group = [p for i, p in enumerate(points) if mask >> i & 1]
+    us = [p[0] + p[-1] if len(p) == 2 else p[0] for p in group]
+    vs = [p[0] - p[-1] if len(p) == 2 else p[0] for p in group]
+    return max(max(us) - min(us), max(vs) - min(vs)) / 2.0
+
+
+def _within(bound, value, slack):
+    """bound and value differ by at most slack relative, both ways; a side
+    that overflowed to inf needs the other within slack of the float's
+    end."""
+    end = sys.float_info.max / (1 + slack)
+    return (bound <= value * (1 + slack) or value >= end) and (
+        value <= bound * (1 + slack) or bound >= end
+    )
+
+
 @settings(deadline=None, max_examples=300)
 @given(case=_sweep_cases())
 def test_swept_bounds_are_the_per_mask_bounds(case):
     agents, line, total = case
-    bound, sweep = (
-        (welfare._median_deviations, welfare._swept_deviations)
-        if total
-        else (welfare._rotated_ranges, welfare._swept_ranges)
-    )
-    bound = bound(agents)
-    heads, tails = sweep(agents, line), sweep(agents, line[::-1])
-    assert len(heads) == len(tails) == len(agents) - 1
+    grow = welfare._manhattan_growth(agents, total)
+    heads, tails = welfare._sweep(grow, line), welfare._sweep(grow, line[::-1])
+    assert len(heads) == len(tails) == len(agents)
     for j, (head, tail) in enumerate(zip(heads, tails), 1):
         for value, part in ((head, line[:j]), (tail, line[-j:])):
-            # the same float, bit for bit, NaN and the sign of a zero included
-            assert repr(value) == repr(bound(sum(1 << i for i in part)))
+            if total:
+                # grown in another order than the kernel sums, so equal
+                # within the slack, not bit for bit
+                group = [agents[i] for i in part]
+                slack = _total_slack(len(agents[0]), len(agents))
+                assert _within(value, _manhattan_group_value(group, WelfareObjective.TOTAL), slack)
+            else:
+                # the same float, bit for bit, NaN and the sign of a zero included
+                assert repr(value) == repr(_mask_range(agents, sum(1 << i for i in part)))
 
 
 def test_a_solver_failure_counts_only_in_groups_the_search_reaches(monkeypatch):
