@@ -59,17 +59,20 @@ walk cuts a subtree once its partial groups' bounds, summed or maxed as
 the objective folds them, exceed the best partition found, up to a
 rounding slack (1e-12 relative plus 64 ulp of the largest coordinate,
 derived in optimal_welfare): a group's optimal cost never drops when an
-agent joins it.  Each node carries a state per block beside its mask,
-the block's bound first, so it costs a fold of at most m floats and one
-growth step, that of the block it changed: a Manhattan block grows its
-parent's state by the new agent, and a Euclidean one reads its bound off
-a cache by mask.  The first cutoff is the best split of an axis' sorted
-order into a prefix and a suffix; on Manhattan profiles one sweep of the
-same growth step each way along the axis gives every prefix's and
-suffix's bound.  The line and corner splits are ranked by the fold of
-their two groups' bounds, the corner splits' read off the same sweeps
-along each corner order, and walked lowest first, up to the first that
-exceeds the best found.  A cut partition cannot equal the winner, and
+agent joins it.  The walk keeps one root-to-leaf path in place, one list
+each of its blocks' masks, states and bounds; a child changes the entry
+of the block it grows, or opens one, and puts it back after its subtree.
+So a node costs a fold of at most m floats and one growth step, that of
+the block it changed: a Manhattan block grows its parent's state by the
+new agent, and a Euclidean one reads its bound off a cache by mask.  The
+first cutoff is the best split of an axis' sorted order into a prefix and
+a suffix; on Manhattan profiles one sweep of the same growth step each
+way along the axis gives every prefix's and suffix's bound.  The line and
+corner splits are ranked by the fold of their two groups' bounds, the
+corner splits' read off the same sweeps along each corner order, and
+under the max a line split's in one scan of the pairs (_split_bound);
+they are walked lowest first, up to the first that exceeds the best
+found.  A cut partition cannot equal the winner, and
 ties are compared on (value, facility tuple, restricted-growth labels)
 whatever the walk order, so the winner and its tie-break stay those of an
 unbounded scan of the partitions searched.  The kernels solve only the
@@ -237,46 +240,53 @@ def _partitions(
     an earlier block before a later one and opens a new block last.  Each
     set partition is one leaf, whatever the order, and in index order the
     leaves come in restricted-growth order (_growth_labels).  The walk
-    holds one root-to-leaf path's siblings at a time, never the Bell(n)
-    partitions.  Each node carries a state per block beside its mask, in
-    the order the blocks were opened, so a child grows (_Grow) only the
-    block it changed.  A node whose bounds fold above cutoff() is skipped
-    with its whole subtree.  cutoff() is read when the walk starts and
-    again each time it resumes after a leaf, so a caller may lower it
-    while it holds a leaf.  By default nothing is skipped.
+    holds one root-to-leaf path, never the Bell(n) partitions: one list
+    each of the path's block masks, block states and bounds, in the order
+    the blocks were opened.  A child changes one entry of each, or opens a
+    block at their end, so it grows (_Grow) only the block it changed; it
+    folds the bounds before it descends and restores the entry after its
+    subtree.  A node whose bounds fold above cutoff() is skipped with its
+    whole subtree.  cutoff() is read when the walk starts and again each
+    time it resumes after a leaf, so a caller may lower it while it holds a
+    leaf.  By default nothing is skipped.  Each leaf is yielded as a new
+    tuple, not the walk's lists.
     """
     if n < 1:
         raise ValueError("need at least one agent")
     order = range(n) if walk is None else walk
     first = grow(None, order[0])
+    masks, blocks, lows = [1 << order[0]], [first], [first[0]]
     limit = cutoff()
-    stack = [((1 << order[0],), (first,), (first[0],), 1)]
-    while stack:
-        masks, blocks, lows, placed = stack.pop()
-        if fold(lows) > limit:
-            continue
+
+    def descend(placed: int) -> Iterator[tuple[int, ...]]:
+        nonlocal limit
         if placed == n:
             yield tuple(sorted(masks, key=lambda mask: mask & -mask))
             limit = cutoff()
-            continue
+            return
         agent = order[placed]
         bit = 1 << agent
         placed += 1
-        # pushed last-first, so joining block 0 is walked first and a new
-        # block last
+        for b in range(len(masks)):
+            mask, block, low = masks[b], blocks[b], lows[b]
+            grown = grow(block, agent)
+            masks[b], blocks[b], lows[b] = mask | bit, grown, grown[0]
+            if not fold(lows) > limit:
+                yield from descend(placed)
+            masks[b], blocks[b], lows[b] = mask, block, low
         if len(masks) < max_blocks:
-            block = grow(None, agent)
-            stack.append((masks + (bit,), blocks + (block,), lows + (block[0],), placed))
-        for b in reversed(range(len(masks))):
-            block = grow(blocks[b], agent)
-            stack.append(
-                (
-                    masks[:b] + (masks[b] | bit,) + masks[b + 1 :],
-                    blocks[:b] + (block,) + blocks[b + 1 :],
-                    lows[:b] + (block[0],) + lows[b + 1 :],
-                    placed,
-                )
-            )
+            grown = grow(None, agent)
+            masks.append(bit)
+            blocks.append(grown)
+            lows.append(grown[0])
+            if not fold(lows) > limit:
+                yield from descend(placed)
+            masks.pop()
+            blocks.pop()
+            lows.pop()
+
+    if not fold(lows) > limit:
+        yield from descend(1)
 
 
 def _growth_labels(masks: Sequence[int], n: int) -> tuple[int, ...]:
@@ -311,9 +321,17 @@ def _orientation(a: Point, b: Point, c: Point) -> int:
     return (exact > 0) - (exact < 0)
 
 
+def _split_key(mask: int, n: int) -> str:
+    """The bits of mask, a partition's block holding agent 0, read from bit
+    0 up.  Agent i's restricted-growth label (_growth_labels) is 0 where bit
+    i is set and 1 where it is not, so partitions of range(n) into mask and
+    the rest come in the order of their labels when their keys descend."""
+    return format(mask, f"0{n}b")[::-1]
+
+
 def _line_splits(points: Sequence[Point]) -> list[tuple[int, ...]]:
     """Every bipartition of 2-d points that a line separates, as block
-    bitmasks in the order _partitions yields them.
+    bitmasks in the order _partitions yields them (_split_key).
 
     A separating line can be moved until it passes through two distinct
     points.  The points strictly left of it then form one side, and the
@@ -363,8 +381,8 @@ def _line_splits(points: Sequence[Point]) -> list[tuple[int, ...]]:
             for mask in (left[i, j] | prefix, left[i, j] | whole ^ prefix):
                 sides.add(mask if mask & 1 else full ^ mask)
             prefix |= 1 << k
-    splits = [(mask,) if mask == full else (mask, full ^ mask) for mask in sides]
-    return sorted(splits, key=lambda masks: _growth_labels(masks, n))
+    ranked = sorted(sides, key=lambda mask: _split_key(mask, n), reverse=True)
+    return [(mask,) if mask == full else (mask, full ^ mask) for mask in ranked]
 
 
 def _pairs_longest_first(points: Sequence[Point]) -> list[tuple[float, int]]:
@@ -397,6 +415,19 @@ def _group_bound(pairs: Sequence[tuple[float, int]], mask: int, total: bool) -> 
                 if not free & (free - 1):
                     break
     return bound
+
+
+def _split_bound(pairs: Sequence[tuple[float, int]], mask: int) -> float:
+    """A lower bound on the max objective's optimum over the split of the
+    agents into mask and the rest, from _pairs_longest_first of the agents:
+    half the longest pair that does not cross the split.  That is the larger
+    of the two groups' _group_bound under the max, in one scan, and the
+    same float, since halving is monotone."""
+    for d, pair in pairs:
+        side = pair & mask
+        if side == pair or not side:
+            return d / 2.0
+    return 0.0
 
 
 def _rotated(points: Sequence[Point]) -> list[tuple[float, float]]:
@@ -554,7 +585,8 @@ def optimal_welfare(
     of the group's deviations from its lower median there, under the
     Manhattan max half the larger of its ranges in (x + y, x - y), both
     grown one agent at a time (_manhattan_growth), and on Euclidean
-    profiles _group_bound, from pairwise distances.  The partition search
+    profiles _group_bound, from pairwise distances (under the max, a line
+    split's larger one is _split_bound, in one scan).  The partition search
     walks the restricted-growth tree (_partitions) over the agents
     farthest from their coordinate mean in L1 first, ties toward the lower
     index, since outliers' groups have high bounds, and cuts a node whose
@@ -616,9 +648,8 @@ def optimal_welfare(
     value is then at most B (1 + rel) + 64 ulp(M) by the two-way bounds
     above, so the slack is added twice.  The Manhattan scores come from
     one sweep each way along the axis (_sweep), which grows the prefix by
-    one agent at a time.  The walk carries each open block's state beside
-    its mask, its bound first, so a node folds at most m floats and grows
-    the one block it changed.
+    one agent at a time.  The walk changes one path in place: a node folds
+    at most m floats and grows the one block it changed.
 
     The kernels solve the groups of those seeds and of the partitions
     that reach the cutoff, and no others, so a ConvergenceError from the
@@ -700,9 +731,11 @@ def optimal_welfare(
     full = (1 << n) - 1
     if line_splits:
         splits = _line_splits(agents)
-        candidates = by_bound(
-            splits, [fold([_group_bound(pairs, mask, total) for mask in masks]) for masks in splits]
-        )
+        if total:
+            lows = [sum(_group_bound(pairs, mask, total) for mask in masks) for masks in splits]
+        else:
+            lows = [_split_bound(pairs, masks[0]) for masks in splits]
+        candidates = by_bound(splits, lows)
     elif corner_splits:
         # the one-block partition, and each prefix of a corner order with
         # its complement, blocks ordered by their lowest agent

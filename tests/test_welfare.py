@@ -43,6 +43,8 @@ from facloc.welfare import (
     _orientation,
     _pairs_longest_first,
     _partitions,
+    _split_bound,
+    _split_key,
 )
 from helpers import NEAR_COLLINEAR, _counting, grid_min_max_distance
 
@@ -349,6 +351,25 @@ def _walks(n):
         random.Random(seed).shuffle(order)
     walks = [list(reversed(range(n))), [*range(1, n), 0], *shuffled]
     return [walk for walk in walks if walk != list(range(n))]
+
+
+def test_walks_share_no_state():
+    n, m = 6, 3
+    expected = [_as_masks(labels) for labels in restricted_growth_labels(n, m)]
+    # two walks advanced in turn each yield the whole sequence
+    turns = list(zip(_partitions(n, m), _partitions(n, m)))
+    assert [a for a, _ in turns] == [b for _, b in turns] == expected
+    # a walk closed after its first leaf leaves the next walk whole
+    closed = _partitions(n, m)
+    assert next(closed) == expected[0]
+    closed.close()
+    # leaves kept past the walk are snapshots, not the walk's own lists
+    leaves = list(_partitions(n, m, walk=list(reversed(range(n)))))
+    assert all(type(leaf) is tuple for leaf in leaves)
+    assert sorted(leaves) == sorted(expected)
+    assert list(_partitions(n, m)) == expected
+    with pytest.raises(ValueError, match="at least one agent"):
+        next(_partitions(0, m))
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -1225,6 +1246,76 @@ class TestLineSplits:
         ]
         fold = sum if objective is WelfareObjective.TOTAL else max
         assert value == pytest.approx(fold(alone), rel=1e-12)
+
+
+@st.composite
+def _split_points(draw):
+    """1 to 12 points with _spread coordinates, some of them repeats of
+    earlier points and some on the line through the first two."""
+    pts = draw(st.lists(st.tuples(_spread, _spread), min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 12 - len(pts)))):
+        t = draw(st.sampled_from((None, -1.0, 0.5, 2.0)))
+        if t is None or len(pts) < 2:
+            pts.append(draw(st.sampled_from(pts)))
+        else:
+            (ax, ay), (bx, by) = pts[:2]
+            point = (ax + t * (bx - ax), ay + t * (by - ay))
+            if all(map(math.isfinite, point)):
+                pts.append(point)
+    return draw(st.permutations(pts))
+
+
+@settings(deadline=None, max_examples=200)
+@given(pts=_split_points())
+def test_the_one_scan_max_bound_is_the_larger_group_bound(pts):
+    pairs = _pairs_longest_first(pts)
+    for masks in _line_splits(pts):
+        larger = max(_group_bound(pairs, mask, False) for mask in masks)
+        assert repr(_split_bound(pairs, masks[0])) == repr(larger)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_the_split_key_ranks_two_block_partitions_by_their_growth_labels(n):
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    # the side holding agent 0, the whole group among them
+    sides = {full} | {rng.getrandbits(n) | 1 for _ in range(200)}
+    partitions = [(side,) if side == full else (side, full ^ side) for side in sides]
+    rng.shuffle(partitions)
+    assert sorted(partitions, key=lambda masks: _split_key(masks[0], n), reverse=True) == sorted(
+        partitions, key=lambda masks: _growth_labels(masks, n)
+    )
+
+
+@pytest.mark.parametrize("objective", list(WelfareObjective))
+@pytest.mark.parametrize("reorder", ["reversed", "shuffled"])
+def test_the_tie_rule_not_the_split_order_picks_the_winner(monkeypatch, objective, reorder):
+    # two line splits tie on value and facility tuple in the first profile
+    # under the total, and in the second under the max
+    rng = random.Random(7)
+    grids = [[(float(rng.randint(0, 3)), float(rng.randint(0, 3))) for _ in range(n)]
+             for n in range(3, 11)]
+    profiles = [
+        AgentProfile(tuple(agents))
+        for agents in (
+            [(3.0, 2.0), (2.0, 3.0), (3.0, 3.0)],
+            [(2.0, 1.0), (2.0, 3.0), (1.0, 2.0), (1.0, 2.0)],
+            *grids,
+        )
+    ]
+    expected = [repr(optimal_welfare(prof, FacilitySpec(2), objective)) for prof in profiles]
+    splits = welfare._line_splits
+
+    def reordered(points):
+        found = splits(points)
+        if reorder == "reversed":
+            return found[::-1]
+        random.Random(len(points)).shuffle(found)
+        return found
+
+    monkeypatch.setattr(welfare, "_line_splits", reordered)
+    found = [repr(optimal_welfare(prof, FacilitySpec(2), objective)) for prof in profiles]
+    assert found == expected
 
 
 class TestCapacitatedAssignment:
