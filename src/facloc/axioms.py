@@ -50,7 +50,7 @@ import dataclasses
 import enum
 import itertools
 import math
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from .geometry import (
     Metric,
@@ -84,7 +84,7 @@ from .mechanisms import (
     spec_from_dict,
     spec_to_dict,
 )
-from .welfare import WelfareObjective, _agent_costs, _one_facility_centre
+from .welfare import WelfareObjective, _agent_costs, _nearest_costs, _one_facility_centre
 from .welfare import _orientation, _partitions
 
 # margins below this are treated as numeric noise, not violations
@@ -387,18 +387,6 @@ def check_anonymity(
                 permutation=permutation,
             )
     return None
-
-
-def _nearest_costs(
-    profile: AgentProfile, locations: Sequence[Point]
-) -> Iterator[float]:
-    """Each agent's distance to its nearest location.  The locations are
-    points of the profile's dimension, built from its points or checked
-    where they came in, so they are not checked again per agent."""
-    dist = _metric_distance(profile.metric)
-    if len(locations) == 1:
-        return map(dist, profile.agents, itertools.repeat(locations[0]))
-    return (min(dist(agent, loc) for loc in locations) for agent in profile.agents)
 
 
 def _domination_margin(old: Sequence[float], new: Iterable[float]) -> float:

@@ -405,16 +405,18 @@ def _geometric_median(pts: Sequence[Point]) -> Point:
 _CONTAINS_EPS = 1 + 1e-14
 
 
-# _circumcircle's centre formula multiplies squared offsets by a third
-# offset, which leaves the float range once the offsets near 1e102.  Three
-# points spanning more than _CIRCUM_SPAN on an axis have their offsets
-# scaled by a power of two, the largest to the exponent _CIRCUM_EXP.
+# _circumcentre's formula multiplies squared offsets by a third offset,
+# which leaves the float range once the offsets near 1e102.  Three points
+# spanning more than _CIRCUM_SPAN on an axis have their offsets scaled by a
+# power of two, the largest to the exponent _CIRCUM_EXP.
 _CIRCUM_SPAN = 2.0**101
 _CIRCUM_EXP = 100
 
 
-def _circumcircle(a: Point, b: Point, c: Point) -> Circle | None:
-    # Work relative to the midpoint of the bounding box for stability.
+def _circumcentre(a: Point, b: Point, c: Point) -> Point | None:
+    """Centre of the circle through three 2-d points, or None when the
+    formula's determinant is 0.0.  It works relative to the midpoint of
+    their bounding box, for stability."""
     x0, x1 = min(a[0], b[0], c[0]), max(a[0], b[0], c[0])
     y0, y1 = min(a[1], b[1], c[1]), max(a[1], b[1], c[1])
     ox, oy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
@@ -442,9 +444,7 @@ def _circumcircle(a: Point, b: Point, c: Point) -> Circle | None:
             raise OracleCapError(
                 "enclosing circle: a circumcircle centre is past the float range"
             ) from None
-    center = (ox + x, oy + y)
-    radius = max(math.dist(center, a), math.dist(center, b), math.dist(center, c))
-    return Circle(center, radius)
+    return (ox + x, oy + y)
 
 
 @functools.lru_cache(maxsize=64)
@@ -503,9 +503,11 @@ def _welzl(pts: Sequence[Point], seed: int) -> Circle:
     runs over the points the pass around it has gone through: the middle
     pass keeps its point q on the boundary, the inner one q and the middle
     pass's point b.  The inner pass starts from the circle on qb as
-    diameter and keeps, on each side of qb, the circumcircle through q, b
-    and a point outside it whose centre leans farthest to that side, with
-    that lean."""
+    diameter and keeps, on each side of qb, the centre of the circle
+    through q, b and a point outside it that leans farthest to that side,
+    with that lean and that point (_circumcentre).  Radii are computed for
+    those two side winners only, each the largest of its three points'
+    distances from its centre; the left one wins a tie."""
     shuffled = [pts[i] for i in _shuffle_order(len(pts), seed)]
     center, radius, limit = shuffled[0], 0.0, 0.0
     for i, q in enumerate(shuffled):
@@ -531,21 +533,25 @@ def _welzl(pts: Sequence[Point], seed: int) -> Circle:
                 if math.dist(center, p) <= limit:
                     continue
                 side = ex * (p[1] - q1) - ey * (p[0] - q0)
-                circ = _circumcircle(q, b, p)
-                if circ is None:
+                c = _circumcentre(q, b, p)
+                if c is None:
                     continue
-                c0, c1 = circ.center
-                lean = ex * (c1 - q1) - ey * (c0 - q0)
+                lean = ex * (c[1] - q1) - ey * (c[0] - q0)
                 if side > 0.0 and (left is None or lean > left_lean):
-                    left, left_lean = circ, lean
+                    left, left_lean, left_p = c, lean, p
                 elif side < 0.0 and (right is None or lean < right_lean):
-                    right, right_lean = circ, lean
-            best = (
-                left if right is None or left is not None and left.radius <= right.radius else right
-            )
-            if best is not None:
-                center, radius = best
-                limit = radius * _CONTAINS_EPS
+                    right, right_lean, right_p = c, lean, p
+            if left is not None:
+                left_r = max(math.dist(left, q), math.dist(left, b), math.dist(left, left_p))
+            if right is not None:
+                right_r = max(
+                    math.dist(right, q), math.dist(right, b), math.dist(right, right_p)
+                )
+            if left is not None and (right is None or left_r <= right_r):
+                center, radius = left, left_r
+            elif right is not None:
+                center, radius = right, right_r
+            limit = radius * _CONTAINS_EPS
     return Circle(center, radius)
 
 

@@ -18,11 +18,12 @@ coordinate axes its set is empty: no report beats the honest one.
 Input is validated once, at the boundary: the AgentProfile, Solution and
 FacilitySpec constructors and the *_from_dict readers check what they are
 given.  Internal copies of points already checked are built with
-AgentProfile._trusted and Solution._trusted, which check nothing again:
-run_mechanism builds its Solution from _place, whose locations are the
-agents' floats or float arithmetic on them, once _require_finite passed
-them, and assign_nearest sends every agent to a lone facility without
-measuring a distance.
+AgentProfile._trusted and Solution._trusted, which check nothing again.
+The spec checks live in _placement alone: it gives the locations _place
+picks, the agents' floats or float arithmetic on them, once
+_require_finite passed them.  run_mechanism builds its Solution from them,
+and assign_nearest sends every agent to a lone facility without measuring
+a distance; welfare.approximation_ratio takes the locations alone.
 """
 
 from __future__ import annotations
@@ -598,6 +599,19 @@ def run_mechanism(
     """Run a described mechanism on a profile.  Capacitated specifications
     are rejected here; pair mechanism locations with the capacitated
     assignment oracle instead."""
+    locations = _placement(descriptor, profile, spec)
+    # _place gives tuples of the agents' floats or of float arithmetic on them
+    return Solution._trusted(locations, assign_nearest(locations, profile))
+
+
+def _placement(
+    descriptor: MechanismDescriptor, profile: AgentProfile, spec: FacilitySpec
+) -> tuple[Point, ...]:
+    """The facility locations run_mechanism places, after the spec checks
+    it documents, without a Solution or an assignment.  A centre of finite
+    points can still round past the float range, as a midpoint, a rotated
+    centre or a circumcentre whose sums overflow: that is an
+    OracleCapError, not a fault of the input."""
     if spec.capacitated:
         raise ValueError(
             "mechanisms place facilities for uncapacitated specifications; "
@@ -610,14 +624,12 @@ def run_mechanism(
         )
     locations = _place(descriptor, profile, spec.m)
     _require_finite(locations)
-    # _place gives tuples of the agents' floats or of float arithmetic on them
-    return Solution._trusted(locations, assign_nearest(locations, profile))
+    return locations
 
 
 def _require_finite(locations: Sequence[Point]) -> None:
-    """A centre of finite points can still round past the float range, as
-    a midpoint, a rotated centre or a circumcentre whose sums overflow:
-    that is an OracleCapError, not a fault of the input."""
+    """Refuse a location past the float range with OracleCapError
+    (_placement says why that is no fault of the input)."""
     if not all(math.isfinite(c) for p in locations for c in p):
         raise OracleCapError("facility centre is past the float range")
 
@@ -626,7 +638,7 @@ def _place(
     descriptor: MechanismDescriptor, profile: AgentProfile, m: int
 ) -> tuple[Point, ...]:
     """Facility locations the mechanism picks for m facilities, without the
-    spec checks run_mechanism makes; callers have made them for this
+    spec checks _placement makes; callers have made them for this
     descriptor and facility count."""
     kind = _KINDS[descriptor.kind]
     if kind.rows is None:

@@ -26,10 +26,15 @@ search every partition, under the branch and bound below.
 
 The profile is validated once, when it is built, and the oracles build
 their solutions with Solution._trusted from kernel centres that
-_require_finite passed.  evaluate checks each location's dimension once
-and then measures with geometry._metric_distance, the float operations of
-geometry.distance without its per-call check; the oracle's group costs
-use the same helper.  Each candidate is a tuple of block bitmasks.  A
+_require_finite passed.  approximation_ratio checks its spec and
+objective once and builds no Solution for the mechanism or the
+one-facility optimum: it folds the nearest costs of the mechanism's
+locations (_nearest_costs, the one nearest-cost helper, which the
+refuters share) and takes the optimum from _one_facility_optimum, the
+core of optimal_welfare's m = 1 case.  evaluate checks each location's
+dimension once and then measures with geometry._metric_distance, the
+float operations of geometry.distance without its per-call check; the
+oracle's group costs use the same helper.  Each candidate is a tuple of block bitmasks.  A
 block's points are read off its mask in the agents' lexicographic order,
 sorted once per call, and solved by the geometry cores, which do not
 check their input again; each block's answer is cached by its mask.  Of
@@ -107,8 +112,8 @@ from .mechanisms import (
     FacilitySpec,
     MechanismDescriptor,
     Solution,
+    _placement,
     _require_finite,
-    run_mechanism,
 )
 
 PARTITION_ORACLE_MAX_AGENTS = 10
@@ -145,22 +150,39 @@ def _agent_costs(profile: AgentProfile, solution: Solution) -> list[float]:
     return [dist(agent, locations[j - 1]) for agent, j in zip(profile.agents, solution.assignment)]
 
 
+def _nearest_costs(
+    profile: AgentProfile, locations: Sequence[Point]
+) -> Iterator[float]:
+    """Each agent's distance to its nearest location.  The locations are
+    points of the profile's dimension, built from its points or checked
+    where they came in, so they are not checked again per agent.  These
+    are the floats _agent_costs gives under nearest-facility assignment:
+    geometry.distance, which assign_nearest ranks by, has the float
+    operations of _metric_distance."""
+    dist = _metric_distance(profile.metric)
+    if len(locations) == 1:
+        return map(dist, profile.agents, itertools.repeat(locations[0]))
+    return (min(dist(agent, loc) for loc in locations) for agent in profile.agents)
+
+
+def _fold(costs: Iterable[float], objective: WelfareObjective) -> float:
+    """The total or the largest of the costs."""
+    return sum(costs) if objective is WelfareObjective.TOTAL else max(costs)
+
+
 def evaluate(
     profile: AgentProfile, solution: Solution, objective: WelfareObjective
 ) -> float:
     """Welfare of a solution: the total or the largest of its _agent_costs."""
     objective = WelfareObjective(objective)
-    costs = _agent_costs(profile, solution)
-    return sum(costs) if objective is WelfareObjective.TOTAL else max(costs)
+    return _fold(_agent_costs(profile, solution), objective)
 
 
-def _finite_welfare(
-    profile: AgentProfile, solution: Solution, objective: WelfareObjective, whose: str
-) -> float:
-    """evaluate, refusing a welfare that overflowed the float range with
-    OracleCapError: an infinite optimum is no optimum, and a ratio of two
-    infinite welfares is NaN."""
-    value = evaluate(profile, solution, objective)
+def _finite_welfare(costs: Iterable[float], objective: WelfareObjective, whose: str) -> float:
+    """_fold of the costs, refusing a welfare that overflowed the float
+    range with OracleCapError: an infinite optimum is no optimum, and a
+    ratio of two infinite welfares is NaN."""
+    value = _fold(costs, objective)
     if not math.isfinite(value):
         raise OracleCapError(f"{whose} welfare is past the float range")
     return value
@@ -216,6 +238,17 @@ def _one_facility_centre(
     if metric is Metric.MANHATTAN:
         return _manhattan_centre(pts)
     return _enclosing_circle(pts, 0).center
+
+
+def _one_facility_optimum(
+    profile: AgentProfile, objective: WelfareObjective
+) -> tuple[float, Point]:
+    """The exact one-facility optimum's welfare and location, for an
+    objective already coerced: optimal_welfare's m = 1 case, and
+    approximation_ratio's."""
+    center = _one_facility_centre(sorted(profile.agents), profile.metric, objective)
+    _require_finite((center,))
+    return _finite_welfare(_nearest_costs(profile, (center,)), objective, "optimal"), center
 
 
 # grow(state, agent) is the state of a block grown by one agent, from the
@@ -662,10 +695,8 @@ def optimal_welfare(
     n = profile.n
     agents, metric = profile.agents, profile.metric
     if spec.m == 1:
-        center = _one_facility_centre(sorted(agents), metric, objective)
-        _require_finite((center,))
-        solution = Solution._trusted((center,), (1,) * n)
-        return _finite_welfare(profile, solution, objective, "optimal"), solution
+        value, center = _one_facility_optimum(profile, objective)
+        return value, Solution._trusted((center,), (1,) * n)
     total = objective is WelfareObjective.TOTAL
     euclidean = metric is Metric.EUCLIDEAN
     # two facilities search a family of splits that holds an optimal one
@@ -790,7 +821,7 @@ def optimal_welfare(
     assignment = tuple(label + 1 for label in labels)
     _require_finite(locations)
     solution = Solution._trusted(locations, assignment)
-    return _finite_welfare(profile, solution, objective, "optimal"), solution
+    return _finite_welfare(_agent_costs(profile, solution), objective, "optimal"), solution
 
 
 def optimal_capacitated_assignment(
@@ -855,9 +886,18 @@ def approximation_ratio(
     objective: WelfareObjective,
 ) -> RatioReport:
     """Ratio of a mechanism's welfare to the exact optimum on one instance.
-    Either welfare past the float range raises OracleCapError."""
-    mech = _finite_welfare(
-        profile, run_mechanism(descriptor, profile, spec), objective, "mechanism"
-    )
-    opt, _ = optimal_welfare(profile, spec, objective)
+    Either welfare past the float range raises OracleCapError.
+
+    The same report as evaluate of run_mechanism's solution against
+    optimal_welfare's value, with the same errors in the same order, but
+    the spec and objective are checked once: the mechanism's welfare folds
+    its locations' nearest costs, and one facility's optimum is
+    _one_facility_optimum, so neither builds a Solution."""
+    locations = _placement(descriptor, profile, spec)
+    objective = WelfareObjective(objective)
+    mech = _finite_welfare(_nearest_costs(profile, locations), objective, "mechanism")
+    if spec.m == 1:
+        opt = _one_facility_optimum(profile, objective)[0]
+    else:
+        opt = optimal_welfare(profile, spec, objective)[0]
     return RatioReport.from_welfares(mech, opt)

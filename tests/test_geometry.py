@@ -509,7 +509,7 @@ def test_a_circumcentre_past_the_float_range_is_refused():
     # centre lies inside the float range, and scaled it does not
     agents = BENCH_TRIAL_2
     with pytest.raises(OracleCapError, match="circumcircle centre is past the float range"):
-        geometry._circumcircle(agents[3], agents[1], agents[4])
+        geometry._circumcentre(agents[3], agents[1], agents[4])
     circle = smallest_enclosing_circle(agents)
     assert all(map(math.isfinite, (*circle.center, circle.radius)))
 
@@ -533,15 +533,24 @@ def test_circles_near_the_float_range_hold_every_agent_and_are_smallest(agents, 
     assert circle.radius <= math.ldexp(small.radius, 1018) * (1 + 1e-12)
 
 
+def _circumcircle(a, b, c):
+    """The circle through a, b and c on _circumcentre's centre, its radius
+    the largest of their distances from it, or None without a centre."""
+    center = geometry._circumcentre(a, b, c)
+    if center is None:
+        return None
+    return Circle(center, max(math.dist(center, a), math.dist(center, b), math.dist(center, c)))
+
+
 @pytest.mark.parametrize("exp", [0, 60, 101, 200, 340, 500, -300])
 def test_circumcentre_scales_by_a_power_of_two_exactly(exp):
     # scaling is exact in the normal range, so the offsets scaled inside
-    # _circumcircle give the bits of the unscaled formula, scaled
+    # _circumcentre give the bits of the unscaled formula, scaled
     rng = random.Random(exp)
     for _ in range(200):
         a, b, c = random_points(rng, 3, box=50.0)
-        want = geometry._circumcircle(a, b, c)
-        got = geometry._circumcircle(*(tuple(math.ldexp(v, exp) for v in p) for p in (a, b, c)))
+        want = _circumcircle(a, b, c)
+        got = _circumcircle(*(tuple(math.ldexp(v, exp) for v in p) for p in (a, b, c)))
         if want is None:
             assert got is None
             continue
@@ -605,7 +614,7 @@ def _circle_two_fixed(pts, a, b):
         if _contains(circ, p):
             continue
         side = _cross(a, b, p)
-        c = geometry._circumcircle(a, b, p)
+        c = _circumcircle(a, b, p)
         if c is None:
             continue
         lean = _cross(a, b, c.center)
@@ -672,8 +681,16 @@ def circle_inputs(draw):
 
 
 # cocircular grid points: two circumcircles lean equally far, and the
-# first one found is kept
+# first one found is kept, with its third point for the radius; in the
+# last two, the tie is on the left and on the right of qb, and keeping the
+# later candidate would move the final centre by an ulp
 @example([(3.0, 1.0), (-2.0, -1.0), (-1.0, -2.0), (1.0, 3.0), (1.0, 2.0)], 2)
+@example(
+    [(1.0, -2.0), (-1.0, -1.0), (0.0, 2.0), (0.0, -2.0), (-2.0, 1.0), (-2.0, -1.0), (2.0, 0.0),
+     (0.0, 2.0)],
+    1,
+)
+@example([(0.0, 1.0), (0.0, 3.0), (1.0, -2.0), (-2.0, -3.0), (3.0, -2.0), (-3.0, 1.0)], 3)
 @example([(0.0, 0.0), (1e120, 0.0), (5e119, 8e119)], 0)
 @example([(0.0, 0.0), (1e120, 0.0), (5e119, 8e119)], 3)
 @settings(max_examples=300, deadline=None)

@@ -23,6 +23,7 @@ from facloc.mechanisms import (
     FacilitySpec,
     MechanismDescriptor,
     Solution,
+    run_mechanism,
 )
 from facloc import bench, welfare
 from facloc.welfare import (
@@ -1502,3 +1503,149 @@ class TestApproximationRatio:
         assert report.mechanism_welfare == pytest.approx(1.0)
         assert report.optimal_welfare == pytest.approx(0.5, abs=1e-9)
         assert report.ratio == pytest.approx(2.0, abs=1e-6)
+
+
+def _outcome(call):
+    """repr of what call returns, or the type and message of what it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _public_ratio(descriptor, profile, spec, objective):
+    """approximation_ratio spelled with the public calls: evaluate of
+    run_mechanism's solution, refused past the float range, against
+    optimal_welfare's value."""
+    mechanism = evaluate(profile, run_mechanism(descriptor, profile, spec), objective)
+    if not math.isfinite(mechanism):
+        raise OracleCapError("mechanism welfare is past the float range")
+    return RatioReport.from_welfares(mechanism, optimal_welfare(profile, spec, objective)[0])
+
+
+# (descriptor, dimension, facilities) for the ratio parity property: the
+# one-facility kinds, a two-row percentile whose agents take their nearest
+# facility, and the 1-d percentile with one and two facilities
+_RATIO_CASES = [
+    (MechanismDescriptor.median(), 2, 1),
+    (MechanismDescriptor.percentile_plane(((0.25, 0.75),)), 2, 1),
+    (MechanismDescriptor.one_centre(), 2, 1),
+    (MechanismDescriptor.geometric(), 2, 1),
+    (MechanismDescriptor.coordinate_extreme("max"), 2, 1),
+    (MechanismDescriptor.coordinate_extreme("min"), 2, 1),
+    (MechanismDescriptor.first_agent(), 2, 1),
+    (MechanismDescriptor.percentile_plane(((0.25, 0.25), (0.75, 0.75))), 2, 2),
+    (MechanismDescriptor.percentile_line((0.5,)), 1, 1),
+    (MechanismDescriptor.percentile_line((0.2, 0.8)), 1, 2),
+]
+
+
+@st.composite
+def _ratio_cases(draw):
+    """A _RATIO_CASES entry, a metric and an objective, and 1 to 7 agents
+    drawn from a small pool (duplicates), the integer grid and signed
+    zeros."""
+    descriptor, dim, m = draw(st.sampled_from(_RATIO_CASES))
+    coordinate = st.one_of(
+        st.integers(-3, 3).map(float), st.sampled_from([0.0, -0.0]), st.floats(-100.0, 100.0)
+    )
+    point = st.tuples(*[coordinate] * dim)
+    pool = draw(st.lists(point, min_size=1, max_size=3))
+    agents = draw(st.lists(st.one_of(st.sampled_from(pool), point), min_size=1, max_size=7))
+    profile = AgentProfile(tuple(agents), draw(st.sampled_from(list(Metric))))
+    return descriptor, profile, FacilitySpec(m), draw(st.sampled_from(list(WelfareObjective)))
+
+
+@example(
+    (
+        MechanismDescriptor.percentile_plane(((0.25, 0.25), (0.75, 0.75))),
+        AgentProfile(((-0.0, 0.0), (0.0, -0.0), (2.0, -0.0), (2.0, -0.0), (1.0, 1.0))),
+        FacilitySpec(2),
+        WelfareObjective.TOTAL,
+    )
+)
+@example(
+    (
+        MechanismDescriptor.one_centre(),
+        AgentProfile(((-0.0, 1.0), (1.0, -0.0), (-0.0, 1.0)), Metric.MANHATTAN),
+        FacilitySpec(1),
+        WelfareObjective.MAX,
+    )
+)
+@settings(deadline=None, max_examples=300)
+@given(case=_ratio_cases())
+def test_ratio_report_is_the_public_calls_report(case):
+    # the ratio checks its arguments once and builds no Solution, yet it
+    # reports what the public calls report, bit for bit, or fails as they do
+    descriptor, profile, spec, objective = case
+    assert _outcome(lambda: approximation_ratio(descriptor, profile, spec, objective)) == (
+        _outcome(lambda: _public_ratio(descriptor, profile, spec, objective))
+    )
+
+
+_LINE = AgentProfile(((0.0,), (1.0,), (3.0,)))
+_SQUARE = AgentProfile(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
+_HUGE_BOX = {
+    metric: bench.BenchConfig(trials=20, n_range=(3, 6), box=1e308, seed=1, metric=metric)
+    for metric in Metric
+}
+
+
+@pytest.mark.parametrize(
+    "descriptor, profile, spec, objective, error",
+    [
+        # a capacitated spec is refused before the facility count is read
+        (
+            MechanismDescriptor.median(),
+            _SQUARE,
+            FacilitySpec(2, (2, 2)),
+            "total",
+            "ValueError: mechanisms place facilities for uncapacitated specifications; "
+            "use optimal_capacitated_assignment for capacitated instances",
+        ),
+        # the implied facility count is read before the mechanism runs
+        (
+            MechanismDescriptor.one_centre(),
+            _LINE,
+            FacilitySpec(2),
+            "total",
+            "ValueError: one_centre places 1 facilities, spec asks for 2",
+        ),
+        # the mechanism runs before the objective is read
+        (
+            MechanismDescriptor.one_centre(),
+            _LINE,
+            FacilitySpec(1),
+            "bogus",
+            "ValueError: one_centre runs on 2-d profiles",
+        ),
+        (
+            MechanismDescriptor.median(),
+            _SQUARE,
+            FacilitySpec(1),
+            "bogus",
+            "ValueError: 'bogus' is not a valid WelfareObjective",
+        ),
+        # the mechanism's welfare overflows first, whether the optimum's
+        # welfare overflows too (trial 0), its kernel refuses it (trial 1)
+        # or it is finite (trial 5)
+        *(
+            (
+                MechanismDescriptor.median(),
+                bench.sample_profile(_HUGE_BOX[metric], trial),
+                FacilitySpec(1),
+                "total",
+                "OracleCapError: mechanism welfare is past the float range",
+            )
+            for metric, trial in (
+                (Metric.EUCLIDEAN, 0),
+                (Metric.EUCLIDEAN, 1),
+                (Metric.EUCLIDEAN, 5),
+                (Metric.MANHATTAN, 0),
+            )
+        ),
+    ],
+)
+def test_ratio_errors_are_the_public_calls_errors(descriptor, profile, spec, objective, error):
+    assert _outcome(lambda: approximation_ratio(descriptor, profile, spec, objective)) == error
+    assert _outcome(lambda: _public_ratio(descriptor, profile, spec, objective)) == error
