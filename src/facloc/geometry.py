@@ -9,10 +9,10 @@ given, for callers that validated them once already.  `distance` checks
 that its two points have one dimension; `_metric_distance` gives the same
 float operations without that check, for callers that checked the
 dimensions once, per location rather than per agent.  The geometric
-median's objective model and Newton solve have a loop of their own for
-points in the plane, with the generic loop's float operations in the same
-order, so answers keep their bits; the generic loop serves 1-d and 3-d
-points and the tests.
+median's objective model and Newton solve, and the Manhattan distance,
+have a form of their own for points in the plane, with the generic loop's
+float operations in the same order, so answers keep their bits; the
+generic loop serves 1-d and 3-d points and the tests.
 """
 
 from __future__ import annotations
@@ -91,6 +91,10 @@ def distance(a: Sequence[float], b: Sequence[float], metric: Metric = Metric.EUC
 
 
 def _manhattan(a: Sequence[float], b: Sequence[float]) -> float:
+    """The L1 distance, unrolled for 2-d points: sum's integer start adds
+    exactly, so both forms give the same float."""
+    if len(a) == 2:
+        return abs(a[0] - b[0]) + abs(a[1] - b[1])
     return sum(map(abs, map(operator.sub, a, b)))
 
 

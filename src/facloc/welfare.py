@@ -371,49 +371,73 @@ def _line_splits(points: Sequence[Point]) -> list[tuple[int, ...]]:
     points on it, in their order along it, split into a prefix and a
     suffix.  Coincident points on the line may land on both sides; those
     few extra splits are still partitions, so the search stays exact.
+
+    The scan reads the coordinates off two lists and keeps each pair's left
+    side in a flat n x n list.  A pair with no third point on its line
+    gives its four sides directly, the left side with neither, either or
+    both of its points: the sides its prefix loop would give, with no sort.
+    Only the pairs of collinear triples keep a list of on-line points.
     """
     n = len(points)
     full = (1 << n) - 1
-    pairs = list(itertools.combinations(range(n), 2))
-    # per pair (i, j): the points left of the line from i to j, and those
-    # on it in index order
-    left = dict.fromkeys(pairs, 0)
-    on: dict[tuple[int, int], list[int]] = {pair: [] for pair in pairs}
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    # per pair i < j: left[i * n + j], the points left of the line from i
+    # to j, and on[i, j], those on it in index order, for the pairs that
+    # have any
+    left = [0] * (n * n)
+    on: dict[tuple[int, int], list[int]] = {}
     # the exact orientation is alternating in its arguments, so one sign
     # per triple i < j < k places k against (i, j), j against (i, k) and i
     # against (j, k); triples come in lexicographic order, so each pair's
     # on-line points are appended in index order
-    for i, j, k in itertools.combinations(range(n), 3):
-        (ax, ay), (bx, by), (cx, cy) = points[i], points[j], points[k]
-        # _orientation's float filter, inlined: its exact stage runs only
-        # on a determinant too near zero to trust, or NaN after an overflow
-        lhs = (ax - cx) * (by - cy)
-        rhs = (ay - cy) * (bx - cx)
-        det = lhs - rhs
-        if not abs(det) > _ORIENT_ERRBOUND * (abs(lhs) + abs(rhs)) + _ORIENT_UNDERFLOW:
-            det = _orientation(points[i], points[j], points[k])
-        if det > 0:
-            left[i, j] |= 1 << k
-            left[j, k] |= 1 << i
-        elif det < 0:
-            left[i, k] |= 1 << j
-        else:
-            on[i, k].append(j)
-            on[i, j].append(k)
-            on[j, k].append(i)
+    for i in range(n):
+        ax, ay, bit_i, row_i = xs[i], ys[i], 1 << i, i * n
+        for j in range(i + 1, n):
+            bx, by, bit_j, row_j = xs[j], ys[j], 1 << j, j * n
+            left_ij = left[row_i + j]
+            for k in range(j + 1, n):
+                cx, cy = xs[k], ys[k]
+                # _orientation's float filter, inlined: its exact stage runs
+                # only on a determinant too near zero to trust, or NaN after
+                # an overflow
+                lhs = (ax - cx) * (by - cy)
+                rhs = (ay - cy) * (bx - cx)
+                det = lhs - rhs
+                if not abs(det) > _ORIENT_ERRBOUND * (abs(lhs) + abs(rhs)) + _ORIENT_UNDERFLOW:
+                    det = _orientation(points[i], points[j], points[k])
+                if det > 0:
+                    left_ij |= 1 << k
+                    left[row_j + k] |= bit_i
+                elif det < 0:
+                    left[row_i + k] |= bit_j
+                else:
+                    on.setdefault((i, k), []).append(j)
+                    on.setdefault((i, j), []).append(k)
+                    on.setdefault((j, k), []).append(i)
+            left[row_i + j] = left_ij
     sides = {full}  # the side holding agent 0
-    for i, j in pairs:
-        if points[i] == points[j]:
-            continue
-        # lexicographic order is the order along the line
-        line = sorted([i, j, *on[i, j]], key=points.__getitem__)
-        whole = sum(1 << k for k in line)
-        prefix = 0
-        # the empty prefix gives the same two sides as the whole line
-        for k in line:
-            for mask in (left[i, j] | prefix, left[i, j] | whole ^ prefix):
+    for i in range(n):
+        for j in range(i + 1, n):
+            if xs[i] == xs[j] and ys[i] == ys[j]:
+                continue
+            side = left[i * n + j]
+            if (i, j) not in on:
+                # two points on the line: the prefix loop below would give
+                # side, side with either one and side with both
+                masks = [side, side | 1 << i, side | 1 << j, side | 1 << i | 1 << j]
+            else:
+                # lexicographic order is the order along the line
+                line = sorted([i, j, *on[i, j]], key=points.__getitem__)
+                whole = sum(1 << k for k in line)
+                masks = []
+                prefix = 0
+                # the empty prefix gives the same two sides as the whole line
+                for k in line:
+                    masks += (side | prefix, side | whole ^ prefix)
+                    prefix |= 1 << k
+            for mask in masks:
                 sides.add(mask if mask & 1 else full ^ mask)
-            prefix |= 1 << k
     ranked = sorted(sides, key=lambda mask: _split_key(mask, n), reverse=True)
     return [(mask,) if mask == full else (mask, full ^ mask) for mask in ranked]
 
@@ -472,6 +496,68 @@ def _rotated(points: Sequence[Point]) -> list[tuple[float, float]]:
     return [(x + y, x - y) for x, y in points]
 
 
+def _total_growth(points: Sequence[Point]) -> _Grow:
+    """_manhattan_growth under the total, for points of any dimension: the
+    state is (bound, columns), the block's coordinates sorted per axis, and
+    the rise sums x's distance to the median box axis by axis.  It serves
+    1-d and d >= 3, and is the reference that _planar_total_growth keeps
+    the bits of."""
+
+    def grow_total(block: tuple | None, i: int) -> tuple:
+        point = points[i]
+        if block is None:
+            return 0.0, [[x] for x in point]
+        low, columns = block
+        size = len(columns[0])
+        lower, upper = (size - 1) >> 1, size >> 1
+        rise = 0.0
+        grown = []
+        for xs, x in zip(columns, point):
+            if x < xs[lower]:
+                rise += xs[lower] - x
+            elif x > xs[upper]:
+                rise += x - xs[upper]
+            # a copy: the parent's lists are shared with its siblings
+            xs = xs.copy()
+            bisect.insort(xs, x)
+            grown.append(xs)
+        return low + rise, grown
+
+    return grow_total
+
+
+def _planar_total_growth(points: Sequence[Point]) -> _Grow:
+    """_total_growth for 2-d points, unrolled: the state is (bound, xs, ys),
+    the block's two sorted coordinate lists, and the rise adds the x term
+    and then the y term to 0.0, the generic loop's float operations in its
+    order, so every bound has the same bits."""
+
+    def grow_planar(block: tuple | None, i: int) -> tuple:
+        x, y = points[i]
+        if block is None:
+            return 0.0, [x], [y]
+        low, xs, ys = block
+        size = len(xs)
+        lower, upper = (size - 1) >> 1, size >> 1
+        rise = 0.0
+        if x < xs[lower]:
+            rise += xs[lower] - x
+        elif x > xs[upper]:
+            rise += x - xs[upper]
+        if y < ys[lower]:
+            rise += ys[lower] - y
+        elif y > ys[upper]:
+            rise += y - ys[upper]
+        # copies: the parent's lists are shared with its siblings
+        xs = xs.copy()
+        bisect.insort(xs, x)
+        ys = ys.copy()
+        bisect.insort(ys, y)
+        return low + rise, xs, ys
+
+    return grow_planar
+
+
 def _manhattan_growth(points: Sequence[Point], total: bool) -> _Grow:
     """The grow step of _partitions for a Manhattan optimum: the state of a
     block grown by agent i, from the block's state (None for a new block),
@@ -482,35 +568,19 @@ def _manhattan_growth(points: Sequence[Point], total: bool) -> _Grow:
     exactly the distance from x to the group's median box, whose side on
     each axis runs from the lower to the upper median there; so a block's
     bound is its parent's plus x's distance to that box, one rounded
-    subtraction per axis.  Under the max, 1-d or 2-d, the state holds the
-    block's least and largest u and v (_rotated), and the bound is half the
-    larger of the two ranges.  Those extremes are the same floats in any
-    order, a range of two different numbers does not depend on the sign of
-    a zero, and a range of equal ones is x - x = 0.0, so the max bound is
-    the same float whatever order the agents joined in."""
+    subtraction per axis, added to a rise of 0.0 in axis order and then to
+    the parent's bound.  2-d points take _planar_total_growth, whose state
+    is (bound, xs, ys) and whose step is unrolled in that order; other
+    dimensions take _total_growth, whose state is (bound, columns) and
+    which is the tests' reference for the planar step.  Under the max, 1-d
+    or 2-d, the state holds the block's least and largest u and v
+    (_rotated), and the bound is half the larger of the two ranges.  Those
+    extremes are the same floats in any order, a range of two different
+    numbers does not depend on the sign of a zero, and a range of equal
+    ones is x - x = 0.0, so the max bound is the same float whatever order
+    the agents joined in."""
     if total:
-
-        def grow_total(block: tuple | None, i: int) -> tuple:
-            point = points[i]
-            if block is None:
-                return 0.0, [[x] for x in point]
-            low, columns = block
-            size = len(columns[0])
-            lower, upper = (size - 1) >> 1, size >> 1
-            rise = 0.0
-            grown = []
-            for xs, x in zip(columns, point):
-                if x < xs[lower]:
-                    rise += xs[lower] - x
-                elif x > xs[upper]:
-                    rise += x - xs[upper]
-                # a copy: the parent's lists are shared with its siblings
-                xs = xs.copy()
-                bisect.insort(xs, x)
-                grown.append(xs)
-            return low + rise, grown
-
-        return grow_total
+        return _planar_total_growth(points) if len(points[0]) == 2 else _total_growth(points)
     rotated = _rotated(points)
 
     def grow_max(block: tuple | None, i: int) -> tuple:

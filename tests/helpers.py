@@ -14,6 +14,7 @@ import sys
 
 from facloc import geometry
 from facloc.geometry import Circle, Metric, Point, distance
+from facloc.welfare import _ORIENT_ERRBOUND, _ORIENT_UNDERFLOW, _orientation, _split_key
 
 # the near-collinear profile on which geometry.geometric_median gives up
 NEAR_COLLINEAR = (
@@ -98,3 +99,44 @@ def _counting(monkeypatch, name):
         if module_name.split(".")[0] == "facloc" and vars(module).get(name) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def reference_line_splits(points: list[Point]) -> list[tuple[int, ...]]:
+    """welfare._line_splits as a tuple-keyed scan: every pair's left side
+    and on-line points in dicts, and each pair's line sorted and split into
+    every prefix and suffix, two points on it or more.  The planar scan
+    must give this list, in this order."""
+    n = len(points)
+    full = (1 << n) - 1
+    pairs = list(itertools.combinations(range(n), 2))
+    left = dict.fromkeys(pairs, 0)
+    on: dict[tuple[int, int], list[int]] = {pair: [] for pair in pairs}
+    for i, j, k in itertools.combinations(range(n), 3):
+        (ax, ay), (bx, by), (cx, cy) = points[i], points[j], points[k]
+        lhs = (ax - cx) * (by - cy)
+        rhs = (ay - cy) * (bx - cx)
+        det = lhs - rhs
+        if not abs(det) > _ORIENT_ERRBOUND * (abs(lhs) + abs(rhs)) + _ORIENT_UNDERFLOW:
+            det = _orientation(points[i], points[j], points[k])
+        if det > 0:
+            left[i, j] |= 1 << k
+            left[j, k] |= 1 << i
+        elif det < 0:
+            left[i, k] |= 1 << j
+        else:
+            on[i, k].append(j)
+            on[i, j].append(k)
+            on[j, k].append(i)
+    sides = {full}
+    for i, j in pairs:
+        if points[i] == points[j]:
+            continue
+        line = sorted([i, j, *on[i, j]], key=points.__getitem__)
+        whole = sum(1 << k for k in line)
+        prefix = 0
+        for k in line:
+            for mask in (left[i, j] | prefix, left[i, j] | whole ^ prefix):
+                sides.add(mask if mask & 1 else full ^ mask)
+            prefix |= 1 << k
+    ranked = sorted(sides, key=lambda mask: _split_key(mask, n), reverse=True)
+    return [(mask,) if mask == full else (mask, full ^ mask) for mask in ranked]

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -45,6 +46,29 @@ def test_distance_is_a_metric(a, b, c, metric):
     assert distance(a, b, metric) == pytest.approx(distance(b, a, metric), abs=1e-9)
     assert distance(a, b, metric) >= 0.0
     assert distance(a, c, metric) <= distance(a, b, metric) + distance(b, c, metric) + 1e-9
+
+
+# signed zeros, subnormals, ordinary floats and coordinates near 1e308,
+# whose differences and their sum overflow to inf
+_l1_coordinate = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7e308, -1.7e308)),
+    st.floats(-1e-307, 1e-307),
+    st.floats(-100.0, 100.0),
+    st.floats(-1.7976931348623157e308, 1.7976931348623157e308),
+)
+
+
+@example((1e308, -1e308), (-1e308, 1e308))  # each difference overflows
+@example((1e308, 1e308), (1e307, -1e307))  # only the sum overflows
+@example((-0.0, 0.0), (0.0, -0.0))
+@example((5e-324, -5e-324), (-5e-324, 5e-324))
+@example((-0.0, 1.0), (2.5, 3.0))  # both differences negative
+@settings(max_examples=500)
+@given(st.tuples(_l1_coordinate, _l1_coordinate), st.tuples(_l1_coordinate, _l1_coordinate))
+def test_planar_manhattan_is_the_generic_sum_bit_for_bit(a, b):
+    generic = sum(map(abs, map(operator.sub, a, b)))
+    assert repr(geometry._manhattan(a, b)) == repr(generic)
+    assert repr(distance(a, b, Metric.MANHATTAN)) == repr(generic)
 
 
 def test_as_point_rejects_integers_beyond_the_float_range():

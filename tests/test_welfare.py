@@ -47,7 +47,7 @@ from facloc.welfare import (
     _split_bound,
     _split_key,
 )
-from helpers import NEAR_COLLINEAR, _counting, grid_min_max_distance
+from helpers import NEAR_COLLINEAR, _counting, grid_min_max_distance, reference_line_splits
 
 RECTANGLE = ((0.0, 0.0), (0.0, 2.0), (12.0, 2.0), (12.0, 0.0))
 # finite agents whose total distance to any centre overflows
@@ -1093,6 +1093,75 @@ def test_swept_bounds_are_the_per_mask_bounds(case):
                 assert repr(value) == repr(_mask_range(agents, sum(1 << i for i in part)))
 
 
+@st.composite
+def _planar_growth_cases(draw):
+    """2-d points as _sweep_cases draws them, and the steps of a walk over
+    them: each grows an earlier step's block, or a new one, by a drawn
+    agent, so that siblings share their parent's state."""
+    pool = draw(st.lists(st.tuples(_signed_coordinate, _signed_coordinate), min_size=1, max_size=10))
+    agents = pool + draw(st.lists(st.sampled_from(pool), max_size=4))
+    scale = draw(st.sampled_from((1.0, 1e-300, 1e300, 1e306)))
+    agents = [(x * scale, y * scale) for x, y in agents]
+    line = draw(st.permutations(range(len(agents))))
+    steps = draw(
+        st.lists(
+            st.tuples(st.integers(-1, 30), st.integers(0, len(agents) - 1)), max_size=30
+        )
+    )
+    return agents, line, steps
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_planar_growth_cases())
+def test_the_planar_total_growth_is_the_generic_step_bit_for_bit(case):
+    agents, line, steps = case
+    planar, generic = welfare._planar_total_growth(agents), welfare._total_growth(agents)
+    assert welfare._manhattan_growth(agents, True).__qualname__ == planar.__qualname__
+    assert repr(welfare._sweep(planar, line)) == repr(welfare._sweep(generic, line))
+    # a walk's blocks: a step grows the block of an earlier step, or a new
+    # one where its index is past them
+    grown = []
+    for parent, i in steps:
+        old = grown[parent] if 0 <= parent < len(grown) else (None, None)
+        block = planar(old[0], i), generic(old[1], i)
+        (low, xs, ys), (want, columns) = block
+        assert repr((low, [xs, ys])) == repr((want, columns))
+        grown.append(block)
+
+
+_planar_total_cases = st.tuples(
+    st.one_of(
+        _uniform,
+        _grid,
+        _duplicates,
+        st.lists(
+            st.tuples(_signed_coordinate, _signed_coordinate), min_size=1, max_size=10
+        ),
+    ),
+    st.sampled_from((1.0, 1e-300, 1e300, 1e306)),
+    st.sampled_from((2, 3)),
+)
+
+
+def _oracle_outcome(prof, m, objective):
+    """optimal_welfare's answer, or its failure."""
+    try:
+        return repr(optimal_welfare(prof, FacilitySpec(m), objective))
+    except OracleCapError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_planar_total_cases)
+def test_the_planar_total_growth_keeps_every_optimum(case):
+    pts, scale, m = case
+    prof = AgentProfile(tuple((x * scale, y * scale) for x, y in pts[:8]), Metric.MANHATTAN)
+    planar = _oracle_outcome(prof, m, WelfareObjective.TOTAL)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(welfare, "_planar_total_growth", welfare._total_growth)
+        assert _oracle_outcome(prof, m, WelfareObjective.TOTAL) == planar
+
+
 def test_a_solver_failure_counts_only_in_groups_the_search_reaches(monkeypatch):
     prof = AgentProfile(_two_clusters(10))
     total = WelfareObjective.TOTAL
@@ -1148,7 +1217,27 @@ _spread = st.one_of(
 )
 
 
+# up to 12 points for the scan alone: uniform, on a small integer grid,
+# where many triples are collinear, repeats of a few points, and spread to
+# the ends of the float range, where determinants overflow or underflow
+_scan_points = st.one_of(
+    st.lists(st.tuples(_spread, _spread), min_size=1, max_size=12),
+    st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=12),
+    st.lists(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=12
+    ).map(_floats),
+    st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12)
+    ),
+)
+
+
 class TestLineSplits:
+    @settings(deadline=None, max_examples=300)
+    @given(pts=_scan_points)
+    def test_the_planar_scan_is_the_tuple_keyed_scan(self, pts):
+        assert _line_splits(pts) == reference_line_splits(pts)
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_general_position_gives_one_split_per_pair_plus_one(self, n):
         rng = random.Random(n)
