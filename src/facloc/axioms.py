@@ -465,6 +465,8 @@ def _diamond_vertices(
     39 s eps, and delta = REPLAY_SLACK + 2^-46 s lies 128 s eps past
     REPLAY_SLACK, less a few s eps of its own rounding.  The bound needs
     sums that cannot overflow: where M exceeds 2^512 every line is kept.
+    Up to 2^512 every vertex is finite, as its coordinates stay under 4M,
+    so only past it are the vertices filtered for finite ones.
     """
     xs = {a[0] for a in agents}
     ys = {a[1] for a in agents}
@@ -479,7 +481,8 @@ def _diamond_vertices(
         u_lo, u_hi = max(u_lo, u - c), min(u_hi, u + c)
         v_lo, v_hi = max(v_lo, v - c), min(v_hi, v + c)
     scale = max(max(map(abs, xs)), max(map(abs, ys)), max(costs))
-    if scale <= 2.0**512:
+    bounded = scale <= 2.0**512
+    if bounded:
         delta = REPLAY_SLACK + 2.0**-46 * (scale + REPLAY_SLACK)
         x_lo, x_hi = (u_lo + v_lo) / 2.0 - delta, (u_hi + v_hi) / 2.0 + delta
         y_lo, y_hi = (u_lo - v_hi) / 2.0 - delta, (u_hi - v_lo) / 2.0 + delta
@@ -507,20 +510,23 @@ def _diamond_vertices(
         vertices.update((u - y, y) for u in sums)
         vertices.update((v + y, y) for v in diffs)
     vertices.update(((u + v) / 2.0, (u - v) / 2.0) for u in sums for v in diffs)
+    if bounded:
+        return vertices
     # offsets near the float range overflow; such a vertex is no placement
     return {p for p in vertices if math.isfinite(p[0]) and math.isfinite(p[1])}
 
 
 def _lens_points(
     agents: Sequence[Point], costs: Sequence[float], p: Point
-) -> set[Point]:
+) -> list[Point]:
     """Where an agent's gain can peak over the lens D, the intersection of
     the disks of radius costs[i] around the agents, whose circles all pass
     through p: every agent, the point of each circle nearest each other
     agent, and each second crossing of two circles, the reflection of p in
-    the line through their centres; finite ones only."""
+    the line through their centres; finite ones only, in the order they
+    are built, repeats included."""
     radius = dict(zip(agents, costs))
-    points = set(radius)
+    points = list(radius)
     px, py = p
     for (ax, ay), (bx, by) in itertools.permutations(radius, 2):
         # the point of b's circle nearest a
@@ -528,13 +534,13 @@ def _lens_points(
         # distinct points lie a nonzero distance apart, even when subnormal
         gap = math.hypot(ux, uy)
         scale = radius[bx, by] / gap
-        points.add((bx + scale * ux, by + scale * uy))
+        points.append((bx + scale * ux, by + scale * uy))
         if (ax, ay) < (bx, by):
             # p less twice its offset from the line through a and b
             offset = 2.0 * ((ux * (py - by) - uy * (px - bx)) / gap) / gap
-            points.add((px + offset * uy, py - offset * ux))
+            points.append((px + offset * uy, py - offset * ux))
     # offsets near the float range overflow; such a point is no placement
-    return {q for q in points if math.isfinite(q[0]) and math.isfinite(q[1])}
+    return [q for q in points if math.isfinite(q[0]) and math.isfinite(q[1])]
 
 
 def _convex_hull(points: Sequence[Point]) -> list[Point]:
@@ -594,20 +600,51 @@ def _best_domination(
     profile: AgentProfile,
     solution: Solution,
     old_costs: Sequence[float],
-    candidates: Iterable[tuple[Point, ...]],
+    candidates: Iterable[Any],
 ) -> Certificate | None:
-    """Certificate for the candidate with the largest single-agent margin,
-    ties broken toward the lexicographically smallest location tuple."""
-    best_margin = 0.0
-    best_locations: tuple[Point, ...] | None = None
-    for locations in sorted(candidates):
-        new_costs = _nearest_costs(profile, locations)
-        margin = _domination_margin(old_costs, new_costs)
-        if margin > best_margin:
-            best_margin = margin
-            best_locations = locations
-    if best_locations is None:
+    """Certificate for the candidate with the largest single-agent margin
+    (_domination_margin), ties broken toward the lexicographically smallest
+    location, or None.  The candidates are points where the solution places
+    one facility, and location tuples otherwise.
+
+    One scan, with no sort, keeps the best (margin, candidate): a candidate
+    replaces it with a larger margin, or with an equal one and a smaller
+    location.  Candidates that compare equal, as (-0.0, y) and (0.0, y) do,
+    keep the first one scanned, the one a set built in the same order
+    keeps.  Each candidate is scored over rows of (agent, trip, trip +
+    REPLAY_SLACK), stopping at the first agent made worse; an agent's cost
+    is the distance to the point, or the nearest of the locations.  These
+    are the floats _domination_margin gets from _nearest_costs, so every
+    margin keeps its bits.  A non-finite candidate never wins: an infinite
+    cost makes the first agent worse, and a NaN one gains nobody anything.
+    """
+    dist = _metric_distance(profile.metric)
+    single = len(solution.locations) == 1
+    if single:
+        cost = dist
+    else:
+        def cost(agent: Point, locations: tuple[Point, ...]) -> float:
+            return min(map(dist, itertools.repeat(agent), locations))
+    rows = [(agent, trip, trip + REPLAY_SLACK) for agent, trip in zip(profile.agents, old_costs)]
+    best_margin = GAIN_TOLERANCE
+    best = None
+    for candidate in candidates:
+        margin = 0.0
+        for agent, trip, limit in rows:
+            new = cost(agent, candidate)
+            if new > limit:
+                break
+            if trip - new > margin:
+                margin = trip - new
+        else:
+            if margin > best_margin or (
+                margin == best_margin and best is not None and candidate < best
+            ):
+                best_margin = margin
+                best = candidate
+    if best is None:
         return None
+    best_locations = (best,) if single else best
     # candidates are points of the profile's dimension; a centre that
     # rounds past the float range is refused rather than certified
     _require_finite(best_locations)
@@ -634,7 +671,10 @@ def check_pareto(
     Dominating candidates use uncapacitated semantics: agents go to their
     nearest facility.  Among dominating candidates the one with the largest
     single-agent improvement wins, ties broken toward the lexicographically
-    smallest location tuple.
+    smallest location tuple.  Every path scores its candidates in one scan,
+    with no sort (_best_domination): one facility's candidates as points,
+    several facilities' as location tuples.  A candidate's scoring stops
+    at the first agent whose trip grows by more than REPLAY_SLACK.
 
     One facility in the plane has exact candidates, and the budget is not
     used.  The dominating set is the intersection of the balls around the
@@ -693,12 +733,16 @@ def check_pareto(
         else:
             p = solution.locations[0]
             points = _lens_points(profile.agents, old_costs, p)
-            points.add(_hull_projection(p, hull))
-        return _best_domination(profile, solution, old_costs, ((q,) for q in points))
+            points.append(_hull_projection(p, hull))
+        return _best_domination(profile, solution, old_costs, points)
 
     pool = set(candidate_points(profile, budget))
     centers = _subset_centers(profile)
     pool.update(itertools.chain.from_iterable(centers.values()))
+    if m == 1:
+        # each swap is a pool point, and so is the whole profile's centre,
+        # the one group of the only split
+        return _best_domination(profile, solution, old_costs, pool)
     candidates: set[tuple[Point, ...]] = set()
     # swap one facility at a time, keeping the others where they are
     for j in range(m):

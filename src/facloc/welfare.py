@@ -354,17 +354,10 @@ def _orientation(a: Point, b: Point, c: Point) -> int:
     return (exact > 0) - (exact < 0)
 
 
-def _split_key(mask: int, n: int) -> str:
-    """The bits of mask, a partition's block holding agent 0, read from bit
-    0 up.  Agent i's restricted-growth label (_growth_labels) is 0 where bit
-    i is set and 1 where it is not, so partitions of range(n) into mask and
-    the rest come in the order of their labels when their keys descend."""
-    return format(mask, f"0{n}b")[::-1]
-
-
 def _line_splits(points: Sequence[Point]) -> list[tuple[int, ...]]:
     """Every bipartition of 2-d points that a line separates, as block
-    bitmasks in the order _partitions yields them (_split_key).
+    bitmasks, the side holding agent 0 first, in ascending order of that
+    side.
 
     A separating line can be moved until it passes through two distinct
     points.  The points strictly left of it then form one side, and the
@@ -377,6 +370,18 @@ def _line_splits(points: Sequence[Point]) -> list[tuple[int, ...]]:
     gives its four sides directly, the left side with neither, either or
     both of its points: the sides its prefix loop would give, with no sort.
     Only the pairs of collinear triples keep a list of on-line points.
+
+    The order decides no answer of optimal_welfare, which visits the splits
+    lowest bound first and stops at the first bound past the cutoff; the
+    order only ranks splits of equal bound, and those are all visited or
+    all cut.  The cutoff only falls, to above(value) of a visited split,
+    and by the slack optimal_welfare derives, above(value) is at least
+    that split's bound.  So once the first of a run of equal bounds L is
+    visited, the cutoff stays at L or above until the run ends.  The same
+    splits are visited, the same groups solved, and the tie rule, not the
+    order, picks among them.  Only where two splits of equal bound both
+    hold a group whose geometric median fails does the order pick which
+    of them raises.
     """
     n = len(points)
     full = (1 << n) - 1
@@ -438,8 +443,7 @@ def _line_splits(points: Sequence[Point]) -> list[tuple[int, ...]]:
                     prefix |= 1 << k
             for mask in masks:
                 sides.add(mask if mask & 1 else full ^ mask)
-    ranked = sorted(sides, key=lambda mask: _split_key(mask, n), reverse=True)
-    return [(mask,) if mask == full else (mask, full ^ mask) for mask in ranked]
+    return [(mask,) if mask == full else (mask, full ^ mask) for mask in sorted(sides)]
 
 
 def _pairs_longest_first(points: Sequence[Point]) -> list[tuple[float, int]]:

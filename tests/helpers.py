@@ -13,8 +13,10 @@ import random
 import sys
 
 from facloc import geometry
+from facloc.axioms import Certificate, CertificateKind, _domination_margin
 from facloc.geometry import Circle, Metric, Point, distance
-from facloc.welfare import _ORIENT_ERRBOUND, _ORIENT_UNDERFLOW, _orientation, _split_key
+from facloc.mechanisms import Solution, _require_finite, assign_nearest
+from facloc.welfare import _ORIENT_ERRBOUND, _ORIENT_UNDERFLOW, _nearest_costs, _orientation
 
 # the near-collinear profile on which geometry.geometric_median gives up
 NEAR_COLLINEAR = (
@@ -138,5 +140,35 @@ def reference_line_splits(points: list[Point]) -> list[tuple[int, ...]]:
             for mask in (left[i, j] | prefix, left[i, j] | whole ^ prefix):
                 sides.add(mask if mask & 1 else full ^ mask)
             prefix |= 1 << k
-    ranked = sorted(sides, key=lambda mask: _split_key(mask, n), reverse=True)
-    return [(mask,) if mask == full else (mask, full ^ mask) for mask in ranked]
+    return [(mask,) if mask == full else (mask, full ^ mask) for mask in sorted(sides)]
+
+
+def reference_best_domination(profile, solution, old_costs, candidates):
+    """axioms._best_domination as a sort and then a scan: the candidates
+    sorted as location tuples, each scored by _domination_margin on its
+    _nearest_costs, the first of the largest margin winning.  A sort of
+    NaN is no order, so every candidate must be finite.  check_pareto's
+    certificate, or its None, must have the repr this scan gives."""
+    if len(solution.locations) == 1:
+        candidates = [(point,) for point in candidates]
+    else:
+        candidates = list(candidates)
+    assert all(math.isfinite(c) for locations in candidates for p in locations for c in p)
+    best_margin = 0.0
+    best_locations = None
+    for locations in sorted(candidates):
+        margin = _domination_margin(old_costs, _nearest_costs(profile, locations))
+        if margin > best_margin:
+            best_margin = margin
+            best_locations = locations
+    if best_locations is None:
+        return None
+    _require_finite(best_locations)
+    dominating = Solution._trusted(best_locations, assign_nearest(best_locations, profile))
+    return Certificate._trusted(
+        kind=CertificateKind.PARETO_DOMINATION,
+        profile=profile,
+        improvement=best_margin,
+        original=solution,
+        dominating=dominating,
+    )

@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,7 +38,7 @@ from facloc.mechanisms import (
     run_mechanism,
 )
 from facloc.welfare import OracleCapError
-from helpers import _counting, random_points
+from helpers import _counting, random_points, reference_best_domination
 
 ONE = FacilitySpec(1)
 PAIR = AgentProfile(((0.0, 0.0), (5.0, 5.0)))
@@ -1358,7 +1359,7 @@ def full_arrangement_pareto(profile, solution):
     if not all(map(math.isfinite, costs)):
         raise OracleCapError("an agent's trip overflows the float range")
     points = full_arrangement(profile.agents, costs)
-    return axioms._best_domination(profile, solution, costs, ((q,) for q in points))
+    return axioms._best_domination(profile, solution, costs, points)
 
 
 def pareto_outcome(refuter, profile, solution):
@@ -1642,6 +1643,73 @@ class TestExactPareto:
         if cert is not None:
             assert verify_certificate(cert)
 
+
+@st.composite
+def pareto_scan_cases(draw):
+    """A profile of 1 to 8 agents under either metric, mostly planar:
+    uniform, integer-grid (many ties), or a few points with signed zeros
+    repeated; 1 or 2 placements, each a weighted mean of the agents (in
+    their hull) or past one side of their box, and any assignment to them;
+    all at scale 1, 1e-300 or 1e300."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 2))
+    dim = draw(st.sampled_from([2, 2, 2, 1, 3]))
+    shape = draw(st.sampled_from(["uniform", "grid", "repeated"]))
+    if shape == "uniform":
+        coords = st.floats(0.0, 1.0)
+    else:
+        coords = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    points = st.tuples(*[coords] * dim)
+    if shape == "repeated":
+        pool = draw(st.lists(points, min_size=1, max_size=3))
+        points = st.sampled_from(pool)
+    agents = draw(st.lists(points, min_size=n, max_size=n))
+    lo, hi = bounding_box(agents)
+    locations = []
+    for _ in range(m):
+        if draw(st.booleans()):
+            weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+            total = sum(weights)
+            if total == 0.0:
+                at = list(agents[0])
+            else:
+                at = [sum(w * a[k] for w, a in zip(weights, agents)) / total for k in range(dim)]
+        else:
+            at = [draw(st.sampled_from([lo[k], hi[k], (lo[k] + hi[k]) / 2])) for k in range(dim)]
+            k = draw(st.integers(0, dim - 1))
+            reach = draw(st.floats(0.25, 2.0))
+            at[k] = hi[k] + reach if draw(st.booleans()) else lo[k] - reach
+        locations.append(tuple(at))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    profile = AgentProfile(
+        tuple(tuple(c * scale for c in a) for a in agents), draw(st.sampled_from(list(Metric)))
+    )
+    assignment = tuple(draw(st.integers(1, m)) for _ in range(n))
+    solution = Solution(tuple(tuple(c * scale for c in at) for at in locations), assignment)
+    budget = SearchBudget(grid_resolution=0.5 * scale, bounding_box_pad=0.5 * scale)
+    return profile, solution, budget
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=pareto_scan_cases())
+# (-0.0, 0.0) and (0.0, 0.0), the point of agent 2's circle nearest agent
+# 1, tie on the largest margin; the first one built wins
+@example(
+    case=(
+        AgentProfile(((-0.0, 0.0), (0.0, 2.0))),
+        Solution(((2.0, 2.0),), (1, 1)),
+        SearchBudget(),
+    )
+)
+# agent 1's edge lines overflow, so the arrangement has infinite vertices
+@example(case=(FLOAT_RANGE_MISS[0], Solution((FLOAT_RANGE_MISS[1],), (1,)), SearchBudget()))
+def test_the_one_pass_scan_is_the_sorted_scan(case):
+    # the same candidates, scored in one pass and by the sort and scan
+    profile, solution, budget = case
+    found = pareto_outcome(lambda p, s: check_pareto(p, s, budget), profile, solution)
+    with mock.patch.object(axioms, "_best_domination", reference_best_domination):
+        expected = pareto_outcome(lambda p, s: check_pareto(p, s, budget), profile, solution)
+    assert found == expected
 
 
 # --- the refuters build their certificates from parts already checked, so

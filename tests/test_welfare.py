@@ -45,7 +45,6 @@ from facloc.welfare import (
     _pairs_longest_first,
     _partitions,
     _split_bound,
-    _split_key,
 )
 from helpers import NEAR_COLLINEAR, _counting, grid_min_max_distance, reference_line_splits
 
@@ -529,8 +528,9 @@ def test_line_splits_match_full_enumeration(pts, objective):
 
 def line_split_optimum(prof, objective):
     """The two-facility search over _line_splits without a bound: every
-    split in its order, each group solved on its sorted points, ties broken
-    toward the smaller facility tuple and then toward the earlier split."""
+    split, each group solved on its sorted points, ties broken toward the
+    smaller facility tuple and then toward the earlier restricted-growth
+    labels."""
     best = None
     for masks in _line_splits(prof.agents):
         centers, costs = [], []
@@ -541,11 +541,10 @@ def line_split_optimum(prof, objective):
             costs.append(cost)
         value = sum(costs) if objective is WelfareObjective.TOTAL else max(costs)
         padded = tuple(centers) + (centers[-1],) * (2 - len(centers))
-        if best is None or (value, padded) < best[:2]:
-            best = (value, padded, masks)
-    assignment = tuple(1 + sum(b for b, mask in enumerate(best[2]) if mask >> i & 1)
-                       for i in range(prof.n))
-    solution = Solution(best[1], assignment)
+        labels = _growth_labels(masks, prof.n)
+        if best is None or (value, padded, labels) < best:
+            best = (value, padded, labels)
+    solution = Solution(best[1], tuple(label + 1 for label in best[2]))
     return evaluate(prof, solution, objective), solution
 
 
@@ -1243,8 +1242,7 @@ class TestLineSplits:
         rng = random.Random(n)
         splits = _line_splits([(rng.random(), rng.random()) for _ in range(n)])
         assert len(splits) == math.comb(n, 2) + 1
-        order = {_as_masks(labels): k for k, labels in enumerate(restricted_growth_labels(n, 2))}
-        assert [order[s] for s in splits] == sorted(order[s] for s in splits)
+        assert [masks[0] for masks in splits] == sorted(masks[0] for masks in splits)
 
     def test_collinear_points_split_only_along_the_line(self):
         ts = (3, 0, 5, 1, 4, 2)
@@ -1252,13 +1250,13 @@ class TestLineSplits:
         expected = {(0,) * 6} | {
             tuple(int(t >= cut) ^ int(ts[0] >= cut) for t in ts) for cut in range(1, 6)
         }
-        assert splits == [_as_masks(labels) for labels in sorted(expected)]
+        assert splits == sorted(_as_masks(labels) for labels in expected)
 
     def test_overflowing_determinants_take_the_exact_stage(self):
         # each product overflows, so the float determinant is inf - inf; the
         # three agents lie on one line
         splits = _line_splits([(1e308, -1e308), (-1e308, 1e308), (0.0, 0.0)])
-        assert splits == [(0b111,), (0b101, 0b010), (0b001, 0b110)]
+        assert splits == [(0b001, 0b110), (0b101, 0b010), (0b111,)]
 
     def test_coincident_points_give_one_split(self):
         assert _line_splits([(1.0, 1.0)] * 4) == [(0b1111,)]
@@ -1364,24 +1362,13 @@ def test_the_one_scan_max_bound_is_the_larger_group_bound(pts):
         assert repr(_split_bound(pairs, masks[0])) == repr(larger)
 
 
-@pytest.mark.parametrize("n", range(1, 31))
-def test_the_split_key_ranks_two_block_partitions_by_their_growth_labels(n):
-    rng = random.Random(n)
-    full = (1 << n) - 1
-    # the side holding agent 0, the whole group among them
-    sides = {full} | {rng.getrandbits(n) | 1 for _ in range(200)}
-    partitions = [(side,) if side == full else (side, full ^ side) for side in sides]
-    rng.shuffle(partitions)
-    assert sorted(partitions, key=lambda masks: _split_key(masks[0], n), reverse=True) == sorted(
-        partitions, key=lambda masks: _growth_labels(masks, n)
-    )
-
-
 @pytest.mark.parametrize("objective", list(WelfareObjective))
 @pytest.mark.parametrize("reorder", ["reversed", "shuffled"])
 def test_the_tie_rule_not_the_split_order_picks_the_winner(monkeypatch, objective, reorder):
     # two line splits tie on value and facility tuple in the first profile
-    # under the total, and in the second under the max
+    # under the total, and in the second under the max; under the total,
+    # the third has a run of equal bounds that a cutoff lowered to a value
+    # below them would cut only in part
     rng = random.Random(7)
     grids = [[(float(rng.randint(0, 3)), float(rng.randint(0, 3))) for _ in range(n)]
              for n in range(3, 11)]
@@ -1390,11 +1377,16 @@ def test_the_tie_rule_not_the_split_order_picks_the_winner(monkeypatch, objectiv
         for agents in (
             [(3.0, 2.0), (2.0, 3.0), (3.0, 3.0)],
             [(2.0, 1.0), (2.0, 3.0), (1.0, 2.0), (1.0, 2.0)],
+            [(0.0, 0.0), (2.0, 3.0), (3.0, 2.0), (1.0, 1.0), (2.0, 3.0), (0.0, 1.0), (3.0, 0.0)],
             *grids,
         )
     ]
-    expected = [repr(optimal_welfare(prof, FacilitySpec(2), objective)) for prof in profiles]
-    splits = welfare._line_splits
+    kernel, splits = welfare._one_facility_centre, welfare._line_splits
+    solved = []
+
+    def recorded(pts, metric, objective):
+        solved.append(tuple(pts))
+        return kernel(pts, metric, objective)
 
     def reordered(points):
         found = splits(points)
@@ -1403,9 +1395,15 @@ def test_the_tie_rule_not_the_split_order_picks_the_winner(monkeypatch, objectiv
         random.Random(len(points)).shuffle(found)
         return found
 
+    monkeypatch.setattr(welfare, "_one_facility_centre", recorded)
+    expected = [repr(optimal_welfare(prof, FacilitySpec(2), objective)) for prof in profiles]
+    expected_solved = sorted(solved)
+    solved.clear()
     monkeypatch.setattr(welfare, "_line_splits", reordered)
     found = [repr(optimal_welfare(prof, FacilitySpec(2), objective)) for prof in profiles]
     assert found == expected
+    # splits of equal bound are all solved or all cut, in any order
+    assert sorted(solved) == expected_solved
 
 
 class TestCapacitatedAssignment:
