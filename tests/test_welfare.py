@@ -1362,6 +1362,25 @@ def test_the_one_scan_max_bound_is_the_larger_group_bound(pts):
         assert repr(_split_bound(pairs, masks[0])) == repr(larger)
 
 
+@pytest.mark.parametrize("n", range(1, 31))
+def test_the_split_key_ranks_two_block_partitions_by_their_growth_labels(n):
+    # the split key reads the side holding agent 0 from bit 0 up; agent i's
+    # growth label is 0 where bit i is set and 1 where it is not, so the
+    # labels that break ties between line splits ascend as the keys descend
+    def split_key(masks):
+        return format(masks[0], f"0{n}b")[::-1]
+
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    # the side holding agent 0, the whole group among them
+    sides = {full} | {rng.getrandbits(n) | 1 for _ in range(200)}
+    partitions = [(side,) if side == full else (side, full ^ side) for side in sides]
+    rng.shuffle(partitions)
+    assert sorted(partitions, key=split_key, reverse=True) == sorted(
+        partitions, key=lambda masks: _growth_labels(masks, n)
+    )
+
+
 @pytest.mark.parametrize("objective", list(WelfareObjective))
 @pytest.mark.parametrize("reorder", ["reversed", "shuffled"])
 def test_the_tie_rule_not_the_split_order_picks_the_winner(monkeypatch, objective, reorder):
